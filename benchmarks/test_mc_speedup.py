@@ -176,7 +176,7 @@ def test_fleet_1000_devices_fast_path(benchmark, paper_report, monkeypatch):
     def run():
         simulator = FleetSimulator(
             FleetScenario(
-                num_devices=1000, duration_s=1.0, mac="slotted_aloha", phy_fast_path=True
+                num_devices=1000, duration_s=1.0, mac="slotted_aloha", engine="fast_path"
             )
         )
         return simulator, simulator.run()

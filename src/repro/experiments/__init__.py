@@ -35,8 +35,7 @@ Module                      Paper artefact
 ``fig17_card_to_card``      Fig. 17 — card-to-card BER vs distance
 ``table_power``             §3      — 28 µW IC power breakdown
 ``table_packet_sizes``      §2.3.3  — Wi-Fi payload per BLE advertisement
-``mac_scaling``             beyond  — fleet size × MAC policy sweep
-``mac_density``             beyond  — delivery vs density, epoch engine
+``mac_scaling``             beyond  — fleet size × MAC sweep, every netsim engine
 ``coded_ofdm``              beyond  — hard vs soft Viterbi over AWGN
 =========================  ============================================
 """
@@ -53,7 +52,6 @@ from repro.experiments import (
     fig15_contact_lens,
     fig16_neural_implant,
     fig17_card_to_card,
-    mac_density,
     mac_scaling,
     table_packet_sizes,
     table_power,
@@ -71,7 +69,6 @@ __all__ = [
     "fig15_contact_lens",
     "fig16_neural_implant",
     "fig17_card_to_card",
-    "mac_density",
     "mac_scaling",
     "table_packet_sizes",
     "table_power",

@@ -4,9 +4,23 @@ The paper evaluates one tag per carrier; this driver asks the scaling
 question its applications imply: as N contact lenses (or implants, or
 cards) share one single-tone carrier, how do the candidate medium-access
 policies compare?  For each fleet size and MAC policy it runs one seeded
-:class:`~repro.netsim.fleet.FleetSimulator` scenario and records delivery
-ratio, aggregate goodput, attempt-level PER, medium utilization and median
-latency.
+:class:`~repro.netsim.fleet.FleetScenario` on the netsim engine named by
+``engine`` and records delivery ratio, aggregate goodput, attempt-level
+PER, medium utilization and median latency.
+
+The engines are netsim's own (:data:`repro.netsim.fleet.ENGINES`): the
+continuous-time heap engine with the analytic PHY (``scalar``) or the PER
+tables (``fast_path``), and the epoch-batched engine (``batched``), whose
+numpy arrays carry the fleet-size axis into the thousands-of-devices
+regime (a stadium of payment cards, a ward of implants), plus its scalar
+oracle (``reference``) for bit-for-bit cross-checks at small sizes.
+
+The contention-realism knobs of :class:`repro.netsim.batched.EpochMacParams`
+are sweepable too: imperfect CCA detection, the retry ladder's abort
+counter and a per-device duty-cycle limit.  Their defaults leave every
+engine's numbers unchanged; only the epoch engines model a duty cycle, so
+``duty_cycle < 1`` on a heap engine raises
+:class:`~repro.exceptions.ConfigurationError`.
 
 The qualitative findings mirror classic MAC analysis: pure ALOHA collapses
 first as offered load grows, slotting roughly doubles the usable capacity,
@@ -20,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.api.registry import register, resolve_engine
-from repro.netsim.batched import BatchedFleetSimulator
-from repro.netsim.fleet import FleetScenario, FleetSimulator
+from repro.api.registry import register
+from repro.netsim.batched import simulate
+from repro.netsim.fleet import ENGINES, FleetScenario
 from repro.plots.figure import Figure, Series
 
 __all__ = ["MacScalingResult", "run", "summarize", "DEFAULT_FLEET_SIZES", "DEFAULT_MACS"]
@@ -46,6 +60,8 @@ class MacScalingResult:
         Policy names, in sweep order.
     profile / period_s / duration_s / seed:
         Scenario parameters shared by every run.
+    duty_cycle / cca_reliability / max_attempts:
+        Contention-realism knobs forwarded to every MAC.
     delivery_ratio / throughput_bps / attempt_per / utilization /
     latency_p50_s:
         Policy name → array over fleet sizes.
@@ -57,39 +73,14 @@ class MacScalingResult:
     period_s: float
     duration_s: float
     seed: int
+    duty_cycle: float
+    cca_reliability: float
+    max_attempts: int
     delivery_ratio: dict[str, np.ndarray]
     throughput_bps: dict[str, np.ndarray]
     attempt_per: dict[str, np.ndarray]
     utilization: dict[str, np.ndarray]
     latency_p50_s: dict[str, np.ndarray]
-
-
-def _simulate(phy_fast_path: bool, **scenario_kwargs):
-    scenario = FleetScenario(phy_fast_path=phy_fast_path, **scenario_kwargs)
-    return FleetSimulator(scenario).run().aggregate()
-
-
-def _simulate_exact(**scenario_kwargs):
-    """Analytic PHY error model evaluated per packet."""
-    return _simulate(False, **scenario_kwargs)
-
-
-def _simulate_fast_path(**scenario_kwargs):
-    """Packet fates from the memoised LinkAbstraction PER tables."""
-    return _simulate(True, **scenario_kwargs)
-
-
-def _simulate_batched(**scenario_kwargs):
-    """Epoch-batched vectorised engine (per-device state in numpy arrays)."""
-    scenario = FleetScenario(engine="batched", **scenario_kwargs)
-    return BatchedFleetSimulator(scenario).run().aggregate()
-
-
-_ENGINES = {
-    "scalar": _simulate_exact,
-    "fast_path": _simulate_fast_path,
-    "batched": _simulate_batched,
-}
 
 
 def run(
@@ -100,6 +91,9 @@ def run(
     period_s: float = 0.02,
     duration_s: float = 2.0,
     seed: int = 2016,
+    duty_cycle: float = 1.0,
+    cca_reliability: float = 1.0,
+    max_attempts: int = 8,
     engine: str = "scalar",
 ) -> MacScalingResult:
     """Sweep fleet size × MAC policy and collect the aggregate metrics.
@@ -108,13 +102,12 @@ def run(
     channel saturation so the policies separate; pass a larger ``period_s``
     for a light-load sweep.
 
-    ``engine="scalar"`` (default) evaluates the analytic PHY error model
-    per packet; ``"fast_path"`` resolves packet fates through the memoised
-    PER tables of :class:`repro.mc.link_abstraction.LinkAbstraction`
-    (statistically equivalent up to the table's SINR binning, essential for
-    1000+ device fleets).
+    ``engine`` names the netsim engine every scenario runs on (see the
+    module docstring).  ``max_attempts`` reaches every MAC,
+    ``cca_reliability`` the CSMA one, and ``duty_cycle`` (epoch engines
+    only) every MAC when below 1 — see
+    :class:`repro.netsim.batched.EpochMacParams` for their semantics.
     """
-    simulate = resolve_engine("mac_scaling", engine, _ENGINES)
     series: dict[str, dict[str, list[float]]] = {
         metric: {mac: [] for mac in macs}
         for metric in (
@@ -126,15 +119,23 @@ def run(
         )
     }
     for mac in macs:
+        mac_params = {"max_attempts": max_attempts}
+        if duty_cycle != 1.0:  # the heap engines' MACs reject it by name
+            mac_params["duty_cycle"] = duty_cycle
+        if mac == "csma":  # imperfect carrier sense is a CSMA-only knob
+            mac_params["cca_reliability"] = cca_reliability
         for size in fleet_sizes:
-            aggregate = simulate(
+            scenario = FleetScenario(
                 profile=profile,
                 num_devices=size,
                 mac=mac,
                 duration_s=duration_s,
                 period_s=period_s,
                 seed=seed,
+                engine=engine,
+                mac_params=dict(mac_params),
             )
+            aggregate = simulate(scenario).aggregate()
             series["delivery_ratio"][mac].append(aggregate.delivery_ratio)
             series["throughput_bps"][mac].append(aggregate.throughput_bps)
             series["attempt_per"][mac].append(aggregate.attempt_per)
@@ -147,6 +148,9 @@ def run(
         period_s=period_s,
         duration_s=duration_s,
         seed=seed,
+        duty_cycle=duty_cycle,
+        cca_reliability=cca_reliability,
+        max_attempts=max_attempts,
         delivery_ratio={m: np.array(v) for m, v in series["delivery_ratio"].items()},
         throughput_bps={m: np.array(v) for m, v in series["throughput_bps"].items()},
         attempt_per={m: np.array(v) for m, v in series["attempt_per"].items()},
@@ -195,7 +199,7 @@ register(
     name="mac_scaling",
     title="MAC scaling — fleet size × MAC policy sweep (beyond the paper)",
     run=run,
-    engines=_ENGINES,
+    engines=ENGINES,
     fast_params={"fleet_sizes": (1, 5, 10), "duration_s": 0.5},
     summarize=summarize,
     metrics=metrics,

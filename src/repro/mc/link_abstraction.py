@@ -15,7 +15,7 @@ i.e. for the synthesized 802.11b packets whose fate the fleet medium already
 judges analytically; the table only discretises the SINR axis (default
 0.25 dB bins, well below the dB-scale granularity of the underlying model).
 Exact per-packet evaluation remains the default; the table is opt-in via
-``SharedMedium(link_abstraction=...)`` or ``FleetScenario(phy_fast_path=True)``.
+``SharedMedium(link_abstraction=...)`` or ``FleetScenario(engine="fast_path")``.
 """
 
 from __future__ import annotations

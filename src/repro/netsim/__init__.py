@@ -15,7 +15,8 @@ implants or payment cards share one single-tone carrier":
   the :mod:`repro.apps` profiles with ring placement geometry.
 * :mod:`repro.netsim.batched` — epoch-batched execution for 10^5-device
   fleets: per-device MAC state in numpy arrays, one vectorised medium pass
-  per epoch, plus the scalar epoch oracle the differential tests trust.
+  per epoch, plus the scalar epoch oracle the differential tests trust;
+  its ``simulate`` runs a scenario on the engine it names (:data:`ENGINES`).
 * :mod:`repro.netsim.metrics` — per-device and aggregate throughput, PER,
   delivery ratio, medium utilization and latency percentiles.
 
@@ -43,6 +44,7 @@ from repro.netsim.mac import (
     make_mac,
 )
 from repro.netsim.fleet import (
+    ENGINES,
     PROFILES,
     FleetScenario,
     FleetSimulator,
@@ -83,6 +85,7 @@ __all__ = [
     "neural_implant_profile",
     "card_to_card_profile",
     "ring_placement",
+    "ENGINES",
     "FleetScenario",
     "FleetSimulator",
     "SimDevice",

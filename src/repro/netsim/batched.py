@@ -66,11 +66,11 @@ order and every random draw happens in ascending device id:
    access draws of freshly exposed queue heads.
 
 The PER table is always used (the batched mode exists *because* of the fast
-path); ``FleetScenario.phy_fast_path`` is ignored here.  MAC knobs arrive
-through ``FleetScenario.mac_params`` — see :func:`resolve_epoch_mac` —
-including the contention-realism set: ``cca_reliability`` (imperfect CCA),
-``max_attempts`` (retry-ladder abort counter) and ``duty_cycle`` (fraction
-of elapsed virtual time a device may spend on air).
+path).  MAC knobs arrive through ``FleetScenario.mac_params`` — see
+:func:`resolve_epoch_mac` — including the contention-realism set:
+``cca_reliability`` (imperfect CCA), ``max_attempts`` (retry-ladder abort
+counter) and ``duty_cycle`` (fraction of elapsed virtual time a device may
+spend on air).
 """
 
 from __future__ import annotations
@@ -213,10 +213,6 @@ class _EpochSetup:
     """
 
     def __init__(self, scenario: FleetScenario, *, epoch_s: float | None = None) -> None:
-        if scenario.num_devices < 1:
-            raise ConfigurationError("num_devices must be at least 1")
-        if scenario.duration_s <= 0:
-            raise ConfigurationError("duration_s must be positive")
         self.scenario = scenario
         self.profile = scenario.resolved_profile()
         timing = InterscatterTiming(wifi_rate_mbps=self.profile.wifi_rate_mbps)
@@ -283,8 +279,7 @@ class BatchedFleetSimulator:
     Parameters
     ----------
     scenario:
-        The fleet configuration (``phy_fast_path`` is ignored — the PER
-        table is always used).
+        The fleet configuration (the PER table is always used).
     epoch_s:
         Epoch width override; defaults to one MAC slot.  Coarser epochs
         trade collision-window fidelity for fewer epochs (any two packets
@@ -886,18 +881,11 @@ def simulate(
 ) -> FleetMetrics:
     """Run *scenario* under the engine its ``engine`` field names.
 
-    ``"scalar"`` dispatches to the continuous-time heap engine
-    (:class:`~repro.netsim.fleet.FleetSimulator`); ``"batched"`` and
-    ``"reference"`` to the epoch engines of this module (``epoch_s``
-    applies only to those).
+    ``"scalar"`` and ``"fast_path"`` dispatch to the continuous-time heap
+    engine (:class:`~repro.netsim.fleet.FleetSimulator`, the latter with
+    PER tables); ``"batched"`` and ``"reference"`` to the epoch engines of
+    this module (``epoch_s`` applies only to those).
     """
-    if scenario.engine == "scalar":
-        return FleetSimulator(scenario).run()
-    try:
-        engine = EPOCH_ENGINES[scenario.engine]
-    except KeyError as exc:
-        raise ConfigurationError(
-            f"unknown netsim engine {scenario.engine!r}; "
-            f"available: {['scalar', *sorted(EPOCH_ENGINES)]}"
-        ) from exc
-    return engine(scenario, epoch_s=epoch_s).run()
+    if scenario.engine in EPOCH_ENGINES:
+        return EPOCH_ENGINES[scenario.engine](scenario, epoch_s=epoch_s).run()
+    return FleetSimulator(scenario).run()

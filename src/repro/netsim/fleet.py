@@ -21,6 +21,7 @@ Runs are fully deterministic in the scenario seed.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -58,6 +59,7 @@ __all__ = [
     "neural_implant_profile",
     "card_to_card_profile",
     "ring_placement",
+    "ENGINES",
     "FleetScenario",
     "SimDevice",
     "FleetSimulator",
@@ -65,6 +67,10 @@ __all__ = [
 
 #: Minimal 802.11b MAC header + FCS the apps prepend to their payloads.
 MAC_OVERHEAD_BYTES = 6
+
+#: Execution engines a :class:`FleetScenario` may name, default first.
+#: ``repro.netsim.batched.simulate`` dispatches on them.
+ENGINES = ("scalar", "fast_path", "batched", "reference")
 
 
 @dataclass(frozen=True)
@@ -204,6 +210,11 @@ def ring_placement(
     return positions
 
 
+def _finite(value) -> bool:
+    """Whether *value* is a real number other than ±inf and NaN."""
+    return isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 @dataclass(frozen=True)
 class FleetScenario:
     """One reproducible multi-device experiment configuration.
@@ -229,17 +240,23 @@ class FleetScenario:
         experiments use it to push offered load).
     mac_params:
         Extra keyword arguments forwarded to the MAC constructor.
-    phy_fast_path:
-        When True, packet fates are resolved through the memoised PER
-        tables of :class:`repro.mc.link_abstraction.LinkAbstraction`
-        (table lookup + Bernoulli draw) instead of evaluating the analytic
-        PHY error model per packet.  Statistically equivalent up to the
-        table's 0.25 dB SINR binning; essential for 1000+ device fleets.
     engine:
-        Execution engine ``repro.netsim.batched.simulate`` dispatches on:
-        ``"scalar"`` (this module's continuous-time heap engine),
-        ``"batched"`` (vectorised epoch engine) or ``"reference"`` (the
-        scalar epoch oracle the differential tests trust).
+        Execution engine (one of :data:`ENGINES`) that
+        ``repro.netsim.batched.simulate`` dispatches on: ``"scalar"`` (this
+        module's continuous-time heap engine, analytic PHY error model per
+        packet), ``"fast_path"`` (the heap engine resolving packet fates
+        through the memoised PER tables of
+        :class:`repro.mc.link_abstraction.LinkAbstraction` — statistically
+        equivalent up to the table's 0.25 dB SINR binning, essential for
+        1000+ device fleets), ``"batched"`` (vectorised epoch engine) or
+        ``"reference"`` (the scalar epoch oracle the differential tests
+        trust).
+
+    Construction rejects inputs no engine can run (a non-positive or
+    non-finite horizon or packet interval, an empty fleet, a non-finite
+    carrier power, an unknown engine) with
+    :class:`~repro.exceptions.ConfigurationError`, so every engine sees
+    the same validated scenario.
     """
 
     profile: TrafficProfile | str = "contact_lens"
@@ -250,8 +267,19 @@ class FleetScenario:
     source_power_dbm: float = 20.0
     period_s: float | None = None
     mac_params: dict = field(default_factory=dict)
-    phy_fast_path: bool = False
     engine: str = "scalar"
+
+    def __post_init__(self) -> None:
+        if self.num_devices < 1:
+            raise ConfigurationError("num_devices must be at least 1")
+        if not (_finite(self.duration_s) and self.duration_s > 0):
+            raise ConfigurationError(f"duration_s must be finite and positive, got {self.duration_s!r}")
+        if self.period_s is not None and not (_finite(self.period_s) and self.period_s > 0):
+            raise ConfigurationError(f"period_s must be None or finite and positive, got {self.period_s!r}")
+        if not _finite(self.source_power_dbm):
+            raise ConfigurationError(f"source_power_dbm must be finite, got {self.source_power_dbm!r}")
+        if self.engine not in ENGINES:
+            raise ConfigurationError(f"unknown netsim engine {self.engine!r}; available: {list(ENGINES)}")
 
     def resolved_profile(self) -> TrafficProfile:
         """The concrete profile, with any period override applied."""
@@ -303,10 +331,6 @@ class FleetSimulator:
     SLOT_GUARD_FRACTION = 0.05
 
     def __init__(self, scenario: FleetScenario) -> None:
-        if scenario.num_devices < 1:
-            raise ConfigurationError("num_devices must be at least 1")
-        if scenario.duration_s <= 0:
-            raise ConfigurationError("duration_s must be positive")
         self.scenario = scenario
         self.profile = scenario.resolved_profile()
         self.rng = np.random.default_rng(scenario.seed)
@@ -332,7 +356,7 @@ class FleetSimulator:
         )
         # The medium must judge packets against the same receiver the link
         # budget models, so it inherits that noise floor and sensitivity.
-        self.link_abstraction = LinkAbstraction() if scenario.phy_fast_path else None
+        self.link_abstraction = LinkAbstraction() if scenario.engine == "fast_path" else None
         self.medium = SharedMedium(
             noise=link_budget.noise,
             receiver_sensitivity_dbm=link_budget.receiver_sensitivity_dbm,
@@ -458,7 +482,7 @@ class FleetSimulator:
             profile=self.profile.name,
             devices=self.scenario.num_devices,
             mac=self.scenario.mac,
-            fast_path=self.scenario.phy_fast_path,
+            fast_path=self.link_abstraction is not None,
         ):
             for node in self.nodes:
                 node.mac.start()

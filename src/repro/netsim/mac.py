@@ -23,6 +23,8 @@ idealisation); a packet is dropped after ``max_attempts`` failures.
 from __future__ import annotations
 
 import abc
+import functools
+import inspect
 from collections import deque
 from dataclasses import dataclass
 
@@ -419,12 +421,34 @@ MAC_POLICIES: dict[str, type[MacProtocol]] = {
 }
 
 
+@functools.cache
+def _keywords(policy: type[MacProtocol]) -> frozenset[str]:
+    """Keyword parameters *policy* accepts, its own and its MAC bases'."""
+    return frozenset(
+        parameter.name
+        for cls in policy.__mro__
+        if issubclass(cls, MacProtocol) and "__init__" in vars(cls)
+        for parameter in inspect.signature(cls.__init__).parameters.values()
+        if parameter.kind is parameter.KEYWORD_ONLY
+    )
+
+
 def make_mac(name: str, **kwargs) -> MacProtocol:
-    """Instantiate a MAC policy by registry name."""
+    """Instantiate a MAC policy by registry name.
+
+    Unknown policies and keywords the policy does not take raise
+    :class:`~repro.exceptions.ConfigurationError`.
+    """
     try:
         policy = MAC_POLICIES[name]
     except KeyError as exc:
         raise ConfigurationError(
             f"unknown MAC policy {name!r}; available: {sorted(MAC_POLICIES)}"
         ) from exc
+    accepted = _keywords(policy)
+    unknown = sorted(set(kwargs) - accepted)
+    if unknown:
+        raise ConfigurationError(
+            f"MAC policy {name!r} takes no parameter(s) {unknown}; available: {sorted(accepted)}"
+        )
     return policy(**kwargs)

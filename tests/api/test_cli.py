@@ -22,7 +22,7 @@ class TestList:
         assert main(["list", "--json"]) == 0
         entries = json.loads(capsys.readouterr().out)
         by_name = {entry["name"]: entry for entry in entries}
-        assert len(entries) == 15
+        assert len(entries) == 14
         assert by_name["fig11"]["engines"] == ["scalar", "batch"]
         assert by_name["mac_scaling"]["artifact"] is None
 
@@ -72,7 +72,7 @@ class TestRun:
         code = main(["run", "--all", "--fast", "--validate", "--quiet", "--json-dir", str(tmp_path)])
         assert code == 0
         written = sorted(path.stem for path in tmp_path.glob("*.json"))
-        assert len(written) == 15
+        assert len(written) == 14
         for path in tmp_path.glob("*.json"):
             document = json.loads(path.read_text())
             assert document["schema_version"] == 1
@@ -130,7 +130,7 @@ class TestCampaigns:
         store_dir = tmp_path / "store"
         code = main(["run", "--all", "--fast", "--jobs", "2", "--store", str(store_dir), "--quiet"])
         assert code == 0
-        assert len(ResultStore(store_dir)) == 15
+        assert len(ResultStore(store_dir)) == 14
 
     def test_named_run_with_store_appends(self, tmp_path):
         store_dir = tmp_path / "store"

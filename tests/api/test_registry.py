@@ -19,7 +19,6 @@ ALL_EXPERIMENTS = [
     "fig15",
     "fig16",
     "fig17",
-    "mac_density",
     "mac_scaling",
     "table_packet_sizes",
     "table_power",
@@ -27,7 +26,7 @@ ALL_EXPERIMENTS = [
 
 
 class TestDiscovery:
-    def test_all_fifteen_experiments_registered(self):
+    def test_all_fourteen_experiments_registered(self):
         assert sorted(experiment_names()) == sorted(ALL_EXPERIMENTS)
 
     def test_iter_matches_names(self):
@@ -46,13 +45,10 @@ class TestMetadata:
             # The capability table carries a real implementation per engine.
             assert all(callable(impl) for impl in experiment.engines.values())
 
-    def test_mac_scaling_declares_fast_path(self):
-        assert get_experiment("mac_scaling").engine_names == ("scalar", "fast_path", "batched")
-
-    def test_mac_density_declares_epoch_engines(self):
-        experiment = get_experiment("mac_density")
-        assert experiment.engine_names == ("batched", "reference")
-        assert experiment.default_engine == "batched"
+    def test_mac_scaling_declares_every_netsim_engine(self):
+        experiment = get_experiment("mac_scaling")
+        assert experiment.engine_names == ("scalar", "fast_path", "batched", "reference")
+        assert experiment.default_engine == "scalar"
 
     def test_coded_ofdm_is_batch_only(self):
         experiment = get_experiment("coded_ofdm")

@@ -21,7 +21,6 @@ from repro.experiments import (
     fig15_contact_lens,
     fig16_neural_implant,
     fig17_card_to_card,
-    mac_density,
     mac_scaling,
     table_packet_sizes,
     table_power,
@@ -164,11 +163,15 @@ class TestMacScaling:
         assert result.utilization["aloha"][1] > result.utilization["aloha"][0]
 
 
-class TestMacDensity:
+class TestMacScalingEpochEngine:
     @pytest.fixture(scope="class")
     def result(self):
-        return mac_density.run(
-            densities=(5, 25, 75), macs=("aloha", "tdma"), period_s=0.005, duration_s=1.0
+        return mac_scaling.run(
+            fleet_sizes=(5, 25, 75),
+            macs=("aloha", "tdma"),
+            period_s=0.005,
+            duration_s=1.0,
+            engine="batched",
         )
 
     def test_sweep_shapes(self, result):
@@ -184,25 +187,27 @@ class TestMacDensity:
         assert tdma[-1] > aloha[-1]
 
     def test_driver_hooks_cover_every_mac(self, result):
-        lines = mac_density.summarize(result)
+        lines = mac_scaling.summarize(result)
         assert len(lines) == len(result.macs) + 1
-        scalars = mac_density.metrics(result)
-        assert set(scalars) == {"delivery_aloha", "delivery_tdma", "utilization_aloha", "utilization_tdma"}
-        figure = mac_density.plot(result)
+        scalars = mac_scaling.metrics(result)
+        assert set(scalars) == {"delivery_aloha", "delivery_tdma", "goodput_kbps_aloha", "goodput_kbps_tdma"}
+        figure = mac_scaling.plot(result)
         assert len(figure.series) == len(result.macs)
 
     def test_contention_knobs_reach_the_epoch_mac(self):
-        strict = mac_density.run(
-            densities=(25,), macs=("aloha",), period_s=0.005, duration_s=0.5, max_attempts=1
-        )
-        lax = mac_density.run(
-            densities=(25,), macs=("aloha",), period_s=0.005, duration_s=0.5, max_attempts=8
-        )
+        def sweep(**knobs):
+            return mac_scaling.run(
+                fleet_sizes=(25,), macs=("aloha",), period_s=0.005, duration_s=0.5, engine="batched", **knobs
+            )
+
+        strict = sweep(max_attempts=1)
+        lax = sweep(max_attempts=8)
         # A deeper retry ladder means strictly more attempts on a saturated channel.
         assert lax.attempt_per["aloha"][0] != strict.attempt_per["aloha"][0]
+        assert sweep(duty_cycle=0.05).utilization["aloha"][0] < lax.utilization["aloha"][0]
 
-    def test_heap_engine_is_not_in_the_capability_table(self):
+    def test_duty_cycle_is_rejected_on_the_heap_engine(self):
         from repro.exceptions import ConfigurationError
 
-        with pytest.raises(ConfigurationError):
-            mac_density.run(densities=(5,), macs=("aloha",), duration_s=0.2, engine="scalar")
+        with pytest.raises(ConfigurationError, match="duty_cycle"):
+            mac_scaling.run(fleet_sizes=(5,), macs=("aloha",), duration_s=0.2, duty_cycle=0.5, engine="scalar")

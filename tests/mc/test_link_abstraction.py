@@ -98,7 +98,7 @@ class TestFleetFastPath:
     def test_fleet_metrics_match_exact_path(self):
         base = dict(num_devices=25, duration_s=1.0, mac="slotted_aloha", seed=99)
         exact = FleetSimulator(FleetScenario(**base)).run().aggregate()
-        sim = FleetSimulator(FleetScenario(**base, phy_fast_path=True))
+        sim = FleetSimulator(FleetScenario(**base, engine="fast_path"))
         fast = sim.run().aggregate()
         # Same seed, same event sequence; the table PER differs from the
         # exact model by < 2e-3, so the Bernoulli draws land identically.

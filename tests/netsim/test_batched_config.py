@@ -17,7 +17,6 @@ from repro.netsim.batched import (
     BatchedFleetSimulator,
     EpochReferenceSimulator,
     resolve_epoch_mac,
-    simulate,
 )
 from repro.netsim.fleet import FleetScenario
 
@@ -80,17 +79,6 @@ def test_unknown_mac_policy_is_rejected():
 def test_epoch_must_cover_one_air_time():
     with pytest.raises(ConfigurationError):
         BatchedFleetSimulator(_scenario(), epoch_s=1e-9)
-
-
-@pytest.mark.parametrize("overrides", ({"num_devices": 0}, {"duration_s": 0.0}))
-def test_degenerate_scenarios_are_rejected(overrides):
-    with pytest.raises(ConfigurationError):
-        BatchedFleetSimulator(_scenario(**overrides))
-
-
-def test_simulate_rejects_unknown_engine():
-    with pytest.raises(ConfigurationError):
-        simulate(_scenario(engine="warp_drive"))
 
 
 def test_engine_table_names_both_epoch_engines():

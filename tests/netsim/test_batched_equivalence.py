@@ -23,7 +23,8 @@ from repro.netsim.batched import (
     EpochReferenceSimulator,
     simulate,
 )
-from repro.netsim.fleet import FleetScenario
+from repro.netsim.fleet import ENGINES, FleetScenario
+from repro.obs import metrics as obs
 
 SEEDS = (1, 7, 2016, 90210, 424242)
 
@@ -110,52 +111,44 @@ def test_simulate_dispatches_on_scenario_engine():
     batched = simulate(FleetScenario(engine="batched", **kwargs))
     reference = simulate(FleetScenario(engine="reference", **kwargs))
     assert batched.fingerprint() == reference.fingerprint()
+    # The heap engine resolves packet fates through the PER tables only
+    # when the scenario names the fast path.
+    hits = {}
+    for engine in ("scalar", "fast_path"):
+        with obs.collect() as collector:
+            simulate(FleetScenario(engine=engine, **kwargs))
+        hits[engine] = collector.counters.get("netsim.medium.fast_path_hits", 0)
+    assert hits["scalar"] == 0
+    assert hits["fast_path"] > 0
 
 
-_FAST_DENSITY = {"densities": (5, 10, 25), "period_s": 0.005, "duration_s": 0.5}
-
-
-def test_mac_density_payloads_identical_across_engines():
+def test_mac_scaling_payloads_identical_across_epoch_engines():
     runner = Runner()
-    batched = runner.run("mac_density", params=dict(_FAST_DENSITY), engine="batched")
-    reference = runner.run("mac_density", params=dict(_FAST_DENSITY), engine="reference")
+    params = {"fleet_sizes": (5, 10, 25), "period_s": 0.005, "duration_s": 0.5}
+    batched = runner.run("mac_scaling", params=dict(params), engine="batched")
+    reference = runner.run("mac_scaling", params=dict(params), engine="reference")
     for mac in batched.payload.macs:
-        for metric in ("delivery_ratio", "throughput_bps", "attempt_per", "utilization"):
+        for metric in ("delivery_ratio", "throughput_bps", "attempt_per", "utilization", "latency_p50_s"):
             assert np.array_equal(
                 getattr(batched.payload, metric)[mac],
                 getattr(reference.payload, metric)[mac],
+                equal_nan=True,
             ), (mac, metric)
 
 
 def test_cross_engine_envelopes_differ_only_in_engine():
     # The invocation identity (experiment, seed, params) of the same sweep
-    # run on two engines must agree on everything except the engine field,
-    # so stores keep both runs side by side under comparable keys.
-    runner = Runner()
-    results = [
-        runner.run("mac_density", params=dict(_FAST_DENSITY), engine=engine)
-        for engine in ("batched", "reference")
-    ]
-    keys = {
-        invocation_key(r.experiment, "<engine>", r.seed, r.params, backend=r.backend)
-        for r in results
-    }
-    assert len(keys) == 1
-    assert {r.engine for r in results} == {"batched", "reference"}
-
-
-def test_mac_scaling_envelopes_comparable_across_engines():
+    # run on every engine must agree on everything except the engine field,
+    # so stores keep the runs side by side under comparable keys.
     runner = Runner()
     params = {"fleet_sizes": (2, 4), "duration_s": 0.3}
-    results = [
-        runner.run("mac_scaling", params=dict(params), engine=engine)
-        for engine in ("scalar", "batched")
-    ]
+    results = [runner.run("mac_scaling", params=dict(params), engine=engine) for engine in ENGINES]
     keys = {
         invocation_key(r.experiment, "<engine>", r.seed, r.params, backend=r.backend)
         for r in results
     }
     assert len(keys) == 1
+    assert [r.engine for r in results] == list(ENGINES)
     for result in results:
         for mac in result.payload.macs:
             ratios = result.payload.delivery_ratio[mac]

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import signal
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.netsim import (
+    ENGINES,
     PROFILES,
     FleetScenario,
     FleetSimulator,
     ring_placement,
+    simulate,
 )
 
 
@@ -41,6 +46,45 @@ def test_unknown_profile_and_mac_raise():
         FleetScenario(profile="smart_toaster").resolved_profile()
     with pytest.raises(ConfigurationError):
         FleetSimulator(FleetScenario(mac="token_ring", num_devices=2))
+
+
+@contextmanager
+def _wall_clock_bound(seconds: float):
+    """Raise TimeoutError in the block after *seconds*, so a hang fails instead of stalling."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"exceeded the {seconds} s wall-clock bound")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    (
+        {"num_devices": 0},
+        {"duration_s": 0.0},
+        {"duration_s": float("nan")},  # unchecked, hangs the heap engine
+        {"duration_s": float("inf")},
+        {"period_s": 0.0},  # unchecked, hangs every engine
+        {"period_s": -0.01},
+        {"period_s": float("nan")},
+        {"source_power_dbm": float("inf")},  # unchecked, the engines disagree on delivery
+        {"source_power_dbm": float("nan")},
+        {"engine": "warp_drive"},
+    ),
+    ids=lambda overrides: "-".join(f"{k}={v}" for k, v in overrides.items()),
+)
+def test_degenerate_scenarios_are_rejected_on_every_engine(overrides):
+    for engine in ENGINES:
+        scenario = {"num_devices": 3, "duration_s": 0.2, "engine": engine, **overrides}
+        with _wall_clock_bound(5.0), pytest.raises(ConfigurationError):
+            simulate(FleetScenario(**scenario))
 
 
 def test_same_seed_reproduces_bit_identical_metrics():

@@ -235,6 +235,9 @@ def test_make_mac_registry():
     assert isinstance(make_mac("tdma", num_slots=4, slot_index=1), TdmaPolling)
     with pytest.raises(ConfigurationError):
         make_mac("token_ring")
+    with pytest.raises(ConfigurationError, match="'slotted_aloha'.*'duty_cycle'"):
+        make_mac("slotted_aloha", duty_cycle=0.5)
+    assert make_mac("tdma", max_attempts=2, queue_limit=4).max_attempts == 2
 
 
 def test_queue_limit_rejects_overflow():
