@@ -34,14 +34,14 @@ Subcommands
     worker processes — bit-identical results regardless of N — and
     ``--store DIR`` streams the envelopes into a
     :class:`~repro.api.store.ResultStore` (reruns skip work the store
-    already holds).  Resume matching follows ``--cache``: ``content``
-    (the default) keys on the driver module's normalized source as well
-    as the invocation, so caches survive comment/formatting refactors
-    and invalidate on behavioural edits; ``--refresh`` forces
-    re-execution regardless.  ``--shard-index I --shard-count N``
-    executes one deterministic slice of the expanded batch
-    (:mod:`repro.fabric.slicing`) and ``--manifest PATH`` records the
-    shard's campaign manifest for fan-in validation.
+    already holds).  A stored result is reused only when its invocation
+    matches and it was produced by the current code — the normalized
+    source of the whole package — so reuse survives comment/formatting
+    edits and any behavioural edit re-executes; ``--no-resume`` (which
+    requires ``--store``) re-executes regardless.  ``--shard-index I
+    --shard-count N`` executes one deterministic slice of the expanded
+    batch (:mod:`repro.fabric.slicing`) and ``--manifest PATH`` records
+    the shard's campaign manifest for fan-in validation.
 ``report --store DIR``
     Regenerate the registry-driven paper-vs-measured ``EXPERIMENTS.md``
     from a result store.  ``--check`` verifies the committed document is
@@ -59,7 +59,7 @@ Subcommands
     Per-experiment telemetry tables from the envelopes' attached
     :mod:`repro.obs` documents: wall time mean/p50/p95, span counts,
     events/sec and the netsim fast-path hit rate, plus every counter's
-    store-wide total and the campaign-level counters (cache hits and
+    store-wide total and the campaign-level counters (resume hits and
     misses, merge fan-in) from the store's telemetry sidecar.
     ``--experiment NAME`` restricts the view and ``--json`` emits the
     same as machine-readable JSON.
@@ -104,7 +104,6 @@ from repro.api.runner import Runner
 from repro.api.spec import ExperimentSpec
 from repro.api.store import ResultStore, representative
 from repro.exceptions import ReproError
-from repro.fabric.cas import CACHE_POLICIES
 from repro.fabric.manifest import (
     CampaignManifest,
     ShardEntry,
@@ -232,19 +231,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--no-resume",
         action="store_true",
-        help="with --store: re-execute specs even when the store already holds their results",
-    )
-    run_parser.add_argument(
-        "--cache",
-        choices=CACHE_POLICIES,
-        default="content",
-        help="store-resume matching policy: content (invocation + normalized driver source, the default), "
-        "invocation (exact key only), or off (never reuse)",
-    )
-    run_parser.add_argument(
-        "--refresh",
-        action="store_true",
-        help="force re-execution of every spec regardless of the cache policy (results still append to --store)",
+        help="with --store: re-execute specs even when the store already holds their results for the current code",
     )
     run_parser.add_argument(
         "--manifest",
@@ -503,9 +490,7 @@ def _run_campaign(
     of different grids can never be fanned back in together.
     """
     store = ResultStore(args.store) if args.store else None
-    runner = Runner(
-        seed=args.seed, engine=args.engine, backend=args.backend, jobs=args.jobs, cache=args.cache
-    )
+    runner = Runner(seed=args.seed, engine=args.engine, backend=args.backend, jobs=args.jobs)
     total = len(specs)
     counts = {"ran": 0, "cached": 0}
 
@@ -518,12 +503,12 @@ def _run_campaign(
             seed = f" seed={result.seed}" if result.seed is not None else ""
             print(f"[{index + 1}/{total}] {result.experiment} [{result.engine}]{seed} {state}")
 
-    # The campaign collector sees what no per-run document can: cache
+    # The campaign collector sees what no per-run document can: resume
     # hits and misses happen in this process, between driver calls.  It
     # lands in the store's telemetry sidecar, never inside an envelope.
     collector = Collector()
     with collector.activate():
-        runner.run_batch(specs, store=store, resume=not (args.no_resume or args.refresh), on_result=on_result)
+        runner.run_batch(specs, store=store, resume=not args.no_resume, on_result=on_result)
     if store is not None and collector.counters:
         store.append_campaign_telemetry(collector.to_dict())
     summary = f"{counts['ran']} executed, {counts['cached']} reused"
@@ -571,6 +556,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
         return 2
     if args.manifest is not None and args.specs is None:
         print("error: --manifest requires --specs (the manifest records the grid identity)", file=sys.stderr)
+        return 2
+    if args.no_resume and args.store is None:
+        print("error: --no-resume requires --store (without a store nothing is reused)", file=sys.stderr)
         return 2
     overrides = dict(args.overrides)
 
@@ -730,7 +718,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         for name, value in totals.items():
             print(f"  {name.ljust(name_width)}  {value}")
     if campaign:
-        print("\ncampaign counters (cache + fan-in totals):")
+        print("\ncampaign counters (resume + fan-in totals):")
         name_width = max(len(name) for name in campaign)
         for name, value in campaign.items():
             print(f"  {name.ljust(name_width)}  {value}")

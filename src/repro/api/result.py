@@ -70,12 +70,14 @@ class Result:
         JSON), or ``None`` when the run was not observed.  Never part of
         result identity or of generated-document bytes.
     source_hash:
-        Normalized source digest of the driver module that produced this
-        run (:func:`repro.fabric.cas.driver_source_hash`), or ``None``
-        when unavailable.  Cache metadata only: the content-addressed
-        resume policy matches against it, but like ``runtime_s`` it
-        never participates in :func:`~repro.api.store.result_key`
-        identity or generated-document bytes.
+        Normalized source digest of the code that produced this run —
+        the whole ``repro`` package, plus the driver module when it lives
+        outside it (:func:`repro.fabric.cas.driver_source_hash`) — or
+        ``None`` when unavailable.  Resume metadata only: a stored
+        envelope is reused only while it equals the current digest, but
+        like ``runtime_s`` it never participates in
+        :func:`~repro.api.store.result_key` identity or
+        generated-document bytes.
     """
 
     experiment: str

@@ -28,7 +28,9 @@ Runs come back as :class:`repro.api.result.Result` envelopes.
 :meth:`Runner.run_batch` optionally streams them into a
 :class:`~repro.api.store.ResultStore` (workers append to their own JSONL
 shard) and, with ``resume=True``, skips specs whose results a partial
-store already holds — a killed campaign continues where it stopped.
+store already holds for the current code — a killed campaign continues
+where it stopped, and an edit to the code re-executes what it may have
+changed (see :mod:`repro.fabric.cas`).
 
 Every driver call executes inside a root :mod:`repro.obs` span
 (``run.<experiment>``), so the instrumentation points threaded through
@@ -50,12 +52,11 @@ from typing import Any
 from repro.api.registry import Experiment, iter_experiments, load_registry
 from repro.api.result import Result
 from repro.api.spec import ExperimentSpec
-from repro.api.store import ResultStore, document_content_key, invocation_key
+from repro.api.store import ResultStore, invocation_key
 from repro.exceptions import ConfigurationError, ReproError
 
-# Module (not name) import: repro.fabric.cas itself imports repro.api
-# submodules, so binding its names here would break whichever package is
-# imported second.  Attribute lookup at call time sidesteps the cycle.
+# Module (not name) import: attribute lookup at call time lets tracing
+# wrappers and tests substitute ``cas.driver_source_hash``.
 from repro.fabric import cas as _cas
 from repro.mc.backend import default_backend, get_backend
 from repro.obs import metrics as obs
@@ -67,22 +68,6 @@ __all__ = ["Runner"]
 def _recorded_params(call_params: dict[str, Any]) -> dict[str, Any]:
     """Driver call params minus the dispatch keywords recorded separately."""
     return {name: value for name, value in call_params.items() if name not in ("engine", "backend")}
-
-
-def _keyed_store_documents(store: ResultStore, policy: str):
-    """``(cache key, raw envelope)`` pairs from *store* under *policy*.
-
-    Under the content policy, envelopes that recorded no driver source
-    hash (pre-fabric stores) are skipped entirely — they can never be
-    content hits.
-    """
-    if policy == "invocation":
-        yield from store.iter_keyed_documents()
-        return
-    for document in store.iter_documents():
-        key = document_content_key(document)
-        if key is not None:
-            yield key, document
 
 
 def _run_spec_task(
@@ -127,18 +112,11 @@ class Runner:
         Whether to collect a :mod:`repro.obs` telemetry document per run
         and attach it to the envelope (default ``True``).  Payloads,
         result keys, reports and figures are byte-identical either way.
-    cache:
-        Store-resume policy for :meth:`run_batch`:
 
-        * ``"content"`` (the default) matches specs against stored
-          envelopes by :func:`repro.fabric.cas.content_key` — the
-          invocation material *plus* the driver module's normalized
-          source digest — so caches survive parameter-preserving
-          refactors and invalidate on behavioural edits;
-        * ``"invocation"`` is the historical exact invocation-key match
-          (blind to driver source);
-        * ``"off"`` never matches (every spec re-executes; fresh
-          envelopes are still appended to the store).
+    Every envelope records :func:`repro.fabric.cas.driver_source_hash` as
+    its ``source_hash``.  :meth:`run_batch` reuses a stored envelope only
+    when its invocation key matches the spec's and that hash equals the
+    current one; ``resume=False`` is the only way to turn reuse off.
     """
 
     def __init__(
@@ -149,7 +127,6 @@ class Runner:
         backend: str | None = None,
         jobs: int = 1,
         telemetry: bool = True,
-        cache: str = "content",
     ):
         if jobs < 1:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
@@ -158,7 +135,6 @@ class Runner:
         self.backend = backend
         self.jobs = jobs
         self.telemetry = telemetry
-        self.cache = _cas.check_policy(cache)
 
     def run(
         self,
@@ -205,8 +181,10 @@ class Runner:
         are bit-identical to a serial run.  With a ``store``, every fresh
         envelope is appended to it (workers write their own shards) and —
         unless ``resume=False`` — specs whose invocation the store already
-        holds are *not* re-executed; their stored envelopes are returned in
-        place, so a killed campaign merges cleanly on rerun.
+        holds with the current ``source_hash`` are *not* re-executed; their
+        stored envelopes are returned in place, so a killed campaign merges
+        cleanly on rerun.  A spec whose source hash is unavailable never
+        reuses a stored envelope.
 
         ``on_result(index, result, was_cached)`` is invoked as each spec
         completes (in spec order), for progress reporting.
@@ -219,25 +197,23 @@ class Runner:
 
         cached: dict[int, Result] = {}
         pending: list[int] = list(range(len(specs)))
-        policy = self.cache if (store is not None and resume) else "off"
-        if policy != "off":
+        if store is not None and resume:
             # One pass over the raw shard lines: keys come from the cheap
             # params-only hash, and only envelopes this batch actually wants
             # pay for a full payload decode.
-            by_key = self._cache_index(identities, policy)
-            for key, document in _keyed_store_documents(store, policy):
-                index = by_key.get(key)
-                if index is not None and index not in cached:
-                    cached[index] = Result.from_dict(document)
+            by_key = self._cache_index(identities)
+            for key, document in store.iter_keyed_documents():
+                index, source_hash = by_key.get(key, (None, None))
+                if index is None or index in cached or document.get("source_hash") != source_hash:
+                    continue
+                cached[index] = Result.from_dict(document)
             pending = [index for index in range(len(specs)) if index not in cached]
             # Zero-valued counters would clutter every observed batch's
             # document; record only what actually happened.
             if cached:
                 obs.count("store.resume_hits", len(cached))
-                obs.count("fabric.cache.hits", len(cached))
             if pending:
                 obs.count("store.resume_misses", len(pending))
-                obs.count("fabric.cache.misses", len(pending))
 
         # Cached and pending indices are complementary and both ascending, so
         # walking spec order and pulling fresh results lazily reports each
@@ -314,38 +290,30 @@ class Runner:
         """Validate *spec* and return its resolved invocation material.
 
         ``(experiment, engine, seed, backend, recorded params)`` — enough
-        to derive either cache key without running anything.
+        to derive its invocation key without running anything.
         """
         experiment = spec.resolve()
         call_params, engine, seed, backend = self._resolve_call(spec, experiment)
         return experiment, engine, seed, backend, _recorded_params(call_params)
 
     def _cache_index(
-        self,
-        identities: list[tuple[Experiment, str, int | None, str | None, dict[str, Any]]],
-        policy: str,
-    ) -> dict[str, int]:
-        """Map each spec's cache key (under *policy*) to its batch position.
+        self, identities: list[tuple[Experiment, str, int | None, str | None, dict[str, Any]]]
+    ) -> dict[str, tuple[int, str]]:
+        """Map each spec's invocation key to its batch position and current source hash.
 
-        Under the content policy the driver source is hashed once per
-        distinct experiment; drivers whose source is unavailable get no
-        entry at all, so they can never false-hit — they just re-run.
+        The source is hashed once per distinct experiment; specs whose
+        source hash is unavailable get no entry at all, so they can never
+        reuse a stored envelope — they just re-run.
         """
-        index: dict[str, int] = {}
+        index: dict[str, tuple[int, str]] = {}
         source_hashes: dict[str, str | None] = {}
         for position, (experiment, engine, seed, backend, recorded) in enumerate(identities):
-            if policy == "invocation":
+            if experiment.name not in source_hashes:
+                source_hashes[experiment.name] = _cas.driver_source_hash(experiment)
+            source_hash = source_hashes[experiment.name]
+            if source_hash is not None:
                 key = invocation_key(experiment.name, engine, seed, recorded, backend=backend)
-            else:
-                if experiment.name not in source_hashes:
-                    source_hashes[experiment.name] = _cas.driver_source_hash(experiment)
-                source_hash = source_hashes[experiment.name]
-                if source_hash is None:
-                    continue
-                key = _cas.content_key(
-                    experiment.name, engine, seed, recorded, backend=backend, source_hash=source_hash
-                )
-            index[key] = position
+                index[key] = (position, source_hash)
         return index
 
     def _execute(self, spec: ExperimentSpec) -> Result:

@@ -18,7 +18,7 @@ results by experiment, engine, seed or any recorded parameter value.
 local store directories it ingests ``file://`` and ``http(s)://`` shard
 URIs (:mod:`repro.fabric.remote`), so N machines can execute disjoint
 slices of one grid and merge at report time.  Campaign-level telemetry
-(cache hit/miss counters, merge spans) rides in a ``campaign-telemetry/``
+(resume hit/miss counters, merge spans) rides in a ``campaign-telemetry/``
 sidecar directory inside the store — outside the ``*.jsonl`` shard
 namespace, so it never masquerades as a result envelope.
 """
@@ -42,7 +42,6 @@ from repro.obs import metrics as obs
 __all__ = [
     "MergeStats",
     "ResultStore",
-    "document_content_key",
     "result_key",
     "invocation_key",
     "representative",
@@ -135,28 +134,6 @@ def _document_key(document: dict[str, Any]) -> str:
         document["seed"],
         decode(document["params"]),
         backend=document.get("backend"),
-    )
-
-
-def document_content_key(document: dict[str, Any]) -> str | None:
-    """The envelope's content-addressed cache key, or ``None``.
-
-    ``None`` when the envelope predates the fabric and recorded no
-    driver source hash — such envelopes are invisible to the
-    ``cache="content"`` resume policy (a safe miss, never a false hit).
-    """
-    source_hash = document.get("source_hash")
-    if source_hash is None:
-        return None
-    from repro.fabric.cas import content_key
-
-    return content_key(
-        document["experiment"],
-        document["engine"],
-        document["seed"],
-        decode(document["params"]),
-        backend=document.get("backend"),
-        source_hash=source_hash,
     )
 
 
@@ -262,7 +239,7 @@ class ResultStore:
     def append_campaign_telemetry(self, document: dict[str, Any]) -> None:
         """Record one campaign-level telemetry document in the sidecar.
 
-        Campaign telemetry (content-cache hits/misses, merge spans) is
+        Campaign telemetry (resume hits/misses, merge spans) is
         collected *around* a batch, not inside any single run, so it
         cannot ride a result envelope.  It lives in
         ``<root>/campaign-telemetry/<shard>.jsonl`` — outside the root

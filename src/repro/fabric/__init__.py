@@ -4,11 +4,13 @@ The single-machine campaign runner (``Runner(jobs=N)`` over a
 ``ProcessPoolExecutor``) grows here into a multi-machine fabric, in
 three pieces that compose through the existing store format:
 
-* **Content-addressed caching** (:mod:`repro.fabric.cas`): cache keys
-  derived from the driver module's *normalized* source plus the
-  canonical invocation material, so stored results survive
-  parameter-preserving refactors and invalidate on behavioural edits —
-  ``run --all`` at full fidelity becomes incremental.
+* **Code-aware resume** (:mod:`repro.fabric.cas`): every envelope
+  records a digest of the *normalized* source of the whole ``repro``
+  package, and a stored envelope is reused only when its invocation and
+  that digest both match — stored results survive comment/formatting
+  edits and invalidate on any behavioural edit, in a driver or in a
+  module it imports, so ``run --all`` at full fidelity becomes
+  incremental.
 * **Deterministic shard slicing** (:mod:`repro.fabric.slicing`):
   ``specs[I::N]`` strides over the expanded batch — seeds are fixed
   before slicing, so any (I, N) decomposition merged back together is
@@ -26,13 +28,7 @@ merging stores and publishing the nightly ``EXPERIMENTS.md`` +
 ``FIGURES.md`` beside the committed fast-campaign documents.
 """
 
-from repro.fabric.cas import (
-    CACHE_POLICIES,
-    check_policy,
-    content_key,
-    driver_source_hash,
-    normalized_source_digest,
-)
+from repro.fabric.cas import driver_source_hash, normalized_source_digest
 from repro.fabric.manifest import (
     MANIFEST_VERSION,
     CampaignManifest,
@@ -47,9 +43,6 @@ from repro.fabric.remote import ShardFetch, fetch_shard, is_uri, parse_shard_lin
 from repro.fabric.slicing import read_spec_files, shard_slice, spec_identity
 
 __all__ = [
-    "CACHE_POLICIES",
-    "check_policy",
-    "content_key",
     "driver_source_hash",
     "normalized_source_digest",
     "MANIFEST_VERSION",

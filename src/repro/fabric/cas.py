@@ -1,63 +1,56 @@
-"""Content-addressed cache keys for campaign resume.
+"""The code digest campaign resume matches on.
 
-The store's original resume policy matches specs against stored envelopes
-by exact *invocation* key — a hash of (experiment, engine, seed, params,
-backend).  That key is blind to the code that produced the result: edit a
-driver and a stale cache silently survives; refactor a driver without
-changing behaviour and nothing forces a re-run either way.
+Every envelope the :class:`~repro.api.runner.Runner` writes records, as
+``source_hash``, :func:`driver_source_hash` of the code that produced it.
+On resume a stored envelope is reused only when its invocation key
+matches the spec's *and* its ``source_hash`` equals the current digest,
+so a behavioural edit anywhere in the code a driver can reach — the
+driver itself or any module it imports — re-executes, while a comment-
+or whitespace-only edit keeps every stored result warm.
 
-This module derives the **content key**: the invocation material plus a
-hash of the driver module's *normalized* source.  Normalization parses
-the source to an AST and hashes its dump, so formatting, comments and
-line numbers do not participate — a whitespace/comment-only refactor
-keeps every cache entry warm, while any behavioural edit (changed
-constant, new branch, renamed call) produces a different digest and
-forces re-execution.  ``run --all`` at full fidelity thereby becomes
-incremental: only experiments whose drivers actually changed re-run.
+The digest covers every module of the ``repro`` package rather than a
+per-driver import closure: the registry imports every driver, so each
+driver already reaches most of the package through explicit imports.
+Each module contributes its *normalized* source digest
+(:func:`normalized_source_digest`), keyed by its path relative to the
+package root; a driver registered from outside the package adds its own
+module.  Digests are computed lazily — never at import or registry
+load — and at most once per module per process, so a process pays one
+parse of the package and every later call only recombines the memoised
+module digests.  A process therefore keeps the digest of the source as
+it first read it: an edit made while it runs is seen by the next
+process.  Sorted relative paths make the digest independent of the
+working directory, the hash seed and the host, so shards on other
+machines and ``--jobs`` workers compute the same value.
 
-The :class:`~repro.api.runner.Runner` records
-:func:`driver_source_hash` on every envelope it writes and, under the
-``cache="content"`` policy, matches pending specs against stored
-envelopes by :func:`content_key` instead of the invocation key.
-Envelopes written before the fabric existed carry no source hash and are
-simply cache misses under the content policy — never false hits.
+Source that cannot be read makes the digest ``None``; such runs are
+never reused, which fails safe: they re-execute.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import hashlib
 import importlib
 import inspect
-from collections.abc import Mapping
-from typing import TYPE_CHECKING, Any
+from collections.abc import Callable
+from pathlib import Path
+from typing import TYPE_CHECKING
 
-from repro.api.serialization import canonical_json
 from repro.exceptions import ConfigurationError
 
 if TYPE_CHECKING:
     from repro.api.registry import Experiment
 
-__all__ = [
-    "CACHE_POLICIES",
-    "check_policy",
-    "content_key",
-    "driver_source_hash",
-    "module_source",
-    "normalized_source_digest",
-]
+__all__ = ["driver_source_hash", "module_source", "normalized_source_digest"]
 
-#: The resume policies the Runner and the CLI accept.
-CACHE_POLICIES = ("content", "invocation", "off")
+#: The ``repro`` package directory every digested path is relative to.
+_PACKAGE_ROOT = Path(__file__).resolve().parents[1]
 
-
-def check_policy(policy: str) -> str:
-    """Validate a cache policy name; returns it unchanged."""
-    if policy not in CACHE_POLICIES:
-        raise ConfigurationError(
-            f"unknown cache policy {policy!r}; choose one of {list(CACHE_POLICIES)}"
-        )
-    return policy
+#: Normalized digest per module read so far: package modules keyed by
+#: package-relative path, drivers outside the package by module name.
+_module_digests: dict[str, str] = {}
 
 
 def normalized_source_digest(source: str) -> str:
@@ -77,50 +70,44 @@ def normalized_source_digest(source: str) -> str:
     return digest.hexdigest()
 
 
-def module_source(module_name: str) -> str:
-    """The raw source text of *module_name* (imported if necessary)."""
-    module = importlib.import_module(module_name)
-    return inspect.getsource(module)
+def module_source(relative: str) -> str:
+    """The source text of the package module at *relative* (a path under ``repro/``)."""
+    return (_PACKAGE_ROOT / relative).read_text(encoding="utf-8")
+
+
+@functools.cache
+def _package_modules() -> tuple[str, ...]:
+    """Package-relative paths of every ``repro`` module, sorted."""
+    modules = tuple(sorted(path.relative_to(_PACKAGE_ROOT).as_posix() for path in _PACKAGE_ROOT.rglob("*.py")))
+    if not modules:
+        raise FileNotFoundError(f"no module sources under {_PACKAGE_ROOT}")
+    return modules
+
+
+def _memoised_digest(key: str, read: Callable[[str], str]) -> str:
+    digest = _module_digests.get(key)
+    if digest is None:
+        digest = _module_digests[key] = normalized_source_digest(read(key))
+    return digest
+
+
+def _driver_module_source(module_name: str) -> str:
+    return inspect.getsource(importlib.import_module(module_name))
 
 
 def driver_source_hash(experiment: Experiment) -> str | None:
-    """Normalized source digest of *experiment*'s driver module.
+    """Digest of the code *experiment* runs: the whole package, plus its driver outside it.
 
-    Returns ``None`` when the source is unavailable (a driver registered
-    from a REPL or an exec'd test module) — such experiments are simply
-    never content-cacheable, which fails safe: they re-execute.
+    Returns ``None`` when any of that source is unavailable or does not
+    parse (a driver registered from a REPL or an exec'd test module, a
+    package installed without sources) — such runs are never reused.
     """
     try:
-        return normalized_source_digest(module_source(experiment.module))
-    except (OSError, TypeError, ImportError):
+        modules = _package_modules()
+        lines = [f"{relative} {_memoised_digest(relative, module_source)}\n" for relative in modules]
+        package, _, submodule = experiment.module.partition(".")
+        if package != "repro" or submodule.replace(".", "/") + ".py" not in modules:
+            lines.append(f"{experiment.module} {_memoised_digest(experiment.module, _driver_module_source)}\n")
+    except (OSError, TypeError, ValueError, ImportError, ConfigurationError):
         return None
-
-
-def content_key(
-    experiment: str,
-    engine: str,
-    seed: int | None,
-    params: Mapping[str, Any],
-    *,
-    backend: str | None = None,
-    source_hash: str,
-) -> str:
-    """Content hash of one invocation *and* the driver source that runs it.
-
-    Same material as :func:`repro.api.store.invocation_key` plus the
-    normalized driver source digest, so a cache keyed this way survives
-    parameter-preserving refactors and invalidates on behavioural edits.
-    ``params`` must be the decoded parameter dict, exactly as for the
-    invocation key.
-    """
-    material: dict[str, Any] = {
-        "experiment": experiment,
-        "engine": engine,
-        "seed": seed,
-        "params": dict(params),
-        "source": source_hash,
-    }
-    if backend is not None:
-        material["backend"] = backend
-    digest = hashlib.sha256(canonical_json(material).encode("utf-8"))
-    return digest.hexdigest()[:16]
+    return hashlib.sha256("".join(lines).encode("utf-8")).hexdigest()

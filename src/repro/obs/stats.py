@@ -66,7 +66,7 @@ def campaign_counter_totals(store: ResultStore) -> dict[str, int]:
     """Campaign-level counters summed across the store's telemetry sidecar.
 
     Per-run telemetry documents only see what happens *inside* a driver
-    call; cache hits, resume misses and merge fan-in happen in the
+    call; resume hits and misses and merge fan-in happen in the
     coordinating process before or between runs.  The CLI records those
     in the store's campaign-telemetry sidecar
     (:meth:`~repro.api.store.ResultStore.append_campaign_telemetry`);

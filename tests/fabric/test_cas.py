@@ -1,26 +1,43 @@
-"""Content-addressed cache keys: normalization, policies, runner resume.
+"""Code digests and the one resume rule built on them.
 
-The fabric's caching contract: a whitespace/comment-only driver refactor
-keeps every cache entry warm, any behavioural edit invalidates, and
-``--refresh`` (resume off) re-executes regardless.  The runner tests
-drive the real :class:`~repro.api.Runner` against a real store with the
-driver source monkeypatched, so the end-to-end resume path is what's
-under test — not just the hash function.
+A stored envelope is reused only when its invocation key matches the
+spec's and its ``source_hash`` equals the current
+:func:`~repro.fabric.cas.driver_source_hash` — a digest of the normalized
+source of the whole ``repro`` package.  A comment- or blank-line-only edit
+anywhere keeps every stored result warm; a behavioural edit, in the driver
+or in a module it imports, re-executes; ``resume=False`` re-executes
+regardless.  The runner tests drive the real
+:class:`~repro.api.Runner` against a real store with edited source served
+through the ``cas.module_source`` seam, so the end-to-end resume path is
+what's under test — not just the hash function.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import types
+from collections import Counter
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.api import ResultStore, Runner
 from repro.api.spec import ExperimentSpec
-from repro.api.store import document_content_key, invocation_key
 from repro.exceptions import ConfigurationError
 from repro.fabric import cas
 
 _SOURCE = "def run(x):\n    return x + 1\n"
 _SOURCE_REFLOWED = "# a comment\n\ndef run(x):\n\n    # another comment\n    return x + 1\n"
 _SOURCE_EDITED = "def run(x):\n    return x + 2\n"
+
+#: A module the ``table_power`` driver imports (the driver itself lives in
+#: ``experiments/table_power.py``), and a behavioural edit of it.
+_IMPORTED = "backscatter/power.py"
+_SYNTHESIZER = '"frequency_synthesizer": 9.69,'
+_SYNTHESIZER_EDITED = '"frequency_synthesizer": 19.69,'
 
 
 class TestNormalizedSourceDigest:
@@ -35,124 +52,177 @@ class TestNormalizedSourceDigest:
             cas.normalized_source_digest("def run(:\n")
 
 
-class TestPolicies:
-    def test_known_policies_pass_through(self):
-        for policy in cas.CACHE_POLICIES:
-            assert cas.check_policy(policy) == policy
-
-    def test_unknown_policy_raises(self):
-        with pytest.raises(ConfigurationError, match="unknown cache policy"):
-            cas.check_policy("always")
-
-    def test_runner_rejects_unknown_policy(self):
-        with pytest.raises(ConfigurationError, match="unknown cache policy"):
-            Runner(cache="always")
+def _resolved(name):
+    return ExperimentSpec(experiment=name).resolve()
 
 
-class TestContentKey:
-    def test_differs_from_invocation_key_and_tracks_source(self):
-        invocation = invocation_key("fig13", "batch", None, {"step_feet": 2.0})
-        source_a = cas.normalized_source_digest(_SOURCE)
-        source_b = cas.normalized_source_digest(_SOURCE_EDITED)
-        key_a = cas.content_key("fig13", "batch", None, {"step_feet": 2.0}, source_hash=source_a)
-        key_b = cas.content_key("fig13", "batch", None, {"step_feet": 2.0}, source_hash=source_b)
-        assert key_a != invocation
-        assert key_a != key_b
-
-    def test_backend_participates_only_when_present(self):
-        base = cas.content_key("mc", "batch", 7, {}, source_hash="s")
-        with_backend = cas.content_key("mc", "batch", 7, {}, backend="numpy", source_hash="s")
-        assert base != with_backend
-
-    def test_registered_driver_hashes(self):
-        spec = ExperimentSpec(experiment="fig13")
-        digest = cas.driver_source_hash(spec.resolve())
+class TestDriverSourceHash:
+    def test_registered_drivers_share_the_package_digest(self):
+        digest = cas.driver_source_hash(_resolved("fig13"))
         assert isinstance(digest, str) and len(digest) == 64
+        assert cas.driver_source_hash(_resolved("table_power")) == digest
+
+    def test_a_driver_outside_the_package_adds_its_own_module(self, monkeypatch):
+        package = cas.driver_source_hash(_resolved("fig13"))
+        outside = cas.driver_source_hash(types.SimpleNamespace(module=__name__))
+        assert outside is not None and outside != package
+        # An exec'd module has no source to read: never reusable.
+        monkeypatch.setitem(sys.modules, "exec_driver", types.ModuleType("exec_driver"))
+        assert cas.driver_source_hash(types.SimpleNamespace(module="exec_driver")) is None
 
     def test_unavailable_source_is_uncacheable_not_fatal(self, monkeypatch):
-        def boom(module_name):
+        def boom(relative):
             raise OSError("no source")
 
+        monkeypatch.setattr(cas, "_module_digests", {})
         monkeypatch.setattr(cas, "module_source", boom)
-        assert cas.driver_source_hash(ExperimentSpec(experiment="fig13").resolve()) is None
+        assert cas.driver_source_hash(_resolved("fig13")) is None
+
+    def test_a_package_without_module_sources_is_uncacheable(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(cas, "_PACKAGE_ROOT", tmp_path)
+        cas._package_modules.cache_clear()
+        try:
+            assert cas.driver_source_hash(_resolved("fig13")) is None
+        finally:
+            cas._package_modules.cache_clear()
+
+    def test_digest_is_independent_of_cwd_and_hash_seed(self, tmp_path):
+        # Shards on other machines and --jobs workers compute the digest
+        # on their own; it must not depend on where or how they start.
+        code = (
+            "from repro.api.spec import ExperimentSpec\n"
+            "from repro.fabric.cas import driver_source_hash\n"
+            "print(driver_source_hash(ExperimentSpec(experiment='fig13').resolve()))\n"
+        )
+        env = {
+            **os.environ,
+            "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1]),
+            "PYTHONHASHSEED": "12345",
+        }
+        proc = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == cas.driver_source_hash(_resolved("fig13"))
 
 
-class TestDocumentContentKey:
-    def test_envelope_without_source_hash_has_no_content_key(self):
-        result = Runner(telemetry=False).run("fig13", params={"step_feet": 4.0})
-        document = result.to_dict()
-        assert document_content_key(document) is not None
-        document.pop("source_hash")
-        assert document_content_key(document) is None
+@pytest.fixture
+def edit_source(monkeypatch):
+    """Serve an edited copy of one package module through ``cas.module_source``.
+
+    Only that module's memoised digest is dropped, so the rest of the
+    package is not parsed again; monkeypatch restores the real digest
+    when the test ends.
+    """
+    cas.driver_source_hash(_resolved("table_power"))  # the memo now holds every real digest
+    read = cas.module_source
+
+    def edit(relative, transform):
+        edited = transform(read(relative))
+        assert edited != read(relative)
+        monkeypatch.setattr(cas, "module_source", lambda path: edited if path == relative else read(path))
+        monkeypatch.delitem(cas._module_digests, relative, raising=False)
+
+    return edit
 
 
-def _spec():
-    return [ExperimentSpec(experiment="fig13", params={"step_feet": 4.0}, engine="batch")]
+def _fig13():
+    return ExperimentSpec(experiment="fig13", params={"step_feet": 4.0}, engine="batch")
 
 
-def _run(runner, store, **kwargs):
-    """Run the one-spec batch and return the was-cached flag."""
+def _run(runner, store, spec=None, **kwargs):
+    """Run a one-spec batch and return its was-cached flag."""
     flags = []
-    runner.run_batch(_spec(), store=store, on_result=lambda i, r, c: flags.append(c), **kwargs)
+    runner.run_batch([spec or _fig13()], store=store, on_result=lambda i, r, c: flags.append(c), **kwargs)
     return flags[0]
 
 
-class TestContentResume:
-    def test_comment_refactor_hits_behavioural_edit_misses(self, tmp_path, monkeypatch):
+class TestResume:
+    def test_cold_store_misses_warm_rerun_hits_no_resume_re_executes(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        runner = Runner(telemetry=False, cache="content")
-        monkeypatch.setattr(cas, "module_source", lambda name: _SOURCE)
-        assert _run(runner, store) is False  # cold store executes
-        assert _run(runner, store) is True  # identical source hits
-        monkeypatch.setattr(cas, "module_source", lambda name: _SOURCE_REFLOWED)
-        assert _run(runner, store) is True  # comment/whitespace-only refactor still hits
-        monkeypatch.setattr(cas, "module_source", lambda name: _SOURCE_EDITED)
-        assert _run(runner, store) is False  # behavioural edit misses and re-executes
-
-    def test_invocation_policy_is_blind_to_source(self, tmp_path, monkeypatch):
-        store = ResultStore(tmp_path / "store")
-        runner = Runner(telemetry=False, cache="invocation")
-        monkeypatch.setattr(cas, "module_source", lambda name: _SOURCE)
+        runner = Runner(telemetry=False)
         assert _run(runner, store) is False
-        monkeypatch.setattr(cas, "module_source", lambda name: _SOURCE_EDITED)
         assert _run(runner, store) is True
+        assert _run(runner, store, resume=False) is False
 
-    def test_cache_off_and_refresh_always_re_execute(self, tmp_path):
+    def test_behavioural_edit_of_an_imported_module_misses(self, tmp_path, edit_source):
         store = ResultStore(tmp_path / "store")
-        assert _run(Runner(telemetry=False, cache="off"), store) is False
-        assert _run(Runner(telemetry=False, cache="off"), store) is False
-        # resume=False is the CLI's --refresh: content policy, forced re-run.
-        assert _run(Runner(telemetry=False, cache="content"), store, resume=False) is False
+        runner = Runner(telemetry=False)
+        spec = ExperimentSpec(experiment="table_power")
+        assert _run(runner, store, spec) is False
+        assert _run(runner, store, spec) is True
+        edit_source(_IMPORTED, lambda text: text.replace(_SYNTHESIZER, _SYNTHESIZER_EDITED))
+        assert _run(runner, store, spec) is False
+        # The store now holds the invocation twice; the envelope the
+        # edited code wrote is the one that matches.
+        assert _run(runner, store, spec) is True
+
+    @pytest.mark.parametrize(
+        "transform",
+        [
+            lambda text: text.replace(_SYNTHESIZER, _SYNTHESIZER + "  # synthesizer, µW"),
+            lambda text: text.replace("\n_REFERENCE_POWER_UW", "\n\n\n_REFERENCE_POWER_UW"),
+        ],
+        ids=["comment", "blank-lines"],
+    )
+    def test_formatting_edit_of_an_imported_module_hits(self, tmp_path, edit_source, transform):
+        store = ResultStore(tmp_path / "store")
+        runner = Runner(telemetry=False)
+        spec = ExperimentSpec(experiment="table_power")
+        assert _run(runner, store, spec) is False
+        edit_source(_IMPORTED, transform)
+        assert _run(runner, store, spec) is True
 
     def test_unhashable_driver_fails_safe_to_re_execution(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path / "store")
-        runner = Runner(telemetry=False, cache="content")
+        runner = Runner(telemetry=False)
 
-        def boom(module_name):
+        def boom(relative):
             raise OSError("no source")
 
+        monkeypatch.setattr(cas, "_module_digests", {})
         monkeypatch.setattr(cas, "module_source", boom)
         assert _run(runner, store) is False
         assert _run(runner, store) is False  # never a false hit
 
-    def test_pre_fabric_envelopes_are_content_misses_but_invocation_hits(self, tmp_path):
+    def test_envelope_without_source_hash_misses(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        result = Runner(telemetry=False).run(_spec()[0])
-        document = result.to_dict()
+        document = Runner(telemetry=False).run(_fig13()).to_dict()
         document.pop("source_hash")  # an envelope from before the fabric existed
         store.append_document(document)
-        assert _run(Runner(telemetry=False, cache="invocation"), store) is True
-        assert _run(Runner(telemetry=False, cache="content"), store) is False
+        assert _run(Runner(telemetry=False), store) is False
+
+    def test_a_batch_parses_each_module_at_most_once(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cas, "_module_digests", {})
+        reads: Counter[str] = Counter()
+        read, digest = cas.module_source, cas.normalized_source_digest
+        parses = []
+
+        def counting_read(relative):
+            reads[relative] += 1
+            return read(relative)
+
+        def counting_digest(source):
+            parses.append(source)
+            return digest(source)
+
+        monkeypatch.setattr(cas, "module_source", counting_read)
+        monkeypatch.setattr(cas, "normalized_source_digest", counting_digest)
+        specs = [
+            ExperimentSpec(experiment="fig13", params={"step_feet": 2.0 + index}, engine="batch")
+            for index in range(50)
+        ]
+        Runner(telemetry=False).run_batch(specs, store=ResultStore(tmp_path / "store"))
+        assert set(reads) == set(cas._package_modules())
+        assert max(reads.values()) == 1
+        assert len(parses) == len(reads)
 
 
 class TestImportOrder:
     def test_fabric_imports_standalone_before_the_api_package(self):
-        # runner.py and fabric.cas import each other's packages; a fresh
-        # interpreter that touches repro.fabric first must not trip the
-        # cycle (tests import repro.api first, which hides it).
-        import subprocess
-        import sys
-
+        # runner.py and the repro.fabric package import each other's
+        # packages; a fresh interpreter that touches repro.fabric first must
+        # not trip the cycle (tests import repro.api first, which hides it).
         proc = subprocess.run(
             [sys.executable, "-c", "import repro.fabric; import repro.api"],
             capture_output=True,

@@ -128,7 +128,7 @@ class TestMultiSpecs:
 
 
 class TestCampaignCounters:
-    def test_stats_reports_cache_hits_and_misses(self, tmp_path, capsys):
+    def test_stats_reports_resume_hits_and_misses(self, tmp_path, capsys):
         grid = _write_grid(tmp_path, "grid.json", [2.0, 3.0])
         store = tmp_path / "store"
         assert main(["run", "--specs", grid, "--store", str(store), "--quiet"]) == 0
@@ -136,16 +136,16 @@ class TestCampaignCounters:
         capsys.readouterr()
         assert main(["stats", "--store", str(store), "--json"]) == 0
         document = json.loads(capsys.readouterr().out)
-        assert document["campaign_counters"]["fabric.cache.misses"] == 2
-        assert document["campaign_counters"]["fabric.cache.hits"] == 2
+        assert document["campaign_counters"]["store.resume_misses"] == 2
+        assert document["campaign_counters"]["store.resume_hits"] == 2
         assert main(["stats", "--store", str(store)]) == 0
         assert "campaign counters" in capsys.readouterr().out
 
-    def test_refresh_forces_re_execution(self, tmp_path, capsys):
+    def test_no_resume_forces_re_execution(self, tmp_path, capsys):
         grid = _write_grid(tmp_path, "grid.json", [2.0])
         store = tmp_path / "store"
         assert main(["run", "--specs", grid, "--store", str(store), "--quiet"]) == 0
-        assert main(["run", "--specs", grid, "--store", str(store), "--refresh", "--quiet"]) == 0
+        assert main(["run", "--specs", grid, "--store", str(store), "--no-resume", "--quiet"]) == 0
         out = capsys.readouterr().out
         assert "1 executed, 0 reused; store" in out.splitlines()[-1]
 
@@ -160,6 +160,10 @@ class TestGuardRails:
     def test_manifest_requires_specs(self, tmp_path, capsys):
         assert main(["run", "fig13", "--manifest", str(tmp_path / "m.json")]) == 2
         assert "--manifest requires --specs" in capsys.readouterr().err
+
+    def test_no_resume_requires_store(self, capsys):
+        assert main(["run", "table_power", "--no-resume"]) == 2
+        assert "--no-resume requires --store" in capsys.readouterr().err
 
     def test_out_of_range_shard_index_fails_cleanly(self, capsys):
         assert main(["run", "--specs", _PER_GRID, "--shard-index", "4", "--shard-count", "4"]) == 1
