@@ -6,8 +6,8 @@ seconds, and at least 20× faster than the continuous-time heap engine
 would take extrapolated from a small probe fleet (the heap engine's event
 count grows linearly in devices × duration, so a 500-device / 2-second
 probe extrapolates by the device and duration ratios).  The run also
-re-checks packet conservation at full scale — a vectorised bucket-queue
-bug that loses or double-counts devices would surface here first.
+re-checks packet conservation at full scale — an epoch-calendar bug that
+loses or double-counts devices would surface here first.
 """
 
 from __future__ import annotations

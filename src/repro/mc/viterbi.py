@@ -10,9 +10,10 @@ Monte-Carlo PER sweeps over thousands of codewords tractable.
 Both functions are bit-exact with their scalar counterparts (including
 tie-breaking): the scalar decoder's strict ``<`` update keeps the first
 candidate on a tie, and for every next state the two predecessors arrive in
-ascending state order, so ``argmin`` (first occurrence) reproduces the
-identical survivor choice.  The equivalence tests in ``tests/mc`` assert
-this across random codewords, erasure masks and start states.
+ascending state order, so choosing the higher one only when it is strictly
+smaller reproduces the identical survivor choice.  The equivalence tests in
+``tests/mc`` assert this across random codewords, erasure masks and start
+states.
 
 ``decode_batch`` also accepts demapper log-likelihood ratios
 (``soft=True``): the trellis already carries float path metrics, so the
@@ -93,8 +94,9 @@ class BatchViterbiDecoder:
 
     ``decode_batch(coded[N, L])`` advances all N trellises together: the
     branch metrics for every (predecessor state, input bit) pair are computed
-    as one ``[N, 64, 2]`` array per step and the survivor selection is a
-    single ``argmin`` over each next state's two ordered predecessors.
+    as one ``[N, 64, 2]`` array per step and the survivor selection is one
+    elementwise compare-and-``minimum`` over each next state's two ordered
+    predecessors.
     """
 
     def __init__(self) -> None:
@@ -210,10 +212,11 @@ class BatchViterbiDecoder:
                 # flat take over the predecessor table.
                 prev = xp.reshape(xp.take(metrics, pred_flat, axis=1), (n, _NUM_STATES, 2))
                 candidates = prev + cost  # [N, 64, 2]
-                choice = xp.argmin(candidates, axis=2)  # ties -> lower predecessor
-                choices[step] = xp.astype(choice, xp.uint8)
-                # min() selects the same (first-occurrence) element argmin did.
-                metrics = xp.min(candidates, axis=2)
+                low = candidates[:, :, 0]
+                high = candidates[:, :, 1]
+                # Strict < keeps the lower predecessor on a tie.
+                choices[step] = xp.astype(high < low, xp.uint8)
+                metrics = xp.minimum(low, high)
 
             state = xp.argmin(metrics, axis=1)  # [N]; first occurrence, as scalar
             row_offsets = xp.arange(n) * _NUM_STATES

@@ -31,10 +31,13 @@ Epoch contract
 
 Virtual time advances in epochs of ``epoch_s`` seconds (default: one MAC
 slot, i.e. packet air time x 1.05; must be >= one air time).  The horizon is
-``floor(duration_s / epoch_s)`` epochs.  Idle epochs are skipped via a
-bucket queue keyed by epoch index, which consumes no randomness.  Within one
-processed epoch ``e`` (``t_end = (e + 1) * epoch_s``), phases run in a fixed
-order and every random draw happens in ascending device id:
+``floor(duration_s / epoch_s)`` epochs.  Idle epochs (no device queued for
+them) are skipped and consume no randomness: the vectorised engine keeps a
+calendar with one slot per epoch of the horizon, the oracle a heap of epoch
+indices.  A device queued into the epoch being processed gets that epoch
+processed once more.  Within one processed epoch ``e``
+(``t_end = (e + 1) * epoch_s``), phases run in a fixed order and every
+random draw happens in ascending device id:
 
 1. **Arrivals** — rounds over devices whose next arrival falls before
    ``t_end``: push ``burst_size`` packets (full queues count
@@ -317,50 +320,66 @@ class BatchedFleetSimulator:
         self.delivered_ct = np.zeros(n, dtype=np.int64)
         self.dropped_ct = np.zeros(n, dtype=np.int64)
         self._slot_of = np.arange(n, dtype=np.int64) % self.params.num_slots
+        # Per-device constants of the medium pass: the sensitivity test and
+        # the PER of a lone transmitter (no interference: SINR is the SNR).
+        setup = self.setup
+        self._audible = setup.rssi_dbm >= setup.sensitivity_dbm
+        self._lone_per = setup.per_table.lookup(10.0 * np.log10(setup.signal_w / setup.noise_w))
         self._lat_ids: list[np.ndarray] = []
         self._lat_vals: list[np.ndarray] = []
-        self._attempt_buckets: dict[int, list[np.ndarray]] = {}
-        self._arrival_buckets: dict[int, list[np.ndarray]] = {}
-        self._epoch_heap: list[int] = []
+        # The calendar: one slot per epoch and queue (two pointers per epoch
+        # of the horizon), None until a device is queued there, then a list
+        # of device ids.
+        self._arrivals: list[list[int] | None] = [None] * setup.num_epochs
+        self._attempts: list[list[int] | None] = [None] * setup.num_epochs
+        self._cursor = 0
         self._last_tx_epoch = -2
         self.epochs_processed = 0
         self.busy_epochs = 0
         self.transmissions_resolved = 0
         self.epoch_trace: list[int] = [] if record_epochs else None
 
-    # --------------------------------------------------------------- buckets
-    def _push(self, buckets: dict, epoch: int, ids: np.ndarray) -> None:
+    # -------------------------------------------------------------- calendar
+    def _push(self, slots: list, epoch: int, ids: np.ndarray) -> None:
+        """Queue every device of *ids* at *epoch* (beyond the horizon: dropped)."""
         if epoch >= self.setup.num_epochs or ids.size == 0:
             return
-        entry = buckets.get(epoch)
-        if entry is None:
-            buckets[epoch] = [ids]
-            heapq.heappush(self._epoch_heap, epoch)
+        slot = slots[epoch]
+        if slot is None:
+            slots[epoch] = ids.tolist()
         else:
-            entry.append(ids)
+            slot.extend(ids.tolist())
 
-    def _push_grouped(self, buckets: dict, epochs: np.ndarray, ids: np.ndarray) -> None:
-        if ids.size == 0:
-            return
-        order = np.argsort(epochs, kind="stable")
-        epochs = epochs[order]
-        ids = ids[order]
-        uniq, starts = np.unique(epochs, return_index=True)
-        bounds = np.append(starts, epochs.size)
-        for target, lo, hi in zip(uniq.tolist(), bounds[:-1].tolist(), bounds[1:].tolist(), strict=True):
-            self._push(buckets, int(target), ids[lo:hi])
+    def _push_each(self, slots: list, epochs: np.ndarray, ids: np.ndarray) -> None:
+        """Queue device ``ids[j]`` at epoch ``epochs[j]`` for every ``j`` (same horizon rule)."""
+        horizon = self.setup.num_epochs
+        for epoch, device in zip(epochs.tolist(), ids.tolist()):
+            if epoch < horizon:
+                slot = slots[epoch]
+                if slot is None:
+                    slots[epoch] = [device]
+                else:
+                    slot.append(device)
 
-    def _pop_bucket(self, buckets: dict, epoch: int) -> np.ndarray:
-        parts = buckets.pop(epoch, None)
-        if not parts:
+    def _pop(self, slots: list, epoch: int) -> np.ndarray:
+        """Empty *epoch*'s slot; returns its device ids in ascending order."""
+        slot = slots[epoch]
+        if slot is None:
             return np.empty(0, dtype=np.int64)
-        merged = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        return np.sort(merged)
+        slots[epoch] = None
+        slot.sort()
+        return np.array(slot, dtype=np.int64)
 
     def _next_epoch(self) -> int | None:
-        while self._epoch_heap:
-            epoch = heapq.heappop(self._epoch_heap)
-            if epoch in self._arrival_buckets or epoch in self._attempt_buckets:
+        """First epoch at or after the cursor with a queued device.
+
+        The cursor rests on the epoch last returned, so a device queued into
+        that epoch while it was processed gets it processed once more.
+        """
+        arrivals, attempts = self._arrivals, self._attempts
+        for epoch in range(self._cursor, self.setup.num_epochs):
+            if arrivals[epoch] is not None or attempts[epoch] is not None:
+                self._cursor = epoch
                 return epoch
         return None
 
@@ -371,30 +390,31 @@ class BatchedFleetSimulator:
             return
         name = self.params.name
         if name in ("aloha", "slotted_aloha"):
-            self._push(self._attempt_buckets, epoch + 1, ids)
+            self._push(self._attempts, epoch + 1, ids)
         elif name == "csma":
             width = self.rng.integers(0, 2 ** self.be[ids])
-            self._push_grouped(self._attempt_buckets, epoch + 1 + width, ids)
+            self._push_each(self._attempts, epoch + 1 + width, ids)
         else:  # tdma: wait for the next owned epoch
             nxt = epoch + 1 + ((self._slot_of[ids] - (epoch + 1)) % self.params.num_slots)
-            self._push_grouped(self._attempt_buckets, nxt, ids)
+            self._push_each(self._attempts, nxt, ids)
 
     def _pop_heads(self, ids: np.ndarray) -> np.ndarray:
         """Remove the head packet of each device; returns still-queued ids."""
         self.head[ids] = (self.head[ids] + 1) % self.params.queue_limit
-        self.queue_len[ids] -= 1
+        left = self.queue_len[ids] - 1
+        self.queue_len[ids] = left
         self.head_attempts[ids] = 0
         if self.params.name == "csma":
             self.be[ids] = self.params.min_be
             self.cca_fails[ids] = 0
-        return ids[self.queue_len[ids] > 0]
+        return ids[left > 0]
 
     # ----------------------------------------------------------------- phases
     def _start(self) -> None:
         n = self.scenario.num_devices
         self.next_arrival_s = self.rng.uniform(0.0, self.setup.profile.period_s, n)
         epochs = (self.next_arrival_s / self.setup.epoch_s).astype(np.int64)
-        self._push_grouped(self._arrival_buckets, epochs, np.arange(n, dtype=np.int64))
+        self._push_each(self._arrivals, epochs, np.arange(n, dtype=np.int64))
 
     def _run_epoch(self, epoch: int) -> None:
         if self.epoch_trace is not None:
@@ -405,30 +425,31 @@ class BatchedFleetSimulator:
         t_end = (epoch + 1) * setup.epoch_s
 
         # Phase 1: arrivals, in rounds of ascending device id.
-        active = self._pop_bucket(self._arrival_buckets, epoch)
+        active = self._pop(self._arrivals, epoch)
         fresh = active[self.queue_len[active] == 0]
         profile = setup.profile
         limit = p.queue_limit
         while active.size:
-            t_arr = self.next_arrival_s[active].copy()
+            t_arr = self.next_arrival_s[active]
+            self.generated_ct[active] += profile.burst_size
             for _ in range(profile.burst_size):
-                self.generated_ct[active] += 1
-                room = self.queue_len[active] < limit
-                sub = active[room]
-                pos = (self.head[sub] + self.queue_len[sub]) % limit
-                self.created[sub, pos] = t_arr[room]
-                self.queue_len[sub] += 1
-                self.queue_dropped_ct[active[~room]] += 1
+                queued = self.queue_len[active]
+                full = queued >= limit
+                if np.count_nonzero(full):
+                    self.queue_dropped_ct[active[full]] += 1
+                    room = ~full
+                    sub, queued, created = active[room], queued[room], t_arr[room]
+                else:
+                    sub, created = active, t_arr
+                self.created[sub, (self.head[sub] + queued) % limit] = created
+                self.queue_len[sub] = queued + 1
             jitter = self.rng.uniform(-1.0, 1.0, active.size)
-            self.next_arrival_s[active] = t_arr + profile.period_s * (
-                1.0 + profile.jitter_fraction * jitter
-            )
-            due = self.next_arrival_s[active] < t_end
-            settled = active[~due]
-            self._push_grouped(
-                self._arrival_buckets,
-                (self.next_arrival_s[settled] / setup.epoch_s).astype(np.int64),
-                settled,
+            upcoming = t_arr + profile.period_s * (1.0 + profile.jitter_fraction * jitter)
+            self.next_arrival_s[active] = upcoming
+            due = upcoming < t_end
+            settled = ~due
+            self._push_each(
+                self._arrivals, (upcoming[settled] / setup.epoch_s).astype(np.int64), active[settled]
             )
             active = active[due]
 
@@ -436,10 +457,10 @@ class BatchedFleetSimulator:
         self._schedule_access(epoch, fresh)
 
         # Phase 3: contention.
-        ready = self._pop_bucket(self._attempt_buckets, epoch)
+        ready = self._pop(self._attempts, epoch)
         if p.duty_cycle < 1.0 and ready.size:
             allowed = self.airtime_used[ready] + setup.air_time_s <= p.duty_cycle * t_end
-            self._push(self._attempt_buckets, epoch + 1, ready[~allowed])
+            self._push(self._attempts, epoch + 1, ready[~allowed])
             ready = ready[allowed]
         if p.name == "csma" and ready.size and self._last_tx_epoch == epoch - 1:
             detected = self.rng.random(ready.size) < p.cca_reliability
@@ -453,7 +474,7 @@ class BatchedFleetSimulator:
                 if defer.size:
                     self.be[defer] = np.minimum(self.be[defer] + 1, p.max_be)
                     width = self.rng.integers(0, 2 ** self.be[defer])
-                    self._push_grouped(self._attempt_buckets, epoch + 1 + width, defer)
+                    self._push_each(self._attempts, epoch + 1 + width, defer)
                 aborts = busy[aborting]
                 if aborts.size:
                     self.dropped_ct[aborts] += 1
@@ -462,9 +483,7 @@ class BatchedFleetSimulator:
         elif p.name == "tdma" and ready.size:
             polled = self.rng.random(ready.size) < setup.poll_success_prob[ready]
             lost = ready[~polled]
-            self._push_grouped(
-                self._attempt_buckets, epoch + np.full(lost.size, p.num_slots), lost
-            )
+            self._push(self._attempts, epoch + p.num_slots, lost)
             ready = ready[polled]
 
         # Phase 4: one vectorised medium pass over the k transmitters.
@@ -477,15 +496,16 @@ class BatchedFleetSimulator:
         self.attempted_ct[ready] += 1
         self.head_attempts[ready] += 1
         self.airtime_used[ready] += setup.air_time_s
-        signal = setup.signal_w[ready]
-        interference = np.maximum(float(np.sum(signal)) - signal, 0.0)
-        sinr_db = 10.0 * np.log10(signal / (setup.noise_w + interference))
-        per = np.asarray(setup.per_table.lookup(sinr_db), dtype=float)
-        if k >= 2:
-            per = np.where(sinr_db < CAPTURE_THRESHOLD_DB, 1.0, per)
+        if k == 1:
+            per = self._lone_per[ready]
+        else:
+            signal = setup.signal_w[ready]
+            interference = np.maximum(float(signal.sum()) - signal, 0.0)
+            sinr_db = 10.0 * np.log10(signal / (setup.noise_w + interference))
+            per = np.where(sinr_db < CAPTURE_THRESHOLD_DB, 1.0, setup.per_table.lookup(sinr_db))
             self.collided_ct[ready] += 1
         draws = self.rng.random(k)
-        delivered = (setup.rssi_dbm[ready] >= setup.sensitivity_dbm) & (draws > per)
+        delivered = self._audible[ready] & (draws > per)
 
         # Phase 5: outcomes.
         won = ready[delivered]
@@ -507,19 +527,21 @@ class BatchedFleetSimulator:
                 if p.name == "aloha":
                     expo = np.minimum(self.head_attempts[retries] - 1, MAX_BACKOFF_EXPONENT)
                     width = self.rng.integers(0, p.base_backoff_epochs * 2**expo)
-                    self._push_grouped(self._attempt_buckets, epoch + 1 + width, retries)
+                    self._push_each(self._attempts, epoch + 1 + width, retries)
                 elif p.name == "slotted_aloha":
                     expo = np.minimum(self.head_attempts[retries], MAX_BACKOFF_EXPONENT)
                     ahead = self.rng.integers(1, 2**expo + 1)
-                    self._push_grouped(self._attempt_buckets, epoch + ahead, retries)
+                    self._push_each(self._attempts, epoch + ahead, retries)
                 elif p.name == "csma":
                     self.be[retries] = np.minimum(self.be[retries] + 1, p.max_be)
                     width = self.rng.integers(0, 2 ** self.be[retries])
-                    self._push_grouped(self._attempt_buckets, epoch + 1 + width, retries)
+                    self._push_each(self._attempts, epoch + 1 + width, retries)
                 else:  # tdma: retry in the next owned slot
-                    self._push(self._attempt_buckets, epoch + p.num_slots, retries)
+                    self._push(self._attempts, epoch + p.num_slots, retries)
         if still:
-            self._schedule_access(epoch, np.sort(np.concatenate(still)))
+            # One part is already ascending: a subset of the sorted ready ids.
+            heads = still[0] if len(still) == 1 else np.sort(np.concatenate(still))
+            self._schedule_access(epoch, heads)
 
     # -------------------------------------------------------------------- run
     def pending_packets(self) -> int:

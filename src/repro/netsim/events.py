@@ -54,9 +54,6 @@ class Event:
         """Prevent the callback from running when its time arrives."""
         self.cancelled = True
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time_s, self.tie_break, self.seq) < (other.time_s, other.tie_break, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"Event(t={self.time_s:.6f}, key={self.tie_break}, seq={self.seq}, {state})"
@@ -67,11 +64,13 @@ class EventScheduler:
 
     The scheduler never touches wall-clock time or global random state:
     :meth:`run` pops events in ``(time, tie_break, insertion order)`` order
-    and invokes their callbacks, which may schedule further events.
+    and invokes their callbacks, which may schedule further events.  Heap
+    entries are ``(time_s, tie_break, seq, event)`` tuples; ``seq`` is
+    unique, so the comparison never reaches the event itself.
     """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self._heap: list[tuple[float, int, int, Event]] = []
         self._seq = 0
         self._now = 0.0
 
@@ -84,7 +83,7 @@ class EventScheduler:
     @property
     def pending(self) -> int:
         """Number of scheduled, non-cancelled events."""
-        return sum(1 for event in self._heap if not event.cancelled)
+        return sum(1 for entry in self._heap if not entry[3].cancelled)
 
     # ------------------------------------------------------------------ API
     def schedule(
@@ -109,13 +108,13 @@ class EventScheduler:
             )
         event = Event(time_s, self._seq, callback, tie_break=tie_break)
         self._seq += 1
-        heapq.heappush(self._heap, event)
+        heapq.heappush(self._heap, (time_s, tie_break, event.seq, event))
         return event
 
     def step(self) -> bool:
         """Run the next pending event.  Returns False when the queue is empty."""
         while self._heap:
-            event = heapq.heappop(self._heap)
+            event = heapq.heappop(self._heap)[3]
             if event.cancelled:
                 continue
             self._now = event.time_s
@@ -135,7 +134,7 @@ class EventScheduler:
             while self._heap:
                 if max_events is not None and executed >= max_events:
                     return executed
-                head = self._heap[0]
+                head = self._heap[0][3]
                 if head.cancelled:
                     heapq.heappop(self._heap)
                     continue

@@ -13,6 +13,39 @@ from repro.wifi.ofdm.mapping import Modulation
 from repro.wifi.ofdm.rates import OfdmRate
 
 
+def _reference_soft_viterbi(llrs):
+    """Plain soft Viterbi over masked ``llrs[N, L]``, survivors by ``np.argmin``.
+
+    Returns the decoded bits and the number of finite candidate ties met.
+    """
+    n, length = llrs.shape
+    states = np.arange(64)
+    pred = np.stack([states >> 1, (states >> 1) | 32], axis=1)  # [64, 2]
+    # ±1 coded symbols of the transition pred[s, j] -> s (input bit s & 1).
+    signs = np.empty((64, 2, 2))
+    for state in states:
+        for j, source in enumerate(pred[state]):
+            history = np.array([(source >> d) & 1 for d in range(6)], dtype=np.uint8)
+            bit = np.array([[state & 1]], dtype=np.uint8)
+            signs[state, j] = 2.0 * encode_batch(bit, initial_history=history)[0] - 1.0
+    metrics = np.full((n, 64), np.inf)
+    metrics[:, 0] = 0.0
+    choices, ties = [], 0
+    for step in range(length // 2):
+        lam = llrs[:, 2 * step : 2 * step + 2]
+        cost = -(signs[None, :, :, 0] * lam[:, None, None, 0] + signs[None, :, :, 1] * lam[:, None, None, 1])
+        candidates = metrics[:, pred] + cost  # [N, 64, 2]
+        ties += int(np.sum((candidates[..., 0] == candidates[..., 1]) & np.isfinite(candidates[..., 0])))
+        choices.append(np.argmin(candidates, axis=2))
+        metrics = np.min(candidates, axis=2)
+    state = np.argmin(metrics, axis=1)
+    decoded = np.zeros((n, length // 2), dtype=np.uint8)
+    for step in range(length // 2 - 1, -1, -1):
+        decoded[:, step] = state & 1
+        state = pred[state, choices[step][np.arange(n), state]]
+    return decoded, ties
+
+
 class TestLlrDemapper:
     @pytest.mark.parametrize(
         "modulation", [Modulation.BPSK, Modulation.QPSK, Modulation.QAM16, Modulation.QAM64]
@@ -71,6 +104,19 @@ class TestSoftDecoder:
         llrs = (2.0 * full.astype(np.float64) - 1.0) * known
         soft = decoder.decode_batch(llrs, known_mask=known, soft=True)
         np.testing.assert_array_equal(hard, soft)
+
+    def test_soft_select_matches_first_occurrence_reference_with_ties(self):
+        # Small integer LLRs with exact zeros and erasures make the two
+        # candidates of a next state tie often; the decoder must keep the
+        # lower predecessor on every tie, as first-occurrence argmin does.
+        rng = np.random.default_rng(23)
+        llrs = rng.integers(-2, 3, size=(16, 120)).astype(np.float64)
+        llrs[rng.random(llrs.shape) < 0.15] = 0.0
+        known = rng.random(llrs.shape) >= 0.2
+        decoded = BatchViterbiDecoder().decode_batch(llrs, known_mask=known, soft=True)
+        reference, ties = _reference_soft_viterbi(llrs * known)
+        assert ties > 1000
+        np.testing.assert_array_equal(decoded, reference)
 
     def test_confident_llrs_decode_noiselessly(self):
         rng = np.random.default_rng(19)

@@ -5,7 +5,8 @@ scalar :class:`repro.netsim.batched.EpochReferenceSimulator` implement one
 documented epoch contract (see the module docstring of
 :mod:`repro.netsim.batched`).  These tests pin the two engines to each
 other **bit-for-bit** — per-device counters, byte totals and latency sums
-via :meth:`repro.netsim.metrics.FleetMetrics.fingerprint` — across a
+via :meth:`repro.netsim.metrics.FleetMetrics.fingerprint`, plus the list of
+processed epochs and the busy-epoch and transmission counts — across a
 seed × MAC × density matrix, MAC-knob presets (imperfect CCA, abort
 ladders, duty cycles) and the bursty card-to-card profile.  Any divergence
 is a bug in one of the engines, never tolerance noise.
@@ -35,9 +36,14 @@ FLEETS = ((4, 0.004), (8, 0.02), (16, 0.05), (32, 0.02), (64, 0.1))
 
 
 def _fingerprints(scenario: FleetScenario):
-    batched = BatchedFleetSimulator(scenario).run()
-    reference = EpochReferenceSimulator(scenario).run()
-    return batched.fingerprint(), reference.fingerprint()
+    batched = BatchedFleetSimulator(scenario, record_epochs=True)
+    reference = EpochReferenceSimulator(scenario, record_epochs=True)
+    fingerprints = batched.run().fingerprint(), reference.run().fingerprint()
+    # The schedule too, not just the counters it produced: an engine that
+    # visits an extra empty epoch changes no fingerprint.
+    for attribute in ("epoch_trace", "epochs_processed", "busy_epochs", "transmissions_resolved"):
+        assert getattr(batched, attribute) == getattr(reference, attribute), attribute
+    return fingerprints
 
 
 @pytest.mark.parametrize("seed", SEEDS)
