@@ -18,11 +18,6 @@ threshold on **both** its median and its minimum round time to count as a
 regression.  Pass ``--absolute`` to compare raw ratios instead (useful when
 both files come from the same machine).
 
-Per-backend benchmarks carry the array backend as a pytest param suffix
-(``test_viterbi_batch_backend[numpy]``) and are gated under that exact key
-when the baseline records one; a baseline written before the benchmark grew
-its backend dimension still gates every backend via the bare family name.
-
 Refreshing the baseline after an intentional performance change::
 
     PYTHONPATH=src python -m pytest benchmarks --benchmark-json=benchmarks/baseline.json
@@ -58,37 +53,6 @@ def load_stats(path: str) -> dict[str, tuple[float, float]]:
     }
 
 
-def _family(name: str) -> str:
-    """Benchmark fullname with any parametrised ``[...]`` suffix stripped.
-
-    Per-backend benchmarks carry the backend as a pytest param suffix
-    (``test_viterbi_batch_backend[numpy]``); the family is the shared base
-    name a pre-backend baseline recorded them under.
-    """
-    if name.endswith("]") and "[" in name:
-        return name[: name.rindex("[")]
-    return name
-
-
-def match_baseline_keys(
-    baseline: dict[str, tuple[float, float]], current: dict[str, tuple[float, float]]
-) -> dict[str, str]:
-    """Map each gated current benchmark to the baseline key it compares against.
-
-    Exact names win.  A per-backend current key (``name[backend]``) with no
-    exact baseline entry falls back to the bare family name, so a baseline
-    recorded before a benchmark grew its backend dimension still gates every
-    backend instead of dropping them as "new".
-    """
-    pairs: dict[str, str] = {}
-    for name in current:
-        if name in baseline:
-            pairs[name] = name
-        elif _family(name) in baseline:
-            pairs[name] = _family(name)
-    return pairs
-
-
 def _median(values: list[float]) -> float:
     ordered = sorted(values)
     mid = len(ordered) // 2
@@ -114,21 +78,20 @@ def compare(
     ``json_out``, the same comparison is also written as machine-readable
     JSON.
     """
-    pairs = match_baseline_keys(baseline, current)
-    common = sorted(pairs)
+    common = sorted(set(current) & set(baseline))
     if not common:
         raise SystemExit(
             "error: no common benchmarks between the two files — "
             "was the baseline refreshed after a benchmark rename? "
             "(see --slim / the refresh procedure in the module docstring)"
         )
-    for name in sorted(set(baseline) - set(pairs.values())):
+    for name in sorted(set(baseline) - set(current)):
         print(f"warning: benchmark disappeared from the current run: {name}")
-    for name in sorted(set(current) - set(pairs)):
+    for name in sorted(set(current) - set(baseline)):
         print(f"note: new benchmark without a baseline entry: {name}")
 
-    median_ratios = {name: current[name][0] / baseline[pairs[name]][0] for name in common}
-    min_ratios = {name: current[name][1] / baseline[pairs[name]][1] for name in common}
+    median_ratios = {name: current[name][0] / baseline[name][0] for name in common}
+    min_ratios = {name: current[name][1] / baseline[name][1] for name in common}
     median_scale = min_scale = 1.0
     if not absolute:
         # Median of ratios, not geometric mean: a couple of benchmarks sped
@@ -153,13 +116,12 @@ def compare(
         elif norm_median > threshold:
             flag = "  noisy median, min within bounds"
         print(
-            f"{name.ljust(width)} | {baseline[pairs[name]][0] * 1e3:7.2f}ms | "
+            f"{name.ljust(width)} | {baseline[name][0] * 1e3:7.2f}ms | "
             f"{current[name][0] * 1e3:7.2f}ms | {norm_median:5.2f}x | {norm_min:5.2f}x{flag}"
         )
         report[name] = {
-            "baseline_key": pairs[name],
-            "baseline_median_s": baseline[pairs[name]][0],
-            "baseline_min_s": baseline[pairs[name]][1],
+            "baseline_median_s": baseline[name][0],
+            "baseline_min_s": baseline[name][1],
             "current_median_s": current[name][0],
             "current_min_s": current[name][1],
             "median_ratio": median_ratios[name],

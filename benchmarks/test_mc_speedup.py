@@ -17,12 +17,10 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import pytest
 
 import repro.netsim.medium as medium_module
 from repro.experiments import fig11_per
 from repro.mc import BatchViterbiDecoder, encode_batch
-from repro.mc.backend import get_namespace, to_numpy
 from repro.netsim.fleet import FleetScenario, FleetSimulator
 from repro.wifi.ofdm.convolutional import ViterbiDecoder
 
@@ -122,31 +120,6 @@ def test_batch_viterbi_throughput(benchmark, paper_report):
             ("batched decode", ">= 10x faster", f"{batch_seconds * 1e3:.1f} ms ({speedup:.0f}x)"),
         ],
     )
-
-
-#: Array backends the per-backend regression entries are recorded under.
-BENCH_BACKENDS = ("numpy", "array-api-strict")
-
-
-@pytest.mark.parametrize("backend", BENCH_BACKENDS)
-def test_viterbi_batch_backend(benchmark, backend):
-    """Batched Viterbi through the array-API layer, one baseline entry per backend.
-
-    The gate reads these as per-backend keys (``test_viterbi_batch_backend[numpy]``),
-    so a namespace-indirection regression on one backend cannot hide behind the
-    other's timing.  Output parity with the plain-numpy path is asserted inline.
-    """
-    rng = np.random.default_rng(2016)
-    codewords, data_bits = 64, 192
-    bits = rng.integers(0, 2, (codewords, data_bits), dtype=np.uint8)
-    noisy = encode_batch(bits) ^ (rng.random((codewords, 2 * data_bits)) < 0.04).astype(np.uint8)
-    decoder = BatchViterbiDecoder()
-    reference = decoder.decode_batch(noisy)
-
-    xp = get_namespace(backend)
-    device_bits = xp.asarray(noisy)
-    decoded = benchmark(lambda: decoder.decode_batch(device_bits, xp=xp))
-    np.testing.assert_array_equal(to_numpy(decoded), reference)
 
 
 def test_soft_viterbi_batch(benchmark):

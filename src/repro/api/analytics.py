@@ -165,9 +165,8 @@ class ReplicateGroup:
 
     Attributes
     ----------
-    experiment / engine / backend:
-        Shared by every member (``backend`` is ``None`` for experiments
-        that take no array backend).
+    experiment / engine:
+        Shared by every member.
     params:
         The shared parameters, with ``seed`` removed.
     seeds:
@@ -181,7 +180,6 @@ class ReplicateGroup:
     params: dict[str, Any]
     seeds: tuple[int | None, ...]
     results: tuple[Result, ...]
-    backend: str | None = None
 
     @property
     def replicates(self) -> int:
@@ -198,14 +196,12 @@ def _seed_order(result: Result) -> tuple[int, int]:
 
 
 def replicate_groups(results: Iterable[Result]) -> list[ReplicateGroup]:
-    """Bucket results by (experiment, engine, backend, params-minus-seed).
+    """Bucket results by (experiment, engine, params-minus-seed).
 
     Each bucket is one grid point; its members are the campaign's
-    seed-replicates there.  The same grid point run on two array backends
-    forms two groups — backends are provenance, not noise.  Groups come
-    back ordered by their canonical JSON identity, members ordered by
-    seed — both independent of store shard layout, so downstream
-    documents are deterministic.
+    seed-replicates there.  Groups come back ordered by their canonical
+    JSON identity, members ordered by seed — both independent of store
+    shard layout, so downstream documents are deterministic.
     """
     buckets: dict[str, list[Result]] = {}
     for result in results:
@@ -213,7 +209,6 @@ def replicate_groups(results: Iterable[Result]) -> list[ReplicateGroup]:
             {
                 "experiment": result.experiment,
                 "engine": result.engine,
-                "backend": result.backend,
                 "params": _point_params(result),
             }
         )
@@ -226,7 +221,6 @@ def replicate_groups(results: Iterable[Result]) -> list[ReplicateGroup]:
             ReplicateGroup(
                 experiment=first.experiment,
                 engine=first.engine,
-                backend=first.backend,
                 params=_point_params(first),
                 seeds=tuple(member.seed for member in members),
                 results=tuple(members),

@@ -44,7 +44,7 @@ __all__ = ["SweepSpec", "derive_seed", "load_specs", "read_specs"]
 #: Seeds derived for expanded specs stay in numpy's comfortable range.
 _SEED_SPACE = 2**32
 
-_SWEEP_KEYS = {"experiment", "grid", "params", "engine", "seed", "replicates", "backend"}
+_SWEEP_KEYS = {"experiment", "grid", "params", "engine", "seed", "replicates"}
 _DOCUMENT_KEYS = {"sweeps", "specs"}
 
 
@@ -79,9 +79,6 @@ class SweepSpec:
         Base parameters shared by every grid point (grid keys override).
     engine:
         Engine for every expanded spec, or ``None`` for the default.
-    backend:
-        Array backend for every expanded spec, or ``None`` for the
-        runner/environment default.
     seed:
         Campaign base seed.  Seedable experiments get a per-spec seed
         derived from it (see :func:`derive_seed`); ``None`` keeps each
@@ -98,13 +95,12 @@ class SweepSpec:
     engine: str | None = None
     seed: int | None = None
     replicates: int = 1
-    backend: str | None = None
 
     def resolve(self) -> Experiment:
         """Look up the experiment and validate the sweep against it."""
         experiment = get_experiment(self.experiment)
         for name, source in (("grid", self.grid), ("params", self.params)):
-            for reserved in ("seed", "engine", "backend"):
+            for reserved in ("seed", "engine"):
                 if reserved in source:
                     raise ConfigurationError(
                         f"sweep for {self.experiment!r} puts {reserved!r} in {name}; "
@@ -124,10 +120,6 @@ class SweepSpec:
         experiment.check_params(probe)
         if self.engine is not None:
             experiment.check_engine(self.engine)
-        if self.backend is not None and not experiment.takes_backend:
-            raise ConfigurationError(
-                f"sweep for {self.experiment!r} requests an array backend but the experiment takes none"
-            )
         if self.replicates < 1:
             raise ConfigurationError(f"sweep replicates must be >= 1, got {self.replicates}")
         if self.replicates > 1:
@@ -168,7 +160,6 @@ class SweepSpec:
                         params=dict(point),
                         engine=self.engine,
                         seed=seed,
-                        backend=self.backend,
                     )
                 )
         return specs
@@ -182,7 +173,6 @@ class SweepSpec:
             "engine": self.engine,
             "seed": self.seed,
             "replicates": self.replicates,
-            "backend": self.backend,
         }
 
     @classmethod
@@ -202,7 +192,6 @@ class SweepSpec:
             engine=data.get("engine"),
             seed=data.get("seed"),
             replicates=data.get("replicates", 1),
-            backend=data.get("backend"),
         )
 
 

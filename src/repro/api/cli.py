@@ -7,17 +7,12 @@ Subcommands
     One line per registered experiment: name, engines, paper artefact,
     title.  ``--json`` emits the same as machine-readable JSON.
 ``info NAME``
-    Title, module, engines, accepted array backends and the full
-    parameter schema with defaults — all read from the registry entry's
-    capability table.
-``backends``
-    One line per registered array backend (:mod:`repro.mc.backend`):
-    name, default marker, simulated flag, description.  ``--json`` emits
-    the same as machine-readable JSON.
+    Title, module, engines and the full parameter schema with defaults —
+    all read from the registry entry's capability table.
 ``run NAME [NAME ...]``
     Execute experiments through the :class:`repro.api.Runner` and print
-    each one's headline summary.  ``--engine``/``--seed``/``--backend``
-    set the dispatch policy, ``--set key=value`` overrides individual
+    each one's headline summary.  ``--engine``/``--seed`` set the
+    dispatch policy, ``--set key=value`` overrides individual
     parameters (values parsed as JSON, then as Python literals, then as
     bare strings), ``--fast`` applies each experiment's reduced smoke
     parameters, ``--json PATH`` writes a single result envelope and
@@ -76,15 +71,16 @@ Subcommands
     merges every shard URI they list, and ``--json`` emits the
     per-source stats machine-readably.
 ``lint [PATHS ...]``
-    Run the :mod:`repro.lint` contract checker (backend purity, RNG
-    discipline, determinism, telemetry isolation, registry completeness,
-    exception hygiene) over the given paths (default ``src/repro``).
-    ``--rule ID`` restricts to specific rules, ``--json`` emits the
-    strict schema-versioned document, ``--markdown PATH`` writes the CI
-    summary table, ``--baseline FILE`` grandfathers known findings,
-    ``--write-baseline`` records the current findings as that baseline,
-    and ``--check`` is the CI gate: new findings *or* stale baseline
-    entries fail, so the baseline only ever ratchets towards zero.
+    Run the :mod:`repro.lint` contract checker (RNG discipline,
+    determinism, telemetry isolation, registry completeness, exception
+    hygiene, document validation) over the given paths (default
+    ``src/repro``).  ``--rule ID`` restricts to specific rules,
+    ``--json`` emits the strict schema-versioned document, ``--markdown
+    PATH`` writes the CI summary table, ``--baseline FILE`` grandfathers
+    known findings, ``--write-baseline`` records the current findings as
+    that baseline, and ``--check`` is the CI gate: new findings *or*
+    stale baseline entries fail, so the baseline only ever ratchets
+    towards zero.
 """
 
 from __future__ import annotations
@@ -123,7 +119,6 @@ from repro.lint import (
     select_rules,
     write_baseline,
 )
-from repro.mc.backend import backend_names, default_backend, get_backend
 from repro.obs.metrics import Collector, format_span_tree
 from repro.obs.stats import campaign_counter_totals, counter_totals, stats_frame
 from repro.plots.gallery import check_gallery, write_gallery
@@ -177,9 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
     info_parser = sub.add_parser("info", help="show one experiment's schema")
     info_parser.add_argument("name", help="experiment name (see `list`)")
 
-    backends_parser = sub.add_parser("backends", help="list every registered array backend")
-    backends_parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-
     run_parser = sub.add_parser("run", help="run one, several, all, or a grid of experiments")
     run_parser.add_argument("names", nargs="*", help="experiment names (see `list`)")
     run_parser.add_argument("--all", action="store_true", help="run every registered experiment")
@@ -209,9 +201,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--engine", default=None, help="engine to dispatch to (scalar/batch/fast_path/batched/reference)"
     )
     run_parser.add_argument("--seed", type=int, default=None, help="seed override for seedable experiments")
-    run_parser.add_argument(
-        "--backend", default=None, help="array backend for experiments that take one (see `backends`)"
-    )
     run_parser.add_argument(
         "--set",
         dest="overrides",
@@ -307,9 +296,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--engine", default=None, help="engine to dispatch to (scalar/batch/fast_path/batched/reference)"
     )
     trace_parser.add_argument("--seed", type=int, default=None, help="seed override for seedable experiments")
-    trace_parser.add_argument(
-        "--backend", default=None, help="array backend for experiments that take one (see `backends`)"
-    )
     trace_parser.add_argument(
         "--set",
         dest="overrides",
@@ -412,42 +398,12 @@ def _cmd_info(args: argparse.Namespace) -> int:
         print(experiment.description)
     print(f"module:  {experiment.module}")
     print(f"engines: {', '.join(experiment.engine_names)}")
-    if experiment.takes_backend:
-        print(f"backends: {', '.join(backend_names())}")
     print(f"artifact: {experiment.artifact or '(beyond the paper)'}")
     print("parameters:")
     for parameter in experiment.parameters:
         print(f"  {parameter.name} = {parameter.default!r}")
     if experiment.fast_params:
         print(f"fast parameters (--fast): {experiment.fast_params}")
-    return 0
-
-
-def _cmd_backends(args: argparse.Namespace) -> int:
-    default = default_backend().name
-    backends = [get_backend(name) for name in backend_names()]
-    if args.json:
-        print(
-            json.dumps(
-                [
-                    {
-                        "name": backend.name,
-                        "default": backend.name == default,
-                        "simulated": backend.simulated,
-                        "description": backend.description,
-                    }
-                    for backend in backends
-                ],
-                indent=2,
-            )
-        )
-        return 0
-    width = max(len(backend.name) for backend in backends)
-    for backend in backends:
-        marker = "*" if backend.name == default else " "
-        flag = " (simulated)" if backend.simulated else ""
-        print(f"{marker} {backend.name.ljust(width)}  {backend.description}{flag}")
-    print(f"* default backend (REPRO_BACKEND overrides; currently {default!r})")
     return 0
 
 
@@ -490,7 +446,7 @@ def _run_campaign(
     of different grids can never be fanned back in together.
     """
     store = ResultStore(args.store) if args.store else None
-    runner = Runner(seed=args.seed, engine=args.engine, backend=args.backend, jobs=args.jobs)
+    runner = Runner(seed=args.seed, engine=args.engine, jobs=args.jobs)
     total = len(specs)
     counts = {"ran": 0, "cached": 0}
 
@@ -595,7 +551,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             specs.append(ExperimentSpec(experiment=name, params=params))
         return _run_campaign(specs, args)
 
-    runner = Runner(seed=args.seed, engine=args.engine, backend=args.backend)
+    runner = Runner(seed=args.seed, engine=args.engine)
     for name in names:
         experiment = get_experiment(name)
         params = dict(experiment.fast_params) if args.fast else {}
@@ -729,7 +685,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     experiment = get_experiment(args.name)
     params = dict(experiment.fast_params) if args.fast else {}
     params.update(dict(args.overrides))
-    result = Runner(seed=args.seed, engine=args.engine, backend=args.backend).run(args.name, params=params)
+    result = Runner(seed=args.seed, engine=args.engine).run(args.name, params=params)
     print(f"== {experiment.title} [{result.engine}, {result.runtime_s:.2f} s] ==")
     for line in format_span_tree(result.telemetry):
         print(line)
@@ -842,8 +798,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_list(args)
         if args.command == "info":
             return _cmd_info(args)
-        if args.command == "backends":
-            return _cmd_backends(args)
         if args.command == "report":
             return _cmd_report(args)
         if args.command == "plot":

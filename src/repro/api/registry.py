@@ -86,9 +86,8 @@ class Experiment:
         Declarative engine capability table: engine name → implementation
         callable (or ``None`` for entries declared by name only).  The
         first key is the default engine.  ``python -m repro info`` lists
-        engines (and, for backend-aware drivers, array backends) from this
-        same structure, and every unsupported-engine error funnels through
-        :func:`resolve_engine`.
+        engines from this same structure, and every unsupported-engine
+        error funnels through :func:`resolve_engine`.
     artifact:
         Paper artefact label (``"Fig. 11"``), or ``None`` for
         beyond-the-paper workloads such as the MAC scaling sweep.
@@ -143,11 +142,6 @@ class Experiment:
     def takes_engine(self) -> bool:
         """Whether ``run`` accepts an ``engine`` keyword."""
         return any(p.name == "engine" for p in self.parameters)
-
-    @property
-    def takes_backend(self) -> bool:
-        """Whether ``run`` accepts a ``backend`` (array namespace) keyword."""
-        return any(p.name == "backend" for p in self.parameters)
 
     @property
     def default_seed(self) -> int | None:

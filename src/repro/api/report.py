@@ -154,12 +154,9 @@ def generate_report(store: ResultStore) -> str:
             lines.append("")
             continue
         engines = sorted({result.engine for result in results})
-        backends = sorted({result.backend for result in results if result.backend is not None})
         seeds = sorted({result.seed for result in results if result.seed is not None})
         lines.append(f"- runs: {len(results)}")
         lines.append(f"- engines: {', '.join(engines)}")
-        if backends:
-            lines.append(f"- backends: {', '.join(backends)}")
         if seeds:
             shown = ", ".join(str(seed) for seed in seeds[:6])
             suffix = ", …" if len(seeds) > 6 else ""
@@ -180,8 +177,7 @@ def generate_report(store: ResultStore) -> str:
             lines.append(f"- parameters: {rendered}")
         lines.append("")
         seed_note = f", seed {picked.seed}" if picked.seed is not None else ""
-        backend_note = f", {picked.backend} backend" if picked.backend is not None else ""
-        lines.append(f"Measured ({picked.engine} engine{backend_note}{seed_note}):")
+        lines.append(f"Measured ({picked.engine} engine{seed_note}):")
         lines.append("")
         if experiment.summarize is not None:
             for line in experiment.summarize(picked.payload):

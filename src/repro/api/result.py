@@ -49,15 +49,11 @@ class Result:
     experiment:
         Registry name (``fig11``, ``table_power``, ...).
     engine:
-        Engine that executed the run (``scalar``, ``batch``, ``fast_path``).
+        Engine that executed the run: one of the experiment's registered
+        engine names (``scalar``, ``batch``, ``fast_path``, ``batched``,
+        ``reference``).
     seed:
         Effective RNG seed, or ``None`` for deterministic experiments.
-    backend:
-        Array backend (:mod:`repro.mc.backend` registry name) the run was
-        resolved onto, or ``None`` for experiments that take no backend.
-        Part of result identity: the same invocation on another backend is
-        a distinct result, though ``numpy`` remains the reference the
-        committed documents are generated from.
     params:
         The keyword arguments the driver was called with (excluding
         ``engine``, which is recorded separately).
@@ -83,7 +79,6 @@ class Result:
     experiment: str
     engine: str
     seed: int | None
-    backend: str | None = None
     params: dict[str, Any] = field(default_factory=dict)
     runtime_s: float = 0.0
     payload: Any = None
@@ -97,7 +92,6 @@ class Result:
             "experiment": self.experiment,
             "engine": self.engine,
             "seed": self.seed,
-            "backend": self.backend,
             "params": encode(self.params),
             "runtime_s": float(self.runtime_s),
             "payload": encode(self.payload),
@@ -120,7 +114,6 @@ class Result:
             experiment=data["experiment"],
             engine=data["engine"],
             seed=data["seed"],
-            backend=data.get("backend"),
             params=decode(data["params"]),
             runtime_s=float(data["runtime_s"]),
             payload=decode(data["payload"]),
@@ -158,9 +151,6 @@ def validate_result_dict(data: Any) -> None:
         )
     if "seed" not in data or not (data["seed"] is None or isinstance(data["seed"], int)):
         raise ConfigurationError("result field 'seed' must be an integer or null")
-    # Envelopes written before the array-API backend existed omit the field.
-    if not (data.get("backend") is None or isinstance(data["backend"], str)):
-        raise ConfigurationError("result field 'backend' must be a string or null")
     if "payload" not in data:
         raise ConfigurationError("result document is missing required field 'payload'")
     # Envelopes written before the campaign fabric existed omit the field.

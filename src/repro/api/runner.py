@@ -12,12 +12,6 @@ carry on their own:
   :class:`~repro.exceptions.ConfigurationError` (never a silent scalar
   fallback).  Drivers with a native ``engine`` keyword receive it; for
   scalar-only drivers ``scalar`` is implied.
-* **Backend resolution** — experiments with a ``backend`` parameter run on
-  the array backend from the spec, then the runner, then
-  :func:`repro.mc.backend.default_backend` (the ``REPRO_BACKEND``
-  environment variable, else numpy).  The resolved name is recorded on the
-  envelope and is part of result identity; requesting a backend for an
-  experiment that takes none raises.
 * **Sharding** — ``Runner(jobs=N)`` executes spec batches across ``N``
   worker processes (:class:`concurrent.futures.ProcessPoolExecutor`).
   Every spec's effective seed is resolved *before* dispatch, each spec
@@ -58,7 +52,6 @@ from repro.exceptions import ConfigurationError, ReproError
 # Module (not name) import: attribute lookup at call time lets tracing
 # wrappers and tests substitute ``cas.driver_source_hash``.
 from repro.fabric import cas as _cas
-from repro.mc.backend import default_backend, get_backend
 from repro.obs import metrics as obs
 from repro.obs.metrics import Collector
 
@@ -66,12 +59,12 @@ __all__ = ["Runner"]
 
 
 def _recorded_params(call_params: dict[str, Any]) -> dict[str, Any]:
-    """Driver call params minus the dispatch keywords recorded separately."""
-    return {name: value for name, value in call_params.items() if name not in ("engine", "backend")}
+    """Driver call params minus ``engine``, which the envelope records separately."""
+    return {name: value for name, value in call_params.items() if name != "engine"}
 
 
 def _run_spec_task(
-    task: tuple[dict[str, Any], int | None, str | None, str | None, str | None, bool],
+    task: tuple[dict[str, Any], int | None, str | None, str | None, bool],
 ) -> dict[str, Any]:
     """Worker entry point: execute one serialized spec, return its envelope.
 
@@ -80,8 +73,8 @@ def _run_spec_task(
     dataclasses never need to pickle.  When a store directory is given the
     worker appends the envelope to its own PID-named shard.
     """
-    spec_dict, seed, engine, backend, store_dir, telemetry = task
-    runner = Runner(seed=seed, engine=engine, backend=backend, telemetry=telemetry)
+    spec_dict, seed, engine, store_dir, telemetry = task
+    runner = Runner(seed=seed, engine=engine, telemetry=telemetry)
     result = runner._execute(ExperimentSpec.from_dict(spec_dict))
     document = result.to_dict()
     if store_dir is not None:
@@ -100,10 +93,8 @@ class Runner:
         each driver's own default, which reproduces the historical runs.
     engine:
         Default engine for every run; ``None`` uses each experiment's
-        first registered engine (``scalar`` everywhere today).
-    backend:
-        Default array backend for experiments that take one; ``None``
-        falls back to :func:`repro.mc.backend.default_backend`.
+        first registered engine (``scalar``, except ``batch`` for
+        ``coded_ofdm``, whose only engine it is).
     jobs:
         Worker processes for :meth:`run_batch` / :meth:`run_all`.  ``1``
         (the default) executes in-process; results are identical either
@@ -124,7 +115,6 @@ class Runner:
         *,
         seed: int | None = None,
         engine: str | None = None,
-        backend: str | None = None,
         jobs: int = 1,
         telemetry: bool = True,
     ):
@@ -132,7 +122,6 @@ class Runner:
             raise ConfigurationError(f"jobs must be >= 1, got {jobs}")
         self.seed = seed
         self.engine = engine
-        self.backend = backend
         self.jobs = jobs
         self.telemetry = telemetry
 
@@ -143,7 +132,6 @@ class Runner:
         params: dict[str, Any] | None = None,
         engine: str | None = None,
         seed: int | None = None,
-        backend: str | None = None,
     ) -> Result:
         """Run one experiment and wrap its payload in a :class:`Result`.
 
@@ -152,18 +140,15 @@ class Runner:
         """
         if isinstance(experiment, ExperimentSpec):
             spec = experiment
-            if params or engine or seed is not None or backend is not None:
+            if params or engine or seed is not None:
                 spec = ExperimentSpec(
                     experiment=spec.experiment,
                     params={**spec.params, **(params or {})},
                     engine=engine or spec.engine,
                     seed=seed if seed is not None else spec.seed,
-                    backend=backend or spec.backend,
                 )
         else:
-            spec = ExperimentSpec(
-                experiment=experiment, params=dict(params or {}), engine=engine, seed=seed, backend=backend
-            )
+            spec = ExperimentSpec(experiment=experiment, params=dict(params or {}), engine=engine, seed=seed)
         return self._execute(spec)
 
     def run_batch(
@@ -250,7 +235,7 @@ class Runner:
             return
         store_dir = str(store.root) if store is not None else None
         tasks = [
-            (specs[index].to_dict(), self.seed, self.engine, self.backend, store_dir, self.telemetry)
+            (specs[index].to_dict(), self.seed, self.engine, store_dir, self.telemetry)
             for index in pending
         ]
         chunksize = max(1, len(tasks) // (self.jobs * 4))
@@ -286,18 +271,18 @@ class Runner:
 
     def _resolve_identity(
         self, spec: ExperimentSpec
-    ) -> tuple[Experiment, str, int | None, str | None, dict[str, Any]]:
+    ) -> tuple[Experiment, str, int | None, dict[str, Any]]:
         """Validate *spec* and return its resolved invocation material.
 
-        ``(experiment, engine, seed, backend, recorded params)`` — enough
-        to derive its invocation key without running anything.
+        ``(experiment, engine, seed, recorded params)`` — enough to derive
+        its invocation key without running anything.
         """
         experiment = spec.resolve()
-        call_params, engine, seed, backend = self._resolve_call(spec, experiment)
-        return experiment, engine, seed, backend, _recorded_params(call_params)
+        call_params, engine, seed = self._resolve_call(spec, experiment)
+        return experiment, engine, seed, _recorded_params(call_params)
 
     def _cache_index(
-        self, identities: list[tuple[Experiment, str, int | None, str | None, dict[str, Any]]]
+        self, identities: list[tuple[Experiment, str, int | None, dict[str, Any]]]
     ) -> dict[str, tuple[int, str]]:
         """Map each spec's invocation key to its batch position and current source hash.
 
@@ -307,18 +292,18 @@ class Runner:
         """
         index: dict[str, tuple[int, str]] = {}
         source_hashes: dict[str, str | None] = {}
-        for position, (experiment, engine, seed, backend, recorded) in enumerate(identities):
+        for position, (experiment, engine, seed, recorded) in enumerate(identities):
             if experiment.name not in source_hashes:
                 source_hashes[experiment.name] = _cas.driver_source_hash(experiment)
             source_hash = source_hashes[experiment.name]
             if source_hash is not None:
-                key = invocation_key(experiment.name, engine, seed, recorded, backend=backend)
+                key = invocation_key(experiment.name, engine, seed, recorded)
                 index[key] = (position, source_hash)
         return index
 
     def _execute(self, spec: ExperimentSpec) -> Result:
         experiment = spec.resolve()
-        call_params, effective_engine, effective_seed, effective_backend = self._resolve_call(spec, experiment)
+        call_params, effective_engine, effective_seed = self._resolve_call(spec, experiment)
         telemetry: dict[str, Any] | None = None
         start = time.perf_counter()
         if self.telemetry:
@@ -335,7 +320,6 @@ class Runner:
             experiment=experiment.name,
             engine=effective_engine,
             seed=effective_seed,
-            backend=effective_backend,
             params=_recorded_params(call_params),
             runtime_s=runtime,
             payload=payload,
@@ -345,7 +329,7 @@ class Runner:
 
     def _resolve_call(
         self, spec: ExperimentSpec, experiment: Experiment
-    ) -> tuple[dict[str, Any], str, int | None, str | None]:
+    ) -> tuple[dict[str, Any], str, int | None]:
         params = dict(spec.params)
 
         engine = spec.engine or self.engine or experiment.default_engine
@@ -354,17 +338,6 @@ class Runner:
         experiment.check_engine(engine)
         if experiment.takes_engine:
             params["engine"] = engine
-
-        backend: str | None = None
-        if experiment.takes_backend:
-            backend = spec.backend or self.backend or default_backend().name
-            get_backend(backend)  # unknown names abort before any work runs
-            params["backend"] = backend
-        elif spec.backend or self.backend:
-            requested = spec.backend or self.backend
-            raise ConfigurationError(
-                f"experiment {experiment.name!r} does not accept an array backend (got {requested!r})"
-            )
 
         seed: int | None = None
         if experiment.takes_seed:
@@ -377,4 +350,4 @@ class Runner:
             else:
                 seed = experiment.default_seed
             params["seed"] = seed
-        return params, engine, seed, backend
+        return params, engine, seed

@@ -20,7 +20,7 @@ from repro.exceptions import ConfigurationError
 __all__ = ["ExperimentSpec"]
 
 #: The exact key set a serialized spec may carry.
-_SPEC_KEYS = {"experiment", "params", "engine", "seed", "backend"}
+_SPEC_KEYS = {"experiment", "params", "engine", "seed"}
 
 
 @dataclass(frozen=True)
@@ -38,16 +38,12 @@ class ExperimentSpec:
     seed:
         Seed override, or ``None`` to fall back to the runner's seed and
         then the driver's own default.
-    backend:
-        Array backend (:mod:`repro.mc.backend` registry name) for drivers
-        that accept one, or ``None`` for the runner/environment default.
     """
 
     experiment: str
     params: dict[str, Any] = field(default_factory=dict)
     engine: str | None = None
     seed: int | None = None
-    backend: str | None = None
 
     def resolve(self) -> Experiment:
         """Look up the experiment and validate this spec against it."""
@@ -55,16 +51,10 @@ class ExperimentSpec:
         experiment.check_params(self.params)
         if "engine" in self.params:
             raise ConfigurationError("pass the engine via ExperimentSpec.engine, not params['engine']")
-        if "backend" in self.params:
-            raise ConfigurationError("pass the backend via ExperimentSpec.backend, not params['backend']")
         if "seed" in self.params and self.seed is not None:
             raise ConfigurationError("seed given both in params and in ExperimentSpec.seed")
         if self.engine is not None:
             experiment.check_engine(self.engine)
-        if self.backend is not None and not experiment.takes_backend:
-            raise ConfigurationError(
-                f"experiment {self.experiment!r} does not accept an array backend"
-            )
         return experiment
 
     def to_dict(self) -> dict[str, Any]:
@@ -74,7 +64,6 @@ class ExperimentSpec:
             "params": encode(self.params),
             "engine": self.engine,
             "seed": self.seed,
-            "backend": self.backend,
         }
 
     @classmethod
@@ -98,5 +87,4 @@ class ExperimentSpec:
             params=decode(data.get("params") or {}),
             engine=data.get("engine"),
             seed=data.get("seed"),
-            backend=data.get("backend"),
         )

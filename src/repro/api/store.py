@@ -55,9 +55,7 @@ _UNSET = object()
 _CAMPAIGN_TELEMETRY_DIR = "campaign-telemetry"
 
 
-def invocation_key(
-    experiment: str, engine: str, seed: int | None, params: Mapping[str, Any], *, backend: str | None = None
-) -> str:
+def invocation_key(experiment: str, engine: str, seed: int | None, params: Mapping[str, Any]) -> str:
     """Content hash of one resolved invocation.
 
     ``params`` must be the *decoded* parameter dict (native tuples, arrays,
@@ -65,24 +63,15 @@ def invocation_key(
     re-encoding wraps its tagged nodes.  Used both for stored envelopes
     (:func:`result_key`) and for not-yet-run specs, so a rerun can skip work
     a partial store already holds.
-
-    ``backend`` is part of the identity when set: the same invocation run on
-    another array backend is a distinct result.  ``None`` (experiments that
-    take no backend, and envelopes written before backends existed) hashes
-    exactly as it did historically.
     """
     material = {"experiment": experiment, "engine": engine, "seed": seed, "params": dict(params)}
-    if backend is not None:
-        material["backend"] = backend
     digest = hashlib.sha256(canonical_json(material).encode("utf-8"))
     return digest.hexdigest()[:16]
 
 
 def result_key(result: Result) -> str:
     """Content hash identifying *result*'s invocation (not its payload)."""
-    return invocation_key(
-        result.experiment, result.engine, result.seed, result.params, backend=result.backend
-    )
+    return invocation_key(result.experiment, result.engine, result.seed, result.params)
 
 
 def representative(results: "list[Result]") -> Result:
@@ -128,13 +117,7 @@ def _document_key(document: dict[str, Any]) -> str:
     # Decode only the params (not the payload): `invocation_key` canonicalizes
     # decoded values, and skipping the payload keeps key scans cheap on
     # 10^4-envelope stores.
-    return invocation_key(
-        document["experiment"],
-        document["engine"],
-        document["seed"],
-        decode(document["params"]),
-        backend=document.get("backend"),
-    )
+    return invocation_key(document["experiment"], document["engine"], document["seed"], decode(document["params"]))
 
 
 class ResultStore:
@@ -335,16 +318,14 @@ class ResultStore:
         *,
         engine: str | None = None,
         seed: Any = _UNSET,
-        backend: Any = _UNSET,
         strict: bool = False,
         **param_filters: Any,
     ) -> list[Result]:
         """Decoded results matching every given filter.
 
         ``experiment``/``engine`` match the envelope fields, ``seed=None``
-        matches deterministic runs, ``backend=None`` matches runs without an
-        array backend, and any further keyword matches a recorded parameter
-        by (numpy-aware) value equality.
+        matches deterministic runs, and any further keyword matches a
+        recorded parameter by (numpy-aware) value equality.
 
         A parameter filter whose key an envelope does not record is, by
         default, simply a **non-match**: the envelope is excluded, exactly
@@ -369,8 +350,6 @@ class ResultStore:
             if engine is not None and result.engine != engine:
                 continue
             if seed is not _UNSET and result.seed != seed:
-                continue
-            if backend is not _UNSET and result.backend != backend:
                 continue
             unknown = sorted(set(param_filters) - set(result.params))
             if unknown and strict:

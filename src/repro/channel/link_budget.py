@@ -173,20 +173,18 @@ class BackscatterLinkBudget:
         tag_to_receiver_m: np.ndarray | float,
         *,
         rng: np.random.Generator | None = None,
-        xp=None,
     ):
         """Broadcasting batch counterpart of :meth:`evaluate`.
 
         Evaluates whole arrays of hop-distance realisations in one shot
-        (one vectorised shadowing draw per hop) on the requested array
-        backend; returns a
-        :class:`repro.mc.channel.BatchLinkResult`.  Statistics match a
-        loop over :meth:`evaluate`; only RNG consumption order differs.
+        (one vectorised shadowing draw per hop); returns a
+        :class:`repro.mc.channel.BatchLinkResult`.  Statistics match a loop
+        over :meth:`evaluate`; only RNG consumption order differs.
         """
         # Local import: repro.mc.channel imports this module at top level.
         from repro.mc.channel import backscatter_link_batch
 
-        return backscatter_link_batch(self, source_to_tag_m, tag_to_receiver_m, rng=rng, xp=xp)
+        return backscatter_link_batch(self, source_to_tag_m, tag_to_receiver_m, rng=rng)
 
 
 @dataclass
@@ -227,14 +225,12 @@ class DirectLinkBudget:
         distance_m: np.ndarray,
         *,
         rng: np.random.Generator | None = None,
-        xp=None,
     ):
         """Broadcasting batch counterpart of :meth:`received_power_dbm`.
 
-        One vectorised shadowing draw covers the whole distance array;
-        the dB arithmetic runs on the requested array backend.
+        One vectorised shadowing draw covers the whole distance array.
         """
         # Local import: repro.mc.channel imports this module at top level.
         from repro.mc.channel import direct_rssi_batch
 
-        return direct_rssi_batch(self, distance_m, rng=rng, xp=xp)
+        return direct_rssi_batch(self, distance_m, rng=rng)

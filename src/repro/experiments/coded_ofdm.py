@@ -13,10 +13,6 @@ the soft receiver feeds max-log LLRs into the soft-metric Viterbi.  Coding
 theory puts the soft decoder ~2 dB ahead at the PER ≈ 10⁻² operating
 point; the sweep measures that gap directly by log-interpolating each
 curve's crossing of ``target_error_rate``.
-
-The chain runs on any registered array backend (``backend=`` /
-``REPRO_BACKEND``); random draws stay on the numpy ``Generator``, so the
-results are float-identical across backends.
 """
 
 from __future__ import annotations
@@ -27,7 +23,6 @@ import numpy as np
 
 from repro.api.registry import register, resolve_engine
 from repro.exceptions import ConfigurationError
-from repro.mc.backend import resolve_engine_backend
 from repro.mc.sweep import CodedOfdmPipeline, run_sweep
 from repro.plots.figure import Figure, Series
 from repro.wifi.ofdm.rates import OfdmRate
@@ -92,10 +87,10 @@ def _crossing_snr_db(snr_db: np.ndarray, error_rate: np.ndarray, target: float, 
     return float(snr_db[index - 1] + fraction * (snr_db[index] - snr_db[index - 1]))
 
 
-def _sweep_batch(rate, snr_points, trials, num_symbols, statistic, decision, seed, xp):
+def _sweep_batch(rate, snr_points, trials, num_symbols, statistic, decision, seed):
     """One decision's whole sweep through the batched kernel chain."""
     pipeline = CodedOfdmPipeline(rate, num_symbols=num_symbols, statistic=statistic, decision=decision)
-    return run_sweep(snr_points, trials, pipeline, seed=seed, xp=xp)
+    return run_sweep(snr_points, trials, pipeline, seed=seed)
 
 
 _ENGINES = {"batch": _sweep_batch}
@@ -113,7 +108,6 @@ def run(
     target_error_rate: float = 0.01,
     seed: int = 2016,
     engine: str = "batch",
-    backend: str | None = None,
 ) -> CodedOfdmSweepResult:
     """Sweep the coded-OFDM chain with hard and soft decoding at every point.
 
@@ -122,18 +116,17 @@ def run(
     same channel realisation decoded twice, and the soft curve sits at or
     below the hard curve point by point up to Monte-Carlo noise.
     ``engine="batch"`` is the only engine (the chain *is* the batched
-    kernels); ``backend`` picks the array namespace the kernels run on.
+    kernels).
     """
     sweep = resolve_engine("coded_ofdm", engine, _ENGINES)
-    xp = resolve_engine_backend("coded_ofdm", engine, backend)
     if snr_stop_db < snr_start_db:
         raise ConfigurationError("snr_stop_db must be >= snr_start_db")
     if snr_step_db <= 0:
         raise ConfigurationError("snr_step_db must be positive")
     rate = OfdmRate.from_mbps(float(rate_mbps))
     points = np.arange(snr_start_db, snr_stop_db + snr_step_db / 2.0, snr_step_db)
-    hard = sweep(rate, points, trials, num_symbols, statistic, "hard", seed, xp)
-    soft = sweep(rate, points, trials, num_symbols, statistic, "soft", seed, xp)
+    hard = sweep(rate, points, trials, num_symbols, statistic, "hard", seed)
+    soft = sweep(rate, points, trials, num_symbols, statistic, "soft", seed)
     floor = 1.0 / (2.0 * trials)
     hard_crossing = _crossing_snr_db(points, hard.error_rate, target_error_rate, floor=floor)
     soft_crossing = _crossing_snr_db(points, soft.error_rate, target_error_rate, floor=floor)

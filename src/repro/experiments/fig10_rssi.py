@@ -22,7 +22,6 @@ from repro.api.registry import register, resolve_engine
 from repro.ble.devices import TX_POWER_LEVELS_DBM
 from repro.channel.geometry import fig10_geometry
 from repro.channel.link_budget import BackscatterLinkBudget
-from repro.mc.backend import resolve_engine_backend, to_numpy
 from repro.mc.channel import backscatter_link_batch
 from repro.plots.figure import Figure, Series
 
@@ -67,7 +66,7 @@ class RssiVsDistanceResult:
         return self.curves[(tx_power_dbm, separation_feet)]
 
 
-def _curve_scalar(budget, hop_in, hop_out, xp):  # lint-ok: RL001 -- scalar engine is numpy-only by declaration
+def _curve_scalar(budget, hop_in, hop_out):
     """Two-hop budget one receiver offset at a time."""
     rssi = np.empty(hop_in.size)
     for index in range(hop_in.size):
@@ -75,9 +74,9 @@ def _curve_scalar(budget, hop_in, hop_out, xp):  # lint-ok: RL001 -- scalar engi
     return rssi
 
 
-def _curve_batch(budget, hop_in, hop_out, xp):
+def _curve_batch(budget, hop_in, hop_out):
     """Whole distance grid in one vectorised link-budget call."""
-    return to_numpy(backscatter_link_batch(budget, hop_in, hop_out, xp=xp).rssi_dbm)
+    return backscatter_link_batch(budget, hop_in, hop_out).rssi_dbm
 
 
 _ENGINES = {"scalar": _curve_scalar, "batch": _curve_batch}
@@ -92,18 +91,16 @@ def run(
     sensitivity_dbm: float = -94.0,
     wifi_rate_mbps: float = 2.0,
     engine: str = "scalar",
-    backend: str | None = None,
 ) -> RssiVsDistanceResult:
     """Compute the Fig. 10 RSSI curves.
 
     ``engine="scalar"`` (default) evaluates the two-hop budget one receiver
     offset at a time; ``"batch"`` evaluates each curve's whole distance grid
-    in one vectorised :func:`repro.mc.channel.backscatter_link_batch` call,
-    on any registered array ``backend``.  The geometry is deterministic (no
-    shadowing), so the two engines agree to floating-point precision.
+    in one vectorised :func:`repro.mc.channel.backscatter_link_batch` call.
+    The geometry is deterministic (no shadowing), so the two engines agree
+    to floating-point precision.
     """
     trace = resolve_engine("fig10", engine, _ENGINES)
-    xp = resolve_engine_backend("fig10", engine, backend)
     distances = distance_grid(1.0, max_distance_feet, step_feet)
     curves: dict[tuple[float, float], RssiCurve] = {}
     for separation in separations_feet:
@@ -114,7 +111,7 @@ def run(
             budget = BackscatterLinkBudget(
                 source_power_dbm=power, receiver_sensitivity_dbm=sensitivity_dbm
             )
-            rssi = trace(budget, hop_in, hop_out, xp)
+            rssi = trace(budget, hop_in, hop_out)
             curves[(power, separation)] = RssiCurve(
                 tx_power_dbm=power,
                 bluetooth_to_tag_feet=separation,

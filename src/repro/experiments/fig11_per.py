@@ -19,7 +19,6 @@ from repro.api.placement import empirical_cdf, shadowed_backscatter_budget
 from repro.api.registry import register, resolve_engine
 from repro.channel.error_models import wifi_packet_error_rate
 from repro.channel.geometry import feet_to_meters
-from repro.mc.backend import resolve_engine_backend, to_numpy
 from repro.mc.channel import backscatter_link_batch
 from repro.plots.figure import Figure, Series
 
@@ -49,7 +48,7 @@ class PerCdfResult:
     mean_rate_gap: float
 
 
-def _per_scalar(budget, distances, rates_mbps, payload_bytes, num_packets, rng, xp):  # lint-ok: RL001 -- scalar engine is numpy-only by declaration
+def _per_scalar(budget, distances, rates_mbps, payload_bytes, num_packets, rng):
     """One-location-at-a-time loop, bit-identical to historical seeds."""
     per_by_rate = {rate: np.empty(distances.size) for rate in rates_mbps}
     for index, distance in enumerate(distances):
@@ -63,15 +62,12 @@ def _per_scalar(budget, distances, rates_mbps, payload_bytes, num_packets, rng, 
     return per_by_rate
 
 
-def _per_batch(budget, distances, rates_mbps, payload_bytes, num_packets, rng, xp):
+def _per_batch(budget, distances, rates_mbps, payload_bytes, num_packets, rng):
     """Whole-array link budgets and packet draws (≥10× faster)."""
-    link = backscatter_link_batch(
-        budget, feet_to_meters(1.0), feet_to_meters(distances), rng=rng, xp=xp
-    )
-    snr_db = to_numpy(link.snr_db)
+    link = backscatter_link_batch(budget, feet_to_meters(1.0), feet_to_meters(distances), rng=rng)
     per_by_rate = {}
     for rate in rates_mbps:
-        analytic = wifi_packet_error_rate(snr_db, rate_mbps=rate, payload_bytes=payload_bytes[rate])
+        analytic = wifi_packet_error_rate(link.snr_db, rate_mbps=rate, payload_bytes=payload_bytes[rate])
         per_by_rate[rate] = rng.binomial(num_packets, analytic) / num_packets
     return per_by_rate
 
@@ -89,7 +85,6 @@ def run(
     max_distance_feet: float = 60.0,
     seed: int = 11,
     engine: str = "scalar",
-    backend: str | None = None,
 ) -> PerCdfResult:
     """Simulate the Fig. 11 PER CDF.
 
@@ -101,20 +96,18 @@ def run(
     ``engine`` selects the Monte-Carlo substrate: ``"scalar"`` (default)
     keeps the original one-location-at-a-time loop, bit-identical to
     historical seeds; ``"batch"`` evaluates every location's link budget and
-    packet draws in whole-array :mod:`repro.mc` operations (≥10× faster) on
-    any registered array ``backend``.  The two engines draw from the RNG in
-    different orders, so their results agree only up to Monte-Carlo noise;
-    across backends the batch engine is float-identical.
+    packet draws in whole-array :mod:`repro.mc` operations (≥10× faster).
+    The two engines draw from the RNG in different orders, so their results
+    agree only up to Monte-Carlo noise.
     """
     measure = resolve_engine("fig11", engine, _ENGINES)
-    xp = resolve_engine_backend("fig11", engine, backend)
     if payload_bytes is None:
         payload_bytes = {2.0: 31, 11.0: 77}
     rng = np.random.default_rng(seed)
     budget = shadowed_backscatter_budget(tx_power_dbm, shadowing_sigma_db=4.0)
 
     distances = rng.uniform(3.0, max_distance_feet, num_locations)
-    per_by_rate = measure(budget, distances, rates_mbps, payload_bytes, num_packets, rng, xp)
+    per_by_rate = measure(budget, distances, rates_mbps, payload_bytes, num_packets, rng)
 
     cdf_by_rate: dict[float, tuple[np.ndarray, np.ndarray]] = {}
     median_per: dict[float, float] = {}

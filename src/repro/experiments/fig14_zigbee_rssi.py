@@ -15,7 +15,6 @@ import numpy as np
 from repro.api.placement import empirical_cdf, shadowed_backscatter_budget
 from repro.api.registry import register, resolve_engine
 from repro.channel.geometry import feet_to_meters
-from repro.mc.backend import resolve_engine_backend, to_numpy
 from repro.mc.channel import backscatter_link_batch
 from repro.plots.figure import Figure, Series
 
@@ -48,8 +47,8 @@ class ZigbeeRssiResult:
     detectable_fraction: float
 
 
-def _sample_scalar(budget, locations_feet, bluetooth_to_tag_feet, packets_per_location, rng, xp):  # lint-ok: RL001 -- scalar engine is numpy-only by declaration
-    """Per-packet loop, bit-identical to historical seeds (numpy-only)."""
+def _sample_scalar(budget, locations_feet, bluetooth_to_tag_feet, packets_per_location, rng):
+    """Per-packet loop, bit-identical to historical seeds."""
     samples: list[float] = []
     for distance in locations_feet:
         for _ in range(packets_per_location):
@@ -60,13 +59,13 @@ def _sample_scalar(budget, locations_feet, bluetooth_to_tag_feet, packets_per_lo
     return np.array(samples)
 
 
-def _sample_batch(budget, locations_feet, bluetooth_to_tag_feet, packets_per_location, rng, xp):
+def _sample_batch(budget, locations_feet, bluetooth_to_tag_feet, packets_per_location, rng):
     """Every (location, packet) link realisation in one vectorised call."""
-    distances = np.repeat(np.asarray(locations_feet, dtype=float), packets_per_location)  # lint-ok: RL001 -- host-side grid for the numpy RNG hatch
+    distances = np.repeat(np.asarray(locations_feet, dtype=float), packets_per_location)
     link = backscatter_link_batch(
-        budget, feet_to_meters(bluetooth_to_tag_feet), feet_to_meters(distances), rng=rng, xp=xp
+        budget, feet_to_meters(bluetooth_to_tag_feet), feet_to_meters(distances), rng=rng
     )
-    return to_numpy(link.rssi_dbm)
+    return link.rssi_dbm
 
 
 _ENGINES = {"scalar": _sample_scalar, "batch": _sample_batch}
@@ -81,18 +80,15 @@ def run(
     receiver_sensitivity_dbm: float = -97.0,
     seed: int = 14,
     engine: str = "scalar",
-    backend: str | None = None,
 ) -> ZigbeeRssiResult:
     """Simulate the Fig. 14 RSSI CDF.
 
     ``engine="scalar"`` (default) keeps the original per-packet loop,
     bit-identical to historical seeds; ``"batch"`` evaluates every
     (location, packet) link realisation in one vectorised :mod:`repro.mc`
-    call, on any registered array ``backend`` (random draws stay on the
-    numpy generator, so every backend is float-identical).
+    call.
     """
     sample = resolve_engine("fig14", engine, _ENGINES)
-    xp = resolve_engine_backend("fig14", engine, backend)
     rng = np.random.default_rng(seed)
     budget = shadowed_backscatter_budget(
         tx_power_dbm,
@@ -100,7 +96,7 @@ def run(
         noise_bandwidth_hz=2e6,
         receiver_sensitivity_dbm=receiver_sensitivity_dbm,
     )
-    rssi = sample(budget, locations_feet, bluetooth_to_tag_feet, packets_per_location, rng, xp)
+    rssi = sample(budget, locations_feet, bluetooth_to_tag_feet, packets_per_location, rng)
     return ZigbeeRssiResult(
         locations_feet=np.array(locations_feet),
         rssi_samples_dbm=rssi,

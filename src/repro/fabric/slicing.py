@@ -12,7 +12,7 @@ to a serial run; the tests assert disjointness and completeness at every
 :func:`read_spec_files` is the multi-document front end: it expands
 several grid files, concatenates them in argument order, and rejects
 duplicate specs strictly — two grid files that expand to the same
-(experiment, params, engine, seed, backend) invocation would race to
+(experiment, params, engine, seed) invocation would race to
 write the same result key, so the overlap fails loudly before any work
 starts.
 """

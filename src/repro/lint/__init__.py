@@ -1,9 +1,9 @@
 """``repro.lint`` — the AST-based contract checker for the repo's invariants.
 
 The platform's correctness rests on conventions that ordinary tests only
-catch by accident: backend-pure ``xp`` kernels, seeded-Generator-only
-randomness, byte-deterministic document generation, telemetry isolation,
-complete driver registration and typed exceptions.  This package turns
+catch by accident: seeded-Generator-only randomness, byte-deterministic
+document generation, telemetry isolation, complete driver registration,
+typed exceptions and validated fabric documents.  This package turns
 each into an enforced static rule — the cheap triage tier that runs
 before the expensive test tier.
 
@@ -11,7 +11,7 @@ Layout:
 
 * :mod:`repro.lint.engine` — :class:`Rule` registry, :class:`Finding`
   records, the pragma-aware file walker;
-* :mod:`repro.lint.rules` — the RL001–RL006 catalogue;
+* :mod:`repro.lint.rules` — the RL002–RL007 catalogue;
 * :mod:`repro.lint.baseline` — grandfathered findings, ratcheted to zero;
 * :mod:`repro.lint.reporting` — text / strict-JSON / markdown output.
 

@@ -2,7 +2,7 @@
 
 The engine is deliberately dependency-free (stdlib ``ast`` only) so the
 cheap static tier can run before anything is installed.  A :class:`Rule`
-couples a stable id (``RL001``), a category, a short description and a
+couples a stable id (``RL002``), a category, a short description and a
 fix hint to a checker callable; :func:`lint_paths` parses every Python
 file once into a :class:`LintContext` and funnels it through each
 applicable rule, returning sorted :class:`Finding` records.
@@ -16,9 +16,9 @@ Two rule kinds exist:
   registers completely *and* is imported by the package façade".
 
 Deliberate, documented exceptions are suppressed in source with a
-pragma comment — ``# lint-ok: RL001 -- reason`` — on the finding's line
-or on any *anchor line* the rule attaches (RL001 anchors the enclosing
-``def``, so one pragma can bless a whole boundary function).  Everything
+pragma comment — ``# lint-ok: RL002 -- reason`` — on the finding's line
+or on any *anchor line* the rule attaches (RL007 anchors the enclosing
+``def``, so one pragma can bless a whole function).  Everything
 else an exception list would need lives in the committed baseline
 (:mod:`repro.lint.baseline`), which only ever shrinks.
 """
@@ -46,10 +46,10 @@ __all__ = [
     "select_rules",
 ]
 
-#: ``# lint-ok: RL001`` or ``# lint-ok: RL001, RL004 -- why it is fine``.
+#: ``# lint-ok: RL002`` or ``# lint-ok: RL002, RL004 -- why it is fine``.
 _PRAGMA = re.compile(r"#\s*lint-ok:\s*([A-Z]{2}\d{3}(?:\s*,\s*[A-Z]{2}\d{3})*)")
 
-#: Rule ids look like ``RL001`` — two capitals, three digits.
+#: Rule ids look like ``RL002`` — two capitals, three digits.
 _RULE_ID = re.compile(r"^[A-Z]{2}\d{3}$")
 
 
@@ -60,9 +60,9 @@ class Finding:
     Attributes
     ----------
     rule:
-        Rule id (``RL001``).
+        Rule id (``RL002``).
     category:
-        The rule's category slug (``backend-purity``).
+        The rule's category slug (``rng-discipline``).
     path:
         Posix path of the offending file, as given to the walker.
     line:
@@ -166,7 +166,7 @@ class Rule:
     Attributes
     ----------
     id:
-        Stable identifier (``RL001``); what ``--rule``, pragmas and the
+        Stable identifier (``RL002``); what ``--rule``, pragmas and the
         baseline refer to.
     category:
         Short kebab-case slug grouping related rules.

@@ -1,4 +1,4 @@
-"""The repo-specific rule catalogue: seven contracts, statically enforced.
+"""The repo-specific rule catalogue: six contracts, statically enforced.
 
 Each rule turns a convention the platform's correctness rests on into an
 AST check (see ``docs/architecture.md`` § Static guarantees for the
@@ -7,10 +7,6 @@ prose version of every contract):
 ========  ====================  ==============================================
 Id        Category              Contract
 ========  ====================  ==============================================
-RL001     backend-purity        ``xp``-taking kernels never call numpy
-                                directly, except through the documented
-                                ``xp.asarray`` lifting idiom / RNG escape
-                                hatch.
 RL002     rng-discipline        no legacy numpy global-state RNG, no stdlib
                                 ``random`` — only seeded ``Generator`` draws.
 RL003     determinism           result-producing modules never read clocks,
@@ -29,8 +25,8 @@ RL007     document-validation   :mod:`repro.fabric` document writers
 ========  ====================  ==============================================
 
 Deliberate exceptions are blessed in source with ``# lint-ok: RLnnn``
-pragmas (RL001 additionally honours a pragma on the enclosing ``def``
-line, for functions that are *documented* numpy boundaries).
+pragmas (RL007 additionally honours a pragma on the enclosing ``def``
+line).
 """
 
 from __future__ import annotations
@@ -51,7 +47,6 @@ from repro.lint.engine import (
 )
 
 __all__ = [
-    "RL001",
     "RL002",
     "RL003",
     "RL004",
@@ -59,22 +54,6 @@ __all__ = [
     "RL006",
     "RL007",
 ]
-
-#: numpy attributes an ``xp`` kernel may touch directly: dtypes, scalar
-#: type hierarchy, array type (``isinstance`` checks) and constants —
-#: names that configure numpy calls elsewhere rather than compute arrays.
-# fmt: off
-_NP_PASSIVE_ATTRS = frozenset(
-    {
-        "bool_", "complex64", "complex128", "float16", "float32", "float64",
-        "int8", "int16", "int32", "int64", "intp",
-        "uint8", "uint16", "uint32", "uint64",
-        "dtype", "ndarray", "generic", "number", "integer", "floating",
-        "complexfloating", "inexact", "signedinteger", "unsignedinteger",
-        "newaxis", "inf", "nan", "pi", "e", "euler_gamma",
-    }
-)
-# fmt: on
 
 #: The non-legacy core of ``numpy.random``: seeded generators and the bit
 #: generators that feed them.  Everything else on ``np.random`` is the
@@ -133,90 +112,6 @@ def _numpy_attribute_roots(
                     seen.add(inner.value)
                     inner = inner.value
                 yield node, dotted
-
-
-def _inside_asarray_call(ancestors: list[ast.Call], imports: ImportMap) -> bool:
-    """Whether any enclosing call is ``<namespace>.asarray(...)`` — the
-    documented lifting idiom for numpy-built tables and RNG draws.
-
-    ``np.asarray(...)`` itself does not count: lifting onto the *numpy*
-    namespace inside an ``xp`` kernel is exactly the bug RL001 exists to
-    catch.
-    """
-    for call in ancestors:
-        func = call.func
-        if isinstance(func, ast.Attribute) and func.attr == "asarray":
-            receiver = imports.dotted(func.value)
-            if receiver is None or not receiver.startswith("numpy"):
-                return True
-    return False
-
-
-def _check_backend_purity(context: LintContext) -> Iterator[Finding]:
-    imports = ImportMap(context.tree)
-    for info in iter_functions(context.tree):
-        if "xp" not in info.params:
-            continue
-        # Walk with an explicit stack so each node knows its Call ancestry
-        # (the asarray-lift whitelist needs the enclosing calls).
-        stack: list[tuple[ast.AST, list[ast.Call]]] = [
-            (child, []) for child in ast.iter_child_nodes(info.node)
-        ]
-        reported_chains: set[ast.AST] = set()
-        while stack:
-            node, calls = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                nested_params = {
-                    arg.arg
-                    for arg in (
-                        *node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs
-                    )
-                }
-                if "xp" in nested_params:
-                    continue  # visited as its own function
-            next_calls = calls + [node] if isinstance(node, ast.Call) else calls
-            for child in ast.iter_child_nodes(node):
-                stack.append((child, next_calls))
-            if node in reported_chains or not isinstance(node, ast.Attribute):
-                continue
-            dotted = imports.dotted(node)
-            if not dotted or not dotted.startswith("numpy."):
-                continue
-            inner: ast.AST = node
-            while isinstance(inner, ast.Attribute):
-                reported_chains.add(inner.value)
-                inner = inner.value
-            head = dotted.split(".")[1]
-            if head in _NP_PASSIVE_ATTRS or head == "random":
-                continue  # dtypes/constants; RNG discipline is RL002's job
-            if _inside_asarray_call(calls, imports):
-                continue  # the xp.asarray(...) lifting idiom
-            yield context.finding(
-                RL001,
-                node.lineno,
-                f"function {info.node.name}() takes an `xp` namespace but calls "
-                f"{dotted} directly",
-                anchor_lines=(info.node.lineno,),
-            )
-
-
-RL001 = register_rule(
-    Rule(
-        id="RL001",
-        category="backend-purity",
-        description=(
-            "functions taking an `xp` array namespace must not call numpy "
-            "directly (lift constants/draws with xp.asarray; dtypes and "
-            "np.random Generators are the documented escape hatches)"
-        ),
-        fix_hint=(
-            "use the xp namespace, wrap the numpy value in xp.asarray(...), or "
-            "mark a documented numpy boundary with `# lint-ok: RL001 -- reason` "
-            "on the def line"
-        ),
-        check=_check_backend_purity,
-    )
-)
 
 
 def _check_rng_discipline(context: LintContext) -> Iterator[Finding]:

@@ -8,24 +8,16 @@ vectorised ``rng.normal(size=...)``.  Statistics are identical to looping
 the scalar evaluator; only the RNG consumption order differs, which is why
 the experiments expose both engines (``scalar`` for bit-reproducibility of
 historical seeds, ``batch`` for speed).
-
-Both batch evaluators take an array namespace via the keyword-only ``xp``
-argument.  The shadowing draw itself stays on the numpy ``Generator``
-(the RNG escape hatch shared with the rest of :mod:`repro.mc`), so the
-same seed yields float-identical results on every backend; the dB-domain
-arithmetic downstream of the draw runs on ``xp``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from repro.channel.link_budget import BackscatterLinkBudget, DirectLinkBudget
 from repro.channel.tissue import tissue_attenuation_db
-from repro.mc.backend import resolve_namespace
 from repro.obs import metrics as obs
 
 __all__ = ["BatchLinkResult", "backscatter_link_batch", "direct_rssi_batch"]
@@ -38,13 +30,13 @@ class BatchLinkResult:
     Attributes
     ----------
     rssi_dbm / incident_power_dbm / snr_db / detectable:
-        Arrays (on the evaluating backend), one entry per link realisation.
+        Arrays, one entry per link realisation.
     """
 
-    rssi_dbm: Any
-    incident_power_dbm: Any
-    snr_db: Any
-    detectable: Any
+    rssi_dbm: np.ndarray
+    incident_power_dbm: np.ndarray
+    snr_db: np.ndarray
+    detectable: np.ndarray
 
 
 def _shadowed_loss_db(
@@ -56,27 +48,23 @@ def _shadowed_loss_db(
     """Path loss for an array of realisations under *model*'s shadowing.
 
     ``PathLossModel.loss_db`` broadcasts with one independent shadowing draw
-    per element, so the batch path is a plain delegation.  This is the
-    numpy-only escape hatch: the draw happens on the numpy ``Generator``
-    and the caller lifts the result onto its ``xp`` namespace.
+    per element, so the batch path is a plain delegation.
     """
     return np.asarray(model.loss_db(np.asarray(distance_m, dtype=float), rng=rng))
 
 
-def backscatter_link_batch(  # lint-ok: RL001 -- host-side staging for the numpy shadowing-RNG hatch
+def backscatter_link_batch(
     budget: BackscatterLinkBudget,
     source_to_tag_m: np.ndarray | float,
     tag_to_receiver_m: np.ndarray | float,
     *,
     rng: np.random.Generator | None = None,
-    xp=None,
 ) -> BatchLinkResult:
     """Evaluate the two-hop budget for arrays of hop distances at once.
 
     Scalars broadcast, so a fixed source→tag hop with many tag→receiver
     realisations is one call.
     """
-    xp = resolve_namespace(xp)
     d_in, d_out = np.broadcast_arrays(
         np.asarray(source_to_tag_m, dtype=float), np.asarray(tag_to_receiver_m, dtype=float)
     )
@@ -87,7 +75,7 @@ def backscatter_link_batch(  # lint-ok: RL001 -- host-side staging for the numpy
     incident = (
         budget.source_power_dbm
         + budget.source_antenna.gain_dbi
-        - xp.asarray(_shadowed_loss_db(budget.path_loss, d_in, rng=rng))
+        - _shadowed_loss_db(budget.path_loss, d_in, rng=rng)
         + budget.tag_antenna.gain_dbi
         - tissue_loss
     )
@@ -96,10 +84,9 @@ def backscatter_link_batch(  # lint-ok: RL001 -- host-side staging for the numpy
         reflected
         + budget.tag_antenna.gain_dbi
         - tissue_loss
-        - xp.asarray(_shadowed_loss_db(budget.path_loss, d_out, rng=rng))
+        - _shadowed_loss_db(budget.path_loss, d_out, rng=rng)
         + budget.receiver_antenna.gain_dbi
     )
-    # NoiseModel.snr_db is a scalar dB offset, portable across namespaces.
     return BatchLinkResult(
         rssi_dbm=rssi,
         incident_power_dbm=incident,
@@ -108,15 +95,13 @@ def backscatter_link_batch(  # lint-ok: RL001 -- host-side staging for the numpy
     )
 
 
-def direct_rssi_batch(  # lint-ok: RL001 -- host-side staging for the numpy shadowing-RNG hatch
+def direct_rssi_batch(
     budget: DirectLinkBudget,
     distance_m: np.ndarray,
     *,
     rng: np.random.Generator | None = None,
-    xp=None,
-):
+) -> np.ndarray:
     """Received power of the one-hop link for an array of distances."""
-    xp = resolve_namespace(xp)
     obs.count("channel.link_realisations", int(np.size(distance_m)))
     tissue_loss = 0.0
     if budget.tissue is not None:
@@ -124,7 +109,7 @@ def direct_rssi_batch(  # lint-ok: RL001 -- host-side staging for the numpy shad
     return (
         budget.tx_power_dbm
         + budget.tx_antenna.gain_dbi
-        - xp.asarray(_shadowed_loss_db(budget.path_loss, np.asarray(distance_m, dtype=float), rng=rng))
+        - _shadowed_loss_db(budget.path_loss, np.asarray(distance_m, dtype=float), rng=rng)
         + budget.rx_antenna.gain_dbi
         - tissue_loss
     )

@@ -15,16 +15,6 @@ bit-exact with the scalar implementation it mirrors:
   (keystreams are cached per seed — the x^7+x^4+1 LFSR has only 127 states);
 * :func:`puncture_batch` / :func:`depuncture_batch` ↔ the pattern masks of
   :mod:`repro.wifi.ofdm.convolutional`.
-
-Each kernel takes an explicit array namespace via the keyword-only ``xp``
-argument (``None`` → :func:`repro.mc.backend.default_backend`) and uses
-only array-API-portable operations: gathers are ``take`` with
-precomputed index maps instead of fancy/boolean indexing or scatter
-assignment, so the same code runs under numpy, CuPy, JAX and
-``array-api-strict``.  Small constant tables (permutations, constellation
-levels, LFSR keystreams) are built in numpy and converted once per call
-with ``xp.asarray`` — the documented numpy-only escape hatch, shared with
-the RNG draws upstream.
 """
 
 from __future__ import annotations
@@ -32,7 +22,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.mc.backend import resolve_namespace
 from repro.wifi.ofdm.convolutional import PUNCTURE_PATTERNS
 from repro.wifi.ofdm.interleaver import interleaver_permutation
 from repro.wifi.ofdm.mapping import Modulation, _axis_table
@@ -50,22 +39,22 @@ __all__ = [
 ]
 
 
-def _as_matrix(bits, xp, *, dtype=None, keep_floating: bool = False, validate_bits: bool = False):
+def _as_matrix(bits, *, dtype=None, keep_floating: bool = False, validate_bits: bool = False):
     """Coerce input to a 2-D matrix ``[N, L]`` (1-D input becomes one row).
 
     ``dtype`` is the target dtype; with ``keep_floating`` a real-floating
     input keeps its dtype (LLR rows flow through the bit-plumbing kernels
     unquantised).
     """
-    arr = xp.asarray(bits)
+    arr = np.asarray(bits)
     if arr.ndim == 1:
         arr = arr[None, :]
     if arr.ndim != 2:
         raise ConfigurationError(f"expected a [N, L] matrix, got shape {arr.shape}")
-    if not (keep_floating and xp.isdtype(arr.dtype, "real floating")):
+    if not (keep_floating and np.isdtype(arr.dtype, "real floating")):
         if dtype is not None and arr.dtype != dtype:
-            arr = xp.astype(arr, dtype)
-    if validate_bits and arr.size and bool(xp.any(arr > 1)):
+            arr = np.astype(arr, dtype)
+    if validate_bits and arr.size and bool(np.any(arr > 1)):
         raise ValueError("bit arrays may only contain 0 and 1")
     return arr
 
@@ -85,61 +74,46 @@ def _axis_tables(bits_per_axis: int) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return levels, level_bits, by_index
 
 
-def _take_rows(xp, table, index):
-    """Gather ``table[index]`` for an integer index array of any shape.
-
-    Portable replacement for multi-dimensional fancy indexing: flatten
-    the indices, ``take`` along axis 0, and restore the shape (plus the
-    table's trailing axes, if any).
-    """
-    flat = xp.take(table, xp.reshape(index, (-1,)), axis=0)
-    return xp.reshape(flat, index.shape + table.shape[1:])
-
-
-def map_batch(bits, modulation: Modulation, *, xp=None):
+def map_batch(bits, modulation: Modulation):
     """Map coded bits ``[N, L]`` to constellation points ``[N, L / bps]``."""
-    xp = resolve_namespace(xp)
-    arr = _as_matrix(bits, xp, dtype=xp.uint8)
+    arr = _as_matrix(bits, dtype=np.uint8)
     n, length = arr.shape
     bps = modulation.bits_per_symbol
     if length % bps != 0:
         raise ConfigurationError(f"bit count {length} not a multiple of {bps}")
-    groups = xp.reshape(arr, (n, length // bps, bps))
+    groups = np.reshape(arr, (n, length // bps, bps))
     if modulation is Modulation.BPSK:
-        return xp.astype(2.0 * xp.astype(groups[:, :, 0], xp.float64) - 1.0, xp.complex128)
+        return np.astype(2.0 * np.astype(groups[:, :, 0], np.float64) - 1.0, np.complex128)
     half = bps // 2
     _, _, by_index = _axis_tables(half)
-    by_index = xp.asarray(by_index)
-    weights = xp.asarray(1 << np.arange(half - 1, -1, -1), dtype=xp.int64)
-    i_index = xp.matmul(xp.astype(groups[:, :, :half], xp.int64), weights)
-    q_index = xp.matmul(xp.astype(groups[:, :, half:], xp.int64), weights)
-    i_level = _take_rows(xp, by_index, i_index)
-    q_level = _take_rows(xp, by_index, q_index)
-    return (xp.astype(i_level, xp.complex128) + 1j * xp.astype(q_level, xp.complex128)) * modulation.normalization
+    weights = np.asarray(1 << np.arange(half - 1, -1, -1), dtype=np.int64)
+    i_index = np.matmul(np.astype(groups[:, :, :half], np.int64), weights)
+    q_index = np.matmul(np.astype(groups[:, :, half:], np.int64), weights)
+    i_level = by_index[i_index]
+    q_level = by_index[q_index]
+    return (np.astype(i_level, np.complex128) + 1j * np.astype(q_level, np.complex128)) * modulation.normalization
 
 
-def demap_batch(symbols, modulation: Modulation, *, xp=None):
+def demap_batch(symbols, modulation: Modulation):
     """Hard-decision demap ``[N, S]`` points back to coded bits ``[N, S * bps]``."""
-    xp = resolve_namespace(xp)
-    sym = _as_matrix(symbols, xp, dtype=xp.complex128)
+    sym = _as_matrix(symbols, dtype=np.complex128)
     n, count = sym.shape
     bps = modulation.bits_per_symbol
     if modulation is Modulation.BPSK:
-        return xp.astype(xp.real(sym) > 0, xp.uint8)
+        return np.astype(np.real(sym) > 0, np.uint8)
     half = bps // 2
     levels, level_bits, _ = _axis_tables(half)
-    midpoints = xp.asarray((levels[:-1] + levels[1:]) / 2.0)
-    level_bits = xp.asarray(level_bits)
+    midpoints = (levels[:-1] + levels[1:]) / 2.0
     scaled = sym / modulation.normalization
     # side='left': a point exactly on a midpoint picks the lower level, the
     # same choice the scalar demapper's first-occurrence argmin makes.
-    i_bits = _take_rows(xp, level_bits, xp.searchsorted(midpoints, xp.reshape(xp.real(scaled), (-1,)), side="left"))
-    q_bits = _take_rows(xp, level_bits, xp.searchsorted(midpoints, xp.reshape(xp.imag(scaled), (-1,)), side="left"))
-    out = xp.concat([xp.reshape(i_bits, (n, count, half)), xp.reshape(q_bits, (n, count, half))], axis=2)
-    return xp.reshape(out, (n, count * bps))
+    i_bits = level_bits[np.searchsorted(midpoints, np.reshape(np.real(scaled), (-1,)), side="left")]
+    q_bits = level_bits[np.searchsorted(midpoints, np.reshape(np.imag(scaled), (-1,)), side="left")]
+    out = np.concat([np.reshape(i_bits, (n, count, half)), np.reshape(q_bits, (n, count, half))], axis=2)
+    return np.reshape(out, (n, count * bps))
 
 
-def demap_soft_batch(symbols, modulation: Modulation, *, noise_var: float, xp=None):
+def demap_soft_batch(symbols, modulation: Modulation, *, noise_var: float):
     """Max-log LLRs ``[N, S * bps]`` for received points ``[N, S]``.
 
     ``noise_var`` is the total complex noise variance E|n|² (twice the
@@ -155,43 +129,39 @@ def demap_soft_batch(symbols, modulation: Modulation, *, noise_var: float, xp=No
     """
     if noise_var <= 0:
         raise ConfigurationError(f"noise_var must be positive, got {noise_var}")
-    xp = resolve_namespace(xp)
-    sym = _as_matrix(symbols, xp, dtype=xp.complex128)
+    sym = _as_matrix(symbols, dtype=np.complex128)
     n, count = sym.shape
     bps = modulation.bits_per_symbol
     if modulation is Modulation.BPSK:
-        return 4.0 * xp.real(sym) / noise_var
+        return 4.0 * np.real(sym) / noise_var
     half = bps // 2
     levels, level_bits, _ = _axis_tables(half)
-    scaled_levels = xp.asarray(levels * modulation.normalization)
+    scaled_levels = levels * modulation.normalization
     columns = []
-    for coordinate in (xp.real(sym), xp.imag(sym)):
+    for coordinate in (np.real(sym), np.imag(sym)):
         distance_sq = (coordinate[:, :, None] - scaled_levels[None, None, :]) ** 2
         for position in range(half):
-            zero_levels = xp.asarray(np.flatnonzero(level_bits[:, position] == 0))
-            one_levels = xp.asarray(np.flatnonzero(level_bits[:, position] == 1))
-            nearest_zero = xp.min(xp.take(distance_sq, zero_levels, axis=2), axis=2)
-            nearest_one = xp.min(xp.take(distance_sq, one_levels, axis=2), axis=2)
+            zero_levels = np.flatnonzero(level_bits[:, position] == 0)
+            one_levels = np.flatnonzero(level_bits[:, position] == 1)
+            nearest_zero = np.min(np.take(distance_sq, zero_levels, axis=2), axis=2)
+            nearest_one = np.min(np.take(distance_sq, one_levels, axis=2), axis=2)
             columns.append((nearest_zero - nearest_one) / noise_var)
-    return xp.reshape(xp.stack(columns, axis=2), (n, count * bps))
+    return np.reshape(np.stack(columns, axis=2), (n, count * bps))
 
 
-def interleave_batch(bits, bits_per_subcarrier: int, *, xp=None):
+def interleave_batch(bits, bits_per_subcarrier: int):
     """Interleave each row (one OFDM symbol's coded bits) of ``[N, n_cbps]``."""
-    xp = resolve_namespace(xp)
-    arr = _as_matrix(bits, xp, dtype=xp.uint8, keep_floating=True)
+    arr = _as_matrix(bits, dtype=np.uint8, keep_floating=True)
     perm = interleaver_permutation(arr.shape[1], bits_per_subcarrier)
-    # out[:, perm] = arr  ⇔  gather with the inverse permutation (scatter
-    # assignment is not array-API-portable).
-    return xp.take(arr, xp.asarray(np.argsort(perm)), axis=1)
+    # out[:, perm] = arr, as a gather with the inverse permutation.
+    return arr[:, np.argsort(perm)]
 
 
-def deinterleave_batch(bits, bits_per_subcarrier: int, *, xp=None):
+def deinterleave_batch(bits, bits_per_subcarrier: int):
     """Invert :func:`interleave_batch` row-wise."""
-    xp = resolve_namespace(xp)
-    arr = _as_matrix(bits, xp, dtype=xp.uint8, keep_floating=True)
+    arr = _as_matrix(bits, dtype=np.uint8, keep_floating=True)
     perm = interleaver_permutation(arr.shape[1], bits_per_subcarrier)
-    return xp.take(arr, xp.asarray(perm), axis=1)
+    return arr[:, perm]
 
 
 _KEYSTREAM_CACHE: dict[int, np.ndarray] = {}
@@ -206,8 +176,8 @@ def _keystream(seed: int, length: int) -> np.ndarray:
 
 
 def _keystream_table(seeds, rows: int, length: int) -> np.ndarray:
-    """Host-side LFSR keystreams: ``[length]`` for a shared scalar seed,
-    ``[rows, length]`` for per-row seeds (numpy — lifted by the caller)."""
+    """LFSR keystreams: ``[length]`` for a shared scalar seed,
+    ``[rows, length]`` for per-row seeds."""
     if np.isscalar(seeds):
         return _keystream(int(seeds), length)
     seed_arr = np.asarray(seeds, dtype=np.int64).ravel()
@@ -216,60 +186,46 @@ def _keystream_table(seeds, rows: int, length: int) -> np.ndarray:
     return np.stack([_keystream(int(seed), length) for seed in seed_arr])
 
 
-def scramble_batch(bits, seeds, *, xp=None):
+def scramble_batch(bits, seeds):
     """Scramble (or descramble) ``[N, L]`` bit rows.
 
-    ``seeds`` is one shared 7-bit seed or a per-row array of them (always
-    host-side integers — the LFSR keystream is the numpy escape hatch).
+    ``seeds`` is one shared 7-bit seed or a per-row array of them.
     """
-    xp = resolve_namespace(xp)
-    arr = _as_matrix(bits, xp, dtype=xp.uint8)
+    arr = _as_matrix(bits, dtype=np.uint8)
     n, length = arr.shape
-    keystreams = _keystream_table(seeds, n, length)
-    if keystreams.ndim == 1:
-        return xp.bitwise_xor(arr, xp.asarray(keystreams)[None, :])
-    return xp.bitwise_xor(arr, xp.asarray(keystreams))
+    return np.bitwise_xor(arr, _keystream_table(seeds, n, length))
 
 
 def _survivor_mask(pattern: np.ndarray, width: int) -> np.ndarray:
-    """Host-side boolean survivor mask: *pattern* tiled out to *width*."""
+    """Boolean survivor mask: *pattern* tiled out to *width*."""
     return np.tile(pattern, width // pattern.size).astype(bool)
 
 
-def _depuncture_gather(mask: np.ndarray, kept_total: int) -> np.ndarray:
-    """Host-side gather map realising ``full[:, mask] = punctured``:
-    surviving positions index their source column, punctured positions the
-    zero column appended at index *kept_total*."""
-    return np.where(mask, np.cumsum(mask) - 1, kept_total)
-
-
-def puncture_batch(coded_bits, rate: str, *, xp=None):
+def puncture_batch(coded_bits, rate: str):
     """Puncture each row of rate-1/2 coded bits up to 2/3 or 3/4."""
     if rate not in PUNCTURE_PATTERNS:
         raise ConfigurationError(f"unknown coding rate {rate!r}")
-    xp = resolve_namespace(xp)
     pattern = PUNCTURE_PATTERNS[rate]
-    coded = _as_matrix(coded_bits, xp, dtype=xp.uint8, keep_floating=True)
+    coded = _as_matrix(coded_bits, dtype=np.uint8, keep_floating=True)
     if coded.shape[1] % pattern.size != 0:
         raise ValueError(
             f"coded bit count {coded.shape[1]} not a multiple of puncture block {pattern.size}"
         )
     mask = _survivor_mask(pattern, coded.shape[1])
-    return xp.take(coded, xp.asarray(np.flatnonzero(mask)), axis=1)
+    return coded[:, mask]
 
 
-def depuncture_batch(punctured_bits, rate: str, *, xp=None):
+def depuncture_batch(punctured_bits, rate: str):
     """Re-insert erasures row-wise; returns ``(bits[N, L], known_mask[L])``.
 
     Hard bit rows come back zero-filled ``uint8``; real-floating rows
     (LLRs) keep their dtype with erasures at LLR 0 — the "no information"
-    value — and ``known_mask`` is always a host-side numpy bool array.
+    value — and ``known_mask`` is a bool array.
     """
     if rate not in PUNCTURE_PATTERNS:
         raise ConfigurationError(f"unknown coding rate {rate!r}")
-    xp = resolve_namespace(xp)
     pattern = PUNCTURE_PATTERNS[rate]
-    punctured = _as_matrix(punctured_bits, xp, dtype=xp.uint8, keep_floating=True)
+    punctured = _as_matrix(punctured_bits, dtype=np.uint8, keep_floating=True)
     kept_per_block = int(pattern.sum())
     if punctured.shape[1] % kept_per_block != 0:
         raise ValueError(
@@ -277,8 +233,6 @@ def depuncture_batch(punctured_bits, rate: str, *, xp=None):
         )
     blocks = punctured.shape[1] // kept_per_block
     mask = _survivor_mask(pattern, blocks * pattern.size)
-    kept_total = punctured.shape[1]
-    gather = _depuncture_gather(mask, kept_total)
-    zero_column = xp.zeros((punctured.shape[0], 1), dtype=punctured.dtype)
-    full = xp.take(xp.concat([punctured, zero_column], axis=1), xp.asarray(gather), axis=1)
+    full = np.zeros((punctured.shape[0], mask.size), dtype=punctured.dtype)
+    full[:, mask] = punctured
     return full, mask

@@ -18,19 +18,10 @@ Three pipelines cover the reproduction's needs:
   hard demapper for :func:`repro.mc.kernels.demap_soft_batch` LLRs and
   decodes with the soft-metric Viterbi (~2 dB at the PER ≈ 10⁻² operating
   point).
-
-Sweeps run on any registered array backend: pass ``xp=`` (a namespace,
-a backend name, or ``None`` for the default backend) and it is threaded
-into every kernel.  Random draws stay on the numpy ``Generator`` — the
-documented escape hatch that makes results float-identical across
-backends — and each batch's statistic is converted back to numpy at the
-driver boundary.  ``rng``/``seed``/``max_batch``/``xp`` are
-keyword-only (the one-release positional shim was removed on schedule).
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 from dataclasses import dataclass
 from typing import Protocol
@@ -39,7 +30,6 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.channel.error_models import ber_ook_envelope, wifi_packet_error_rate
-from repro.mc.backend import resolve_namespace, to_numpy
 from repro.mc.kernels import (
     deinterleave_batch,
     demap_batch,
@@ -73,9 +63,7 @@ class SweepPipeline(Protocol):
         """Return a ``[trials]`` array of per-trial error statistics in [0, 1].
 
         PER pipelines return 0/1 packet-failure indicators; BER pipelines
-        return each trial's bit-error fraction.  A pipeline may additionally
-        accept a keyword-only ``xp`` array namespace; :func:`run_sweep`
-        passes one only to pipelines whose signature takes it.
+        return each trial's bit-error fraction.
         """
         ...
 
@@ -102,7 +90,7 @@ class SweepResult:
     trials: int
 
 
-def run_sweep(  # lint-ok: RL001 -- statistics aggregate in numpy at the driver boundary (documented)
+def run_sweep(
     snr_points_db: np.ndarray,
     trials: int,
     pipeline: SweepPipeline,
@@ -110,14 +98,10 @@ def run_sweep(  # lint-ok: RL001 -- statistics aggregate in numpy at the driver 
     rng: np.random.Generator | None = None,
     seed: int = 0,
     max_batch: int = 4096,
-    xp=None,
 ) -> SweepResult:
     """Run *pipeline* at every operating point with *trials* realisations each.
 
-    ``rng``, ``seed``, ``max_batch`` and ``xp`` are keyword-only.  ``xp``
-    selects the array backend (namespace, registered name, or ``None`` for
-    the default) and is forwarded to pipelines that accept it; the
-    aggregated statistics always come back as numpy.  ``max_batch`` caps
+    ``rng``, ``seed`` and ``max_batch`` are keyword-only.  ``max_batch`` caps
     the realisations evaluated per vectorised call so arbitrarily large
     trial counts stay within memory (the batched Viterbi's survivor
     history is the dominant allocation: ``steps × N × 64`` bytes).
@@ -127,9 +111,6 @@ def run_sweep(  # lint-ok: RL001 -- statistics aggregate in numpy at the driver 
     points = np.atleast_1d(np.asarray(snr_points_db, dtype=float))
     generator = rng if rng is not None else np.random.default_rng(seed)
     chunk = max(1, int(max_batch))
-    batch_kwargs = {}
-    if _accepts_xp(pipeline):
-        batch_kwargs["xp"] = resolve_namespace(xp)
 
     error_rate = np.empty(points.size)
     std_error = np.empty(points.size)
@@ -147,8 +128,8 @@ def run_sweep(  # lint-ok: RL001 -- statistics aggregate in numpy at the driver 
                 obs.count("mc.sweep.batches")
                 obs.count("mc.sweep.trials", batch)
                 with obs.span("mc.pipeline.run_batch", snr_db=float(snr_db), trials=batch):
-                    outcome = pipeline.run_batch(float(snr_db), batch, generator, **batch_kwargs)
-                    stats.append(np.asarray(to_numpy(outcome), dtype=float))
+                    outcome = pipeline.run_batch(float(snr_db), batch, generator)
+                    stats.append(np.asarray(outcome, dtype=float))
                 remaining -= batch
             merged = np.concatenate(stats)
             error_rate[index] = float(np.mean(merged))
@@ -156,17 +137,6 @@ def run_sweep(  # lint-ok: RL001 -- statistics aggregate in numpy at the driver 
     return SweepResult(
         snr_db=points, error_rate=error_rate, std_error=std_error, trials=trials
     )
-
-
-def _accepts_xp(pipeline: SweepPipeline) -> bool:
-    """Whether the pipeline's ``run_batch`` takes a keyword ``xp``."""
-    try:
-        parameters = inspect.signature(pipeline.run_batch).parameters
-    except (TypeError, ValueError):  # builtins / odd callables: assume legacy
-        return False
-    if "xp" in parameters:
-        return True
-    return any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values())
 
 
 @dataclass(frozen=True)
@@ -225,48 +195,39 @@ class CodedOfdmPipeline:
         self.decision = decision
         self._viterbi = BatchViterbiDecoder()
 
-    def run_batch(
-        self, snr_db: float, trials: int, rng: np.random.Generator, *, xp=None
-    ) -> np.ndarray:
-        xp = resolve_namespace(xp)
+    def run_batch(self, snr_db: float, trials: int, rng: np.random.Generator) -> np.ndarray:
         params = self.rate.parameters
         n_cbps = params.coded_bits_per_symbol
         bps = params.modulation.bits_per_symbol
         data_bits = params.data_bits_per_symbol * self.num_symbols
 
-        # All randomness stays on the numpy Generator (the cross-backend
-        # escape hatch); the kernels lift it onto xp at their boundaries.
         message = rng.integers(0, 2, size=(trials, data_bits), dtype=np.uint8)
         seeds = rng.integers(1, 128, size=trials)
-        scrambled = scramble_batch(message, seeds, xp=xp)
-        coded = encode_batch(scrambled, xp=xp)
-        punctured = puncture_batch(coded, params.coding_rate, xp=xp)
+        scrambled = scramble_batch(message, seeds)
+        coded = encode_batch(scrambled)
+        punctured = puncture_batch(coded, params.coding_rate)
 
-        per_symbol = xp.reshape(punctured, (trials * self.num_symbols, n_cbps))
-        symbols = map_batch(interleave_batch(per_symbol, bps, xp=xp), params.modulation, xp=xp)
+        per_symbol = np.reshape(punctured, (trials * self.num_symbols, n_cbps))
+        symbols = map_batch(interleave_batch(per_symbol, bps), params.modulation)
 
         sigma = math.sqrt(10.0 ** (-snr_db / 10.0) / 2.0)
         noise = sigma * (
             rng.standard_normal(symbols.shape) + 1j * rng.standard_normal(symbols.shape)
         )
-        received = symbols + xp.asarray(noise)
+        received = symbols + noise
 
         if self.decision == "soft":
             # Total complex noise variance E|n|² = 2σ².
-            llrs = demap_soft_batch(
-                received, params.modulation, noise_var=2.0 * sigma**2, xp=xp
-            )
-            streams = deinterleave_batch(llrs, bps, xp=xp)
+            llrs = demap_soft_batch(received, params.modulation, noise_var=2.0 * sigma**2)
+            streams = deinterleave_batch(llrs, bps)
         else:
-            streams = deinterleave_batch(demap_batch(received, params.modulation, xp=xp), bps, xp=xp)
-        rx_coded = xp.reshape(streams, (trials, self.num_symbols * n_cbps))
-        full, known = depuncture_batch(rx_coded, params.coding_rate, xp=xp)
-        decoded_scrambled = self._viterbi.decode_batch(
-            full, known_mask=known, soft=self.decision == "soft", xp=xp
-        )
-        decoded = to_numpy(scramble_batch(decoded_scrambled, seeds, xp=xp))
+            streams = deinterleave_batch(demap_batch(received, params.modulation), bps)
+        rx_coded = np.reshape(streams, (trials, self.num_symbols * n_cbps))
+        full, known = depuncture_batch(rx_coded, params.coding_rate)
+        decoded_scrambled = self._viterbi.decode_batch(full, known_mask=known, soft=self.decision == "soft")
+        decoded = scramble_batch(decoded_scrambled, seeds)
 
-        bit_errors = np.count_nonzero(decoded != message, axis=1)  # lint-ok: RL001 -- host-side statistic after to_numpy
+        bit_errors = np.count_nonzero(decoded != message, axis=1)
         if self.statistic == "per":
             return (bit_errors > 0).astype(float)
         return bit_errors / data_bits

@@ -24,11 +24,6 @@ the received LLRs (positive LLR ⇒ bit 1, the
 hard-decision LLRs ``2r−1`` reproduces the hard decoder's survivors
 exactly — the per-step costs differ only by a positive affine map, which
 preserves every comparison including ties.
-
-Every entry point takes an explicit array namespace via the keyword-only
-``xp`` argument (``None`` → the default backend) and uses only
-array-API-portable operations; the constant trellis tables are built in
-numpy once and converted per call with ``xp.asarray``.
 """
 
 from __future__ import annotations
@@ -36,7 +31,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.mc.backend import resolve_namespace
 from repro.mc.kernels import _as_matrix
 from repro.obs import metrics as obs
 from repro.wifi.ofdm.convolutional import (
@@ -51,42 +45,40 @@ _NUM_STATES = 1 << (CONSTRAINT_LENGTH - 1)
 _HISTORY_BITS = CONSTRAINT_LENGTH - 1
 
 
-def _as_bit_matrix(bits, xp):
+def _as_bit_matrix(bits):
     """Coerce input to a 2-D ``uint8`` 0/1 matrix ``[N, L]``."""
-    return _as_matrix(bits, xp, dtype=xp.uint8, validate_bits=True)
+    return _as_matrix(bits, dtype=np.uint8, validate_bits=True)
 
 
-def encode_batch(bits, *, initial_history=None, xp=None):
+def encode_batch(bits, *, initial_history=None):
     """Encode ``bits[N, L]`` to interleaved pairs ``C1 C2`` of shape ``[N, 2L]``.
 
     ``initial_history`` is the ``[b[k-1], ..., b[k-6]]`` preload shared by all
     rows (or per-row when given as ``[N, 6]``); the default all-zeros matches
     the 802.11 frame start, exactly like the scalar encoder.
     """
-    xp = resolve_namespace(xp)
-    arr = _as_bit_matrix(bits, xp)
+    arr = _as_bit_matrix(bits)
     n, length = arr.shape
     if initial_history is None:
-        history = xp.zeros((n, _HISTORY_BITS), dtype=xp.uint8)
+        history = np.zeros((n, _HISTORY_BITS), dtype=np.uint8)
     else:
-        history = xp.astype(xp.asarray(initial_history), xp.uint8)
+        history = np.astype(np.asarray(initial_history), np.uint8)
         if history.ndim == 1:
-            history = xp.broadcast_to(history[None, :], (n, history.shape[0]))
+            history = np.broadcast_to(history[None, :], (n, history.shape[0]))
         if history.shape != (n, _HISTORY_BITS):
             raise ConfigurationError(
                 f"history must have {_HISTORY_BITS} bits per row, got shape {history.shape}"
             )
     # padded[:, 6 - d : 6 - d + L] is b[k-d]; column layout [b[k-6] .. b[k-1] b[0] ..].
-    padded = xp.concat([xp.flip(history, axis=1), arr], axis=1)
-    c1 = xp.zeros((n, length), dtype=xp.uint8)
-    c2 = xp.zeros((n, length), dtype=xp.uint8)
+    padded = np.concat([np.flip(history, axis=1), arr], axis=1)
+    c1 = np.zeros((n, length), dtype=np.uint8)
+    c2 = np.zeros((n, length), dtype=np.uint8)
     for tap in _G1_TAPS:
-        c1 = xp.bitwise_xor(c1, padded[:, _HISTORY_BITS - tap : _HISTORY_BITS - tap + length])
+        c1 = np.bitwise_xor(c1, padded[:, _HISTORY_BITS - tap : _HISTORY_BITS - tap + length])
     for tap in _G2_TAPS:
-        c2 = xp.bitwise_xor(c2, padded[:, _HISTORY_BITS - tap : _HISTORY_BITS - tap + length])
-    # out[:, 0::2] = c1; out[:, 1::2] = c2 — expressed as a portable
-    # stack-then-reshape instead of strided scatter assignment.
-    return xp.reshape(xp.stack([c1, c2], axis=2), (n, 2 * length))
+        c2 = np.bitwise_xor(c2, padded[:, _HISTORY_BITS - tap : _HISTORY_BITS - tap + length])
+    # out[:, 0::2] = c1; out[:, 1::2] = c2
+    return np.reshape(np.stack([c1, c2], axis=2), (n, 2 * length))
 
 
 class BatchViterbiDecoder:
@@ -138,7 +130,6 @@ class BatchViterbiDecoder:
         known_mask=None,
         initial_state: int = 0,
         soft: bool = False,
-        xp=None,
     ):
         """Decode ``coded_bits[N, L]`` (``C1 C2`` interleaved) to ``[N, L // 2]``.
 
@@ -149,41 +140,40 @@ class BatchViterbiDecoder:
         (shared) or ``[N, L]`` (per row); for LLR input an erased position
         simply contributes 0 either way.
         """
-        xp = resolve_namespace(xp)
         if soft:
-            coded = _as_matrix(coded_bits, xp, dtype=xp.float64, keep_floating=True)
+            coded = _as_matrix(coded_bits, dtype=np.float64, keep_floating=True)
         else:
-            coded = _as_bit_matrix(coded_bits, xp)
+            coded = _as_bit_matrix(coded_bits)
         n, length = coded.shape
         if length % 2 != 0:
             raise ValueError("coded bit count must be even")
         if known_mask is None:
-            known = xp.ones((n, length), dtype=xp.bool)
+            known = np.ones((n, length), dtype=np.bool)
         else:
-            known = xp.astype(xp.asarray(known_mask), xp.bool)
+            known = np.astype(np.asarray(known_mask), np.bool)
             if known.ndim == 1:
-                known = xp.broadcast_to(known[None, :], (n, length))
+                known = np.broadcast_to(known[None, :], (n, length))
             if known.shape != (n, length):
                 raise ValueError("known_mask shape mismatch")
         num_steps = length // 2
 
         with obs.span("mc.viterbi.decode_batch", codewords=int(n), coded_bits=int(length)):
             obs.count("mc.viterbi.codewords_decoded", n)
-            start = xp.where(
-                xp.arange(_NUM_STATES) == initial_state,
-                xp.zeros(_NUM_STATES, dtype=xp.float64),
-                xp.full(_NUM_STATES, xp.inf, dtype=xp.float64),
+            start = np.where(
+                np.arange(_NUM_STATES) == initial_state,
+                np.zeros(_NUM_STATES, dtype=np.float64),
+                np.full(_NUM_STATES, np.inf, dtype=np.float64),
             )
-            metrics = xp.broadcast_to(start[None, :], (n, _NUM_STATES))
+            metrics = np.broadcast_to(start[None, :], (n, _NUM_STATES))
             # Survivor choice per step: which of the two ordered predecessors won.
             choices: list = [None] * num_steps
 
-            branch = xp.asarray(self._branch_outputs)  # [64, 2, 2]
-            signs = xp.asarray(self._branch_signs)  # [64, 2, 2]
-            pred_flat = xp.asarray(self._pred.reshape(-1))  # [128]
+            branch = self._branch_outputs  # [64, 2, 2]
+            signs = self._branch_signs  # [64, 2, 2]
+            pred_flat = self._pred.reshape(-1)  # [128]
             if soft:
                 # Masked LLRs: an erased position carries zero evidence.
-                llrs = coded * xp.astype(known, xp.float64)
+                llrs = coded * np.astype(known, np.float64)
             for step in range(num_steps):
                 if soft:
                     lam = llrs[:, 2 * step : 2 * step + 2]  # [N, 2]
@@ -201,29 +191,28 @@ class BatchViterbiDecoder:
                     # The boolean mismatch terms must be cast *before* summing:
                     # booleans add as logical OR, which would collapse a two-bit
                     # mismatch into a cost of 1.
-                    cost = xp.astype(
+                    cost = np.astype(
                         (branch[None, :, :, 0] != r[:, None, None, 0]) & m[:, None, None, 0],
-                        xp.float64,
-                    ) + xp.astype(
+                        np.float64,
+                    ) + np.astype(
                         (branch[None, :, :, 1] != r[:, None, None, 1]) & m[:, None, None, 1],
-                        xp.float64,
+                        np.float64,
                     )  # [N, 64, 2]
-                # metrics[:, pred] — a 2-D gather, expressed portably as a
-                # flat take over the predecessor table.
-                prev = xp.reshape(xp.take(metrics, pred_flat, axis=1), (n, _NUM_STATES, 2))
+                # metrics[:, pred] as one flat take over the predecessor table.
+                prev = np.reshape(np.take(metrics, pred_flat, axis=1), (n, _NUM_STATES, 2))
                 candidates = prev + cost  # [N, 64, 2]
                 low = candidates[:, :, 0]
                 high = candidates[:, :, 1]
                 # Strict < keeps the lower predecessor on a tie.
-                choices[step] = xp.astype(high < low, xp.uint8)
-                metrics = xp.minimum(low, high)
+                choices[step] = np.astype(high < low, np.uint8)
+                metrics = np.minimum(low, high)
 
-            state = xp.argmin(metrics, axis=1)  # [N]; first occurrence, as scalar
-            row_offsets = xp.arange(n) * _NUM_STATES
+            state = np.argmin(metrics, axis=1)  # [N]; first occurrence, as scalar
+            row_offsets = np.arange(n) * _NUM_STATES
             columns: list = [None] * num_steps
             for step in range(num_steps - 1, -1, -1):
-                columns[step] = xp.astype(state & 1, xp.uint8)
-                # choices[step][rows, state] as a flat portable gather.
-                winner = xp.take(xp.reshape(choices[step], (-1,)), row_offsets + state)
-                state = (state >> 1) | (xp.astype(winner, xp.int64) << (_HISTORY_BITS - 1))
-            return xp.stack(columns, axis=1)
+                columns[step] = np.astype(state & 1, np.uint8)
+                # choices[step][rows, state] as one flat take.
+                winner = np.take(np.reshape(choices[step], (-1,)), row_offsets + state)
+                state = (state >> 1) | (np.astype(winner, np.int64) << (_HISTORY_BITS - 1))
+            return np.stack(columns, axis=1)

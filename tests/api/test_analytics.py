@@ -255,3 +255,14 @@ class TestReplicateGroupShape:
         )
         assert len(groups) == 1
         assert groups[0].seeds == (1, 5, 9)
+
+    def test_backend_era_replicates_group_together(self):
+        # Stores written while envelopes recorded an array backend: runs that
+        # differ only in that field are seed-replicates of one grid point.
+        documents = [
+            {**_result_with("fig17", seed, step_inches=8.0).to_dict(), "backend": backend}
+            for seed, backend in ((1, "numpy"), (2, "array-api-strict"))
+        ]
+        groups = replicate_groups([Result.from_dict(document) for document in documents])
+        assert len(groups) == 1
+        assert groups[0].seeds == (1, 2)

@@ -83,6 +83,10 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="bogus"):
             SweepSpec(experiment="fig17", grid={"bogus": [1]}).expand()
 
+    def test_backend_grid_axis_rejected_as_unknown_parameter(self):
+        with pytest.raises(ConfigurationError, match=r"no parameter\(s\) \['backend'\]"):
+            SweepSpec(experiment="fig14", grid={"backend": ["numpy", "array-api-strict"]}).expand()
+
     def test_seed_in_grid_rejected(self):
         with pytest.raises(ConfigurationError, match="SweepSpec.seed"):
             SweepSpec(experiment="fig17", grid={"seed": [1, 2]}).expand()
@@ -135,6 +139,8 @@ class TestSerialization:
     def test_unknown_key_rejected_by_name(self):
         with pytest.raises(ConfigurationError, match="'gird'"):
             SweepSpec.from_dict({"experiment": "fig17", "gird": {"step_inches": [2.0]}})
+        with pytest.raises(ConfigurationError, match="'backend'"):
+            SweepSpec.from_dict({"experiment": "fig14", "backend": "numpy"})
 
     def test_missing_experiment_rejected(self):
         with pytest.raises(ConfigurationError, match="experiment"):
@@ -149,6 +155,8 @@ class TestSpecFromDictStrictness:
     def test_unknown_key_rejected_by_name(self):
         with pytest.raises(ConfigurationError, match="'sead'"):
             ExperimentSpec.from_dict({"experiment": "fig17", "sead": 1})
+        with pytest.raises(ConfigurationError, match="'backend'"):
+            ExperimentSpec.from_dict({"experiment": "fig14", "backend": "numpy"})
 
     def test_missing_experiment_rejected(self):
         with pytest.raises(ConfigurationError, match="experiment"):
@@ -187,6 +195,10 @@ class TestGridDocuments:
     def test_non_object_document_rejected(self):
         with pytest.raises(ConfigurationError, match="object or list"):
             load_specs("fig17")
+
+    def test_non_object_element_rejected_by_position(self):
+        with pytest.raises(ConfigurationError, match="must be an object, got str"):
+            load_specs({"specs": [{"experiment": "fig17"}, "fig06"]})
 
     def test_read_specs_roundtrip(self, tmp_path):
         path = tmp_path / "grid.json"

@@ -243,6 +243,19 @@ class TestErrors:
         assert main(["run", "fig99"]) == 1
         assert "unknown experiment" in capsys.readouterr().err
 
+    def test_retired_backends_verb_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["backends"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'backends'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["run", "fig14"], ["trace", "fig11"]], ids=["run", "trace"])
+    def test_retired_backend_flag_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv + ["--backend", "numpy"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --backend numpy" in capsys.readouterr().err
+
 
 class TestObservability:
     def _store(self, tmp_path):

@@ -55,12 +55,6 @@ class TestMetadata:
         assert experiment.engine_names == ("batch",)
         assert experiment.default_engine == "batch"
 
-    def test_backend_capability_declared(self):
-        for name in ("fig10", "fig11", "fig14", "coded_ofdm"):
-            assert get_experiment(name).takes_backend
-        for name in ("fig06", "fig13", "fig17", "mac_scaling"):
-            assert not get_experiment(name).takes_backend
-
     def test_scalar_only_experiments(self):
         for name in ("fig06", "fig09", "fig12", "fig15", "fig16", "table_power", "table_packet_sizes"):
             assert get_experiment(name).engine_names == ("scalar",)

@@ -67,3 +67,14 @@ def test_summaries_render_for_every_experiment(fast_results):
     for name, result in fast_results.items():
         lines = get_experiment(name).summarize(result.payload)
         assert lines and all(isinstance(line, str) and line for line in lines)
+
+
+@pytest.mark.parametrize("name", experiment_names())
+def test_metrics_survive_the_round_trip(name, fast_results):
+    # aggregate() reduces store-loaded envelopes, so the metrics of a decoded
+    # payload must be exactly those of the live one, and plain floats.
+    result = fast_results[name]
+    metrics = get_experiment(name).metrics
+    live = metrics(result.payload)
+    assert live and all(isinstance(key, str) and type(value) is float for key, value in live.items())
+    assert payload_equal(metrics(Result.from_json(result.to_json()).payload), live)

@@ -84,6 +84,15 @@ class TestEngineDispatch:
             assert curve.range_feet == batch.curves[key].range_feet
 
 
+    def test_repro_backend_environment_is_ignored(self, monkeypatch):
+        params = {"packets_per_location": 5}
+        reference = Runner().run("fig14", engine="batch", params=params)
+        monkeypatch.setenv("REPRO_BACKEND", "warp-drive")
+        result = Runner().run("fig14", engine="batch", params=params)
+        assert result.to_dict().keys() == reference.to_dict().keys()
+        assert payload_equal(result.payload, reference.payload)
+
+
 class TestSpecs:
     def test_engine_inside_params_rejected(self):
         with pytest.raises(ConfigurationError, match="params\\['engine'\\]"):
@@ -97,6 +106,10 @@ class TestSpecs:
     def test_unknown_param_rejected(self):
         with pytest.raises(ConfigurationError, match="no parameter"):
             Runner().run("fig11", params={"bogus": 1})
+
+    def test_backend_param_rejected_as_unknown(self):
+        with pytest.raises(ConfigurationError, match=r"no parameter\(s\) \['backend'\]"):
+            Runner().run(ExperimentSpec("fig14", engine="batch", params={"backend": "numpy"}))
 
     def test_spec_dict_roundtrip(self):
         spec = ExperimentSpec("fig10", params={"step_feet": 10.0}, engine="batch")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,3 +156,42 @@ class TestValidateEncoded:
     def test_dataclass_outside_repro_fails(self):
         with pytest.raises(ConfigurationError, match="dataclass"):
             validate_encoded({"__kind__": "dataclass", "type": "os.Foo", "fields": {}})
+
+    @pytest.mark.parametrize(
+        ("node", "message"),
+        [
+            ((1, 2), "unexpected type tuple"),
+            ({1: "x"}, "non-string key 1 outside a tagged map node"),
+            ({"__kind__": "float", "value": "nope"}, "bad non-finite float marker 'nope'"),
+            ({"__kind__": "bytes", "hex": 5}, "bytes node missing hex string"),
+            ({"__kind__": "ndarray", "dtype": "float64", "data": []}, "ndarray node missing dtype/shape"),
+            ({"__kind__": "tuple"}, "tuple node missing items list"),
+            ({"__kind__": "map", "items": {}}, "map node missing items list"),
+            ({"__kind__": "dataclass", "type": "repro.x.Y", "fields": []}, "dataclass node missing fields mapping"),
+        ],
+        ids=["python-tuple", "int-key", "float-marker", "bytes", "ndarray-shape", "tuple", "map", "dataclass"],
+    )
+    def test_malformed_node_fails_naming_the_problem(self, node, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            validate_encoded(node)
+
+    def test_nested_violation_names_its_path(self):
+        tree = {"curve": [0.5, {"__kind__": "tuple", "items": [1, {"__kind__": "bytes"}]}]}
+        with pytest.raises(ConfigurationError, match=re.escape("at payload.curve[1][1]: bytes node")):
+            validate_encoded(tree)
+
+
+class TestDecodeErrors:
+    @pytest.mark.parametrize(
+        ("node", "message"),
+        [
+            ({"__kind__": "dataclass", "type": "repro.nowhere.Missing", "fields": {}}, "cannot resolve"),
+            ({"__kind__": "dataclass", "type": "repro.api.serialization.encode", "fields": {}}, "is not a dataclass"),
+            ({"__kind__": "mystery"}, "unknown serialized node kind 'mystery'"),
+            ({1, 2}, "cannot decode node of type set"),
+        ],
+        ids=["missing-dataclass", "not-a-dataclass", "unknown-kind", "foreign-type"],
+    )
+    def test_bad_node_raises_configuration_error(self, node, message):
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            decode(node)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import ResultStore, Runner, SweepSpec, canonical_json
+from repro.api import ExperimentSpec, ResultStore, Runner, SweepSpec, canonical_json
 from repro.api.runner import _run_spec_task
 from repro.api.store import result_key
 from repro.exceptions import ConfigurationError
@@ -61,7 +61,7 @@ class TestShardDeterminism:
         # The worker entry point itself, executed in-process: spec dict in,
         # envelope dict out, shard appended.
         spec = _grid_specs()[0]
-        document = _run_spec_task((spec.to_dict(), None, None, None, str(tmp_path), True))
+        document = _run_spec_task((spec.to_dict(), None, None, str(tmp_path), True))
         assert document["experiment"] == "mac_scaling"
         assert document["telemetry"]["counters"]["netsim.events.dispatched"] > 0
         assert len(ResultStore(tmp_path)) == 1
@@ -116,6 +116,18 @@ class TestResume:
         Runner().run_batch(specs, store=store, resume=False)
         assert len(list(store.iter_documents())) == 4  # both runs appended...
         assert len(store) == 2  # ...but reads collapse to one per invocation
+
+    def test_resume_reuses_an_envelope_that_recorded_a_backend(self, tmp_path):
+        # A store written while envelopes carried an array backend still
+        # resumes: the field is not part of the invocation key.
+        spec = ExperimentSpec("fig14", engine="batch", params={"packets_per_location": 5})
+        fresh = Runner().run_batch([spec])[0]
+        store = ResultStore(tmp_path)
+        store.append_document({**fresh.to_dict(), "backend": "numpy"})
+        cached: list[bool] = []
+        [reused] = Runner().run_batch([spec], store=store, on_result=lambda i, r, c: cached.append(c))
+        assert cached == [True]
+        assert reused.same_payload(fresh) and result_key(reused) == result_key(fresh)
 
     def test_resume_without_store_runs_everything(self):
         specs = _grid_specs()[:2]

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-import json
 
 import pytest
 
-from repro.api import ResultStore, Runner, invocation_key, payload_equal, result_key
+from repro.api import Result, ResultStore, Runner, invocation_key, payload_equal, result_key
+from repro.api.report import generate_report
 from repro.exceptions import ConfigurationError
 
 
@@ -39,6 +39,13 @@ class TestKeys:
         slower = replace(results[0], runtime_s=999.0)
         assert result_key(slower) == result_key(results[0])
 
+    @pytest.mark.parametrize("backend", ["numpy", "array-api-strict", None])
+    def test_recorded_backend_does_not_enter_the_key(self, tmp_path, results, backend):
+        # Envelopes written while invocations carried an array-backend term.
+        store = ResultStore(tmp_path)
+        store.append_document({**results[3].to_dict(), "backend": backend})
+        assert store.existing_keys() == {result_key(results[3])}
+
 
 class TestAppendAndIterate:
     def test_roundtrip(self, tmp_path, results):
@@ -65,6 +72,18 @@ class TestAppendAndIterate:
         assert len(list(store.iter_documents())) == 2
         assert len(list(store.iter_results())) == 1
         assert len(store) == 1
+
+    def test_backend_only_differences_collapse_on_read(self, tmp_path, results):
+        store = ResultStore(tmp_path)
+        for backend in ("numpy", "array-api-strict"):
+            store.append_document({**results[3].to_dict(), "backend": backend})
+        assert len(list(store.iter_documents())) == 2
+        assert len(store) == 1
+
+    def test_decoding_drops_the_backend_field(self, results):
+        document = results[3].to_dict()
+        assert "backend" not in document
+        assert Result.from_dict({**document, "backend": "numpy"}).to_dict() == document
 
     def test_truncated_trailing_line_is_skipped(self, tmp_path, results):
         store = ResultStore(tmp_path, shard="killed.jsonl")
@@ -96,6 +115,27 @@ class TestAppendAndIterate:
         with open(store.shard_path, "a") as handle:
             handle.write("[1, 2]\n\n")
         assert len(list(ResultStore(tmp_path).iter_results())) == 1
+
+    def test_envelopes_with_a_backend_field_still_read(self, tmp_path):
+        # Stores written while envelopes recorded an array backend carry a
+        # "backend" field: the array-API drivers wrote "numpy", all others null.
+        params = {"packets_per_location": 5}
+        fig14 = Runner().run("fig14", engine="batch", params=params)
+        fig06 = Runner().run("fig06", params={"payload": b"\x55" * 16})
+        store = ResultStore(tmp_path)
+        store.append_document({**fig14.to_dict(), "backend": "numpy"})
+        store.append_document({**fig06.to_dict(), "backend": None})
+
+        loaded = {result.experiment: result for result in store.iter_results()}
+        assert sorted(loaded) == ["fig06", "fig14"]
+        assert loaded["fig14"].same_payload(fig14) and loaded["fig06"].same_payload(fig06)
+        assert [result.experiment for result in store.query(engine="batch")] == ["fig14"]
+        assert len(store.query("fig06")) == 1
+        report = generate_report(store)
+        assert "Measured (batch engine, seed 14):" in report
+        assert "Measured (scalar engine):" in report
+        # Resume sees the old fig14 envelope as the same invocation as the spec.
+        assert result_key(loaded["fig14"]) == invocation_key("fig14", "batch", 14, {**params, "seed": 14})
 
 
 class TestQuery:
@@ -161,6 +201,13 @@ class TestQuery:
     def test_strict_query_on_empty_store_raises_nothing(self, tmp_path):
         assert ResultStore(tmp_path).query("fig17", strict=True, bogus_param=1) == []
 
+    def test_backend_filter_is_an_unknown_parameter(self, tmp_path, results):
+        store = ResultStore(tmp_path)
+        store.append_document({**results[3].to_dict(), "backend": "numpy"})
+        assert store.query("fig17", backend="numpy") == []
+        with pytest.raises(ConfigurationError, match="backend"):
+            store.query("fig17", strict=True, backend="numpy")
+
 
 class TestMerge:
     def test_merge_copies_only_missing(self, tmp_path, results):
@@ -194,3 +241,14 @@ class TestMerge:
         stats = left.merge(right)
         assert stats.ingested == 1
         assert stats.torn_lines_skipped == 1
+
+    def test_old_shard_dedups_against_new_envelopes(self, tmp_path, results):
+        new = ResultStore(tmp_path / "new")
+        old = ResultStore(tmp_path / "old")
+        new.append(results[3])
+        for backend in ("numpy", "array-api-strict"):
+            old.append_document({**results[3].to_dict(), "backend": backend})
+        old.append_document({**results[0].to_dict(), "backend": None})
+        stats = new.merge(old)
+        assert (stats.ingested, stats.deduped) == (1, 2)
+        assert new.existing_keys() == {result_key(results[0]), result_key(results[3])}

@@ -16,15 +16,17 @@ BAD_MODULE = (
     "import random\n"
     "import numpy as np\n"
     "\n"
-    "def kernel(data, xp):\n"
+    "def kernel(data, path):\n"
     "    np.random.seed(0)\n"
-    "    return np.cumsum(data) + random.random()\n"
+    "    path.write_text(str(np.cumsum(data) + random.random()))\n"
 )
 
 
 @pytest.fixture
 def bad_file(tmp_path):
-    target = tmp_path / "bad_module.py"
+    # Under a repro/fabric/ path, so RL007 (document validation) applies too.
+    target = tmp_path / "repro" / "fabric" / "bad_module.py"
+    target.parent.mkdir(parents=True)
     target.write_text(BAD_MODULE)
     return target
 
@@ -47,8 +49,8 @@ class TestFindingsOutput:
     def test_bad_file_fails_with_diagnostics(self, bad_file, capsys):
         assert main(["lint", str(bad_file)]) == 1
         out = capsys.readouterr().out
-        assert "RL001" in out
         assert "RL002" in out
+        assert "RL007" in out
         assert "hint:" in out
         assert "failed" in out
 
@@ -63,9 +65,8 @@ class TestFindingsOutput:
         validate_lint_document(document)
         assert document["summary"]["files_checked"] == 1
         assert document["summary"]["findings"] >= 3
-        assert {finding["rule"] for finding in document["findings"]} == {"RL001", "RL002"}
+        assert {finding["rule"] for finding in document["findings"]} == {"RL002", "RL007"}
         assert {rule["id"] for rule in document["rules"]} == {
-            "RL001",
             "RL002",
             "RL003",
             "RL004",
@@ -85,7 +86,7 @@ class TestFindingsOutput:
     def test_list_rules(self, capsys):
         assert main(["lint", "--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007"):
+        for rule_id in ("RL002", "RL003", "RL004", "RL005", "RL006", "RL007"):
             assert rule_id in out
 
     def test_unknown_rule_is_a_clean_error(self, capsys):

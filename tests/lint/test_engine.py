@@ -30,12 +30,12 @@ class TestPragmas:
         assert [f.rule for f in findings] == ["RL002"]
 
     def test_multi_rule_pragma_covers_both(self):
-        source = (
-            "import numpy as np\n"
-            "def kernel(data, xp):\n"
-            "    return np.random.rand(3) + np.cumsum(data)  # lint-ok: RL001, RL002\n"
-        )
-        assert lint_source(source, "src/repro/mc/x.py", rules=["RL001", "RL002"]) == []
+        line = "    assert np.random.rand() < 1.0"
+        source = "import numpy as np\ndef kernel(data):\n{}\n"
+        bare = lint_source(source.format(line), "src/repro/mc/x.py", rules=["RL002", "RL006"])
+        assert sorted(f.rule for f in bare) == ["RL002", "RL006"]
+        blessed = source.format(line + "  # lint-ok: RL002, RL006")
+        assert lint_source(blessed, "src/repro/mc/x.py", rules=["RL002", "RL006"]) == []
 
     def test_pragma_reason_text_is_optional(self):
         with_reason = "import random  # lint-ok: RL002 -- fixture needs it\n"
@@ -45,22 +45,22 @@ class TestPragmas:
 
 
 class TestRuleRegistry:
-    def test_catalogue_has_the_seven_contract_rules(self):
+    def test_catalogue_has_the_six_contract_rules(self):
         ids = [rule.id for rule in iter_rules()]
-        assert ids == ["RL001", "RL002", "RL003", "RL004", "RL005", "RL006", "RL007"]
+        assert ids == ["RL002", "RL003", "RL004", "RL005", "RL006", "RL007"]
 
     def test_select_rules_none_means_all(self):
         assert [r.id for r in select_rules(None)] == [r.id for r in iter_rules()]
 
     def test_select_rules_subset(self):
-        assert [r.id for r in select_rules(["RL004", "RL001"])] == ["RL004", "RL001"]
+        assert [r.id for r in select_rules(["RL004", "RL002"])] == ["RL004", "RL002"]
 
     def test_unknown_rule_id_raises(self):
         with pytest.raises(ConfigurationError, match="unknown lint rule"):
             get_rule("RL999")
 
     def test_register_rejects_malformed_ids_and_kinds(self):
-        good = get_rule("RL001")
+        good = get_rule("RL002")
         with pytest.raises(ConfigurationError, match="does not match"):
             register_rule(Rule(id="bogus", category="c", description="d", fix_hint="h", check=good.check))
         with pytest.raises(ConfigurationError, match="unknown kind"):
@@ -110,11 +110,13 @@ class TestFindings:
             import random
             import numpy as np
 
-            def kernel(data, xp):
-                return np.cumsum(data)
+            def kernel(data):
+                assert data
+                return np.random.rand(3)
             """
         )
-        findings = lint_source(source, "src/repro/mc/x.py", rules=["RL002", "RL001"])
+        findings = lint_source(source, "src/repro/mc/x.py", rules=["RL006", "RL002"])
+        assert {f.rule for f in findings} == {"RL002", "RL006"}
         assert [f.sort_key for f in findings] == sorted(f.sort_key for f in findings)
         for finding in findings:
             document = finding.to_dict()

@@ -4,116 +4,11 @@ from __future__ import annotations
 
 import textwrap
 
-import pytest
-
 from repro.lint import lint_source
 
 
 def _lint(source: str, path: str, *rules: str) -> list:
     return lint_source(textwrap.dedent(source), path, rules=rules or None)
-
-
-class TestRL001BackendPurity:
-    def test_fires_on_direct_numpy_call_in_xp_kernel(self):
-        findings = _lint(
-            """
-            import numpy as np
-
-            def kernel(data, xp):
-                return np.sum(data)
-            """,
-            "src/repro/mc/kernels.py",
-            "RL001",
-        )
-        assert [f.rule for f in findings] == ["RL001"]
-        assert "kernel()" in findings[0].message
-        assert "numpy.sum" in findings[0].message
-
-    def test_fires_under_import_numpy_alias(self):
-        findings = _lint(
-            """
-            import numpy
-
-            def kernel(data, xp):
-                return numpy.stack([data, data])
-            """,
-            "src/repro/mc/kernels.py",
-            "RL001",
-        )
-        assert [f.rule for f in findings] == ["RL001"]
-
-    def test_asarray_lift_dtypes_and_generators_are_allowed(self):
-        findings = _lint(
-            """
-            import numpy as np
-
-            def kernel(data, xp):
-                table = xp.asarray(np.arange(8, dtype=np.uint8))
-                rng = np.random.default_rng(7)
-                noise = xp.asarray(rng.standard_normal(4))
-                return xp.sum(xp.asarray(data, dtype=np.float64) + table) + noise
-            """,
-            "src/repro/mc/kernels.py",
-            "RL001",
-        )
-        assert findings == []
-
-    def test_numpy_asarray_is_not_a_lift(self):
-        findings = _lint(
-            """
-            import numpy as np
-
-            def kernel(data, xp):
-                return np.asarray(data)
-            """,
-            "src/repro/mc/kernels.py",
-            "RL001",
-        )
-        assert [f.rule for f in findings] == ["RL001"]
-
-    def test_functions_without_xp_are_exempt(self):
-        findings = _lint(
-            """
-            import numpy as np
-
-            def host_side(data):
-                return np.sum(data)
-            """,
-            "src/repro/mc/kernels.py",
-            "RL001",
-        )
-        assert findings == []
-
-    def test_nested_kernel_with_own_xp_is_checked_separately(self):
-        findings = _lint(
-            """
-            import numpy as np
-
-            def outer(data, xp):
-                def inner(block, xp):
-                    return np.cumsum(block)
-                return inner(data, xp)
-            """,
-            "src/repro/mc/kernels.py",
-            "RL001",
-        )
-        # The violation belongs to inner(), not outer().
-        assert [f.rule for f in findings] == ["RL001"]
-        assert "inner()" in findings[0].message
-
-    def test_def_line_pragma_blesses_the_whole_boundary_function(self):
-        findings = _lint(
-            """
-            import numpy as np
-
-            def staging(data, xp):  # lint-ok: RL001 -- documented numpy boundary
-                lifted = np.asarray(data)
-                return np.sum(lifted)
-            """,
-            "src/repro/mc/kernels.py",
-            "RL001",
-        )
-        assert findings == []
 
 
 class TestRL002RngDiscipline:
@@ -424,6 +319,16 @@ class TestRL007DocumentValidation:
             return hashlib.sha256(ast.dump(tree).encode()).hexdigest()
         """
         assert _lint(hashing, "src/repro/fabric/cas.py", "RL007") == []
+
+    def test_def_line_pragma_blesses_the_whole_function(self):
+        source = """
+        from pathlib import Path
+
+        def write_scratch(path, text):  # lint-ok: RL007 -- scratch output, not a document
+            Path(path).parent.mkdir(exist_ok=True)
+            Path(path).write_text(text)
+        """
+        assert _lint(source, "src/repro/fabric/ledger.py", "RL007") == []
 
     def test_modules_outside_the_fabric_are_exempt(self):
         source = """

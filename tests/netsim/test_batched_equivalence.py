@@ -149,10 +149,7 @@ def test_cross_engine_envelopes_differ_only_in_engine():
     runner = Runner()
     params = {"fleet_sizes": (2, 4), "duration_s": 0.3}
     results = [runner.run("mac_scaling", params=dict(params), engine=engine) for engine in ENGINES]
-    keys = {
-        invocation_key(r.experiment, "<engine>", r.seed, r.params, backend=r.backend)
-        for r in results
-    }
+    keys = {invocation_key(r.experiment, "<engine>", r.seed, r.params) for r in results}
     assert len(keys) == 1
     assert [r.engine for r in results] == list(ENGINES)
     for result in results:

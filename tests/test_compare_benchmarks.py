@@ -111,21 +111,6 @@ def test_per_backend_key_gated_exactly_when_baseline_has_it(tmp_path):
     assert "v[strict]" in result.stdout and "REGRESSION" in result.stdout
 
 
-def test_per_backend_key_falls_back_to_bare_family(tmp_path):
-    # A baseline recorded before the benchmark grew its backend dimension
-    # still gates each backend against the shared family entry.
-    baseline = _payload({"v": (1.0, 0.9), "w": (2.0, 1.8), "x": (3.0, 2.7)})
-    current = _payload({"v[numpy]": (1.0, 0.9), "v[strict]": (9.0, 8.1), "w": (2.0, 1.8), "x": (3.0, 2.7)})
-    result = _run(tmp_path, baseline, current)
-    assert result.returncode == 1
-    assert "note: new benchmark" not in result.stdout
-    out = tmp_path / "compare.json"
-    result = _run(tmp_path, baseline, current, "--json", str(out))
-    document = json.loads(out.read_text())
-    assert document["benchmarks"]["v[numpy]"]["baseline_key"] == "v"
-    assert document["benchmarks"]["v[strict]"]["regressed"] is True
-
-
 def test_append_trend_requires_pr(tmp_path):
     payload = _payload({"a": (1.0, 0.9)})
     result = _run(tmp_path, payload, payload, "--append-trend", str(tmp_path / "runtime.json"))
