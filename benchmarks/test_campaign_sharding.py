@@ -5,7 +5,9 @@ executed with ``jobs=4`` must beat the serial run wall-clock while
 producing bit-identical per-spec results.  The speedup assertion is
 gated on the machine actually having more than one core (a single-core
 container cannot parallelise anything); the bit-identity assertion is
-unconditional.
+unconditional.  The two legs alternate over :data:`ROUNDS` rounds and
+their best wall-clocks are compared, so a load burst on a shared host
+that hits one run cannot decide the comparison on its own.
 """
 
 from __future__ import annotations
@@ -17,6 +19,9 @@ from repro.api import Runner, SweepSpec, canonical_json
 
 #: Worker processes for the sharded leg (the satellite task's jobs=4).
 JOBS = 4
+
+#: Alternating serial/sharded rounds; each leg is judged by its fastest run.
+ROUNDS = 3
 
 
 def _fleet_grid_specs():
@@ -40,25 +45,30 @@ def _fleet_grid_specs():
 def test_sharded_campaign_beats_serial(benchmark, paper_report):
     """jobs=4 beats jobs=1 on a >=100-spec grid, with bit-identical results."""
     specs = _fleet_grid_specs()
+    serial_runs: list[tuple[float, list]] = []
+    sharded_runs: list[tuple[float, list]] = []
 
-    start = time.perf_counter()
-    serial = Runner(jobs=1).run_batch(specs)
-    serial_seconds = time.perf_counter() - start
-
-    timing = {}
-
-    def run_sharded():
+    def timed_batch(jobs: int, runs: list[tuple[float, list]]) -> list:
         start = time.perf_counter()
-        results = Runner(jobs=JOBS).run_batch(specs)
-        timing["seconds"] = time.perf_counter() - start
+        results = Runner(jobs=jobs).run_batch(specs)
+        runs.append((time.perf_counter() - start, results))
         return results
 
-    sharded = benchmark.pedantic(run_sharded, rounds=1, iterations=1)
-    sharded_seconds = timing["seconds"]
+    def run_serial_first():
+        # The serial leg is the untimed set-up of every benchmark round, so
+        # the two legs alternate and share whatever load the host carries.
+        timed_batch(1, serial_runs)
+        return (JOBS, sharded_runs), {}
+
+    benchmark.pedantic(timed_batch, setup=run_serial_first, rounds=ROUNDS, iterations=1)
+    serial_seconds = min(seconds for seconds, _ in serial_runs)
+    sharded_seconds = min(seconds for seconds, _ in sharded_runs)
 
     # Bit-identical regardless of shard count: same payload bytes, same order.
-    assert [canonical_json(r.payload) for r in serial] == [canonical_json(r.payload) for r in sharded]
-    assert [r.seed for r in serial] == [r.seed for r in sharded]
+    serial = serial_runs[0][1]
+    for _, results in serial_runs[1:] + sharded_runs:
+        assert [canonical_json(r.payload) for r in serial] == [canonical_json(r.payload) for r in results]
+        assert [r.seed for r in serial] == [r.seed for r in results]
 
     cores = os.cpu_count() or 1
     speedup = serial_seconds / sharded_seconds

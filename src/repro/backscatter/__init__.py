@@ -8,9 +8,8 @@
   (the paper's key hardware contribution).
 * :mod:`repro.backscatter.dsb` — the prior-work double-sideband baseline
   used for comparison in Fig. 6 and Fig. 12.
-* :mod:`repro.backscatter.detector` — the ultra-low-power envelope/peak
-  detector receivers used for packet wake-up (§2.2) and the OFDM AM
-  downlink (§2.4).
+* :mod:`repro.backscatter.detector` — the ultra-low-power peak-detector
+  receiver of the OFDM AM downlink (§2.4).
 * :mod:`repro.backscatter.power` — the 65 nm IC power model reproducing the
   28 µW budget of §3.
 """
@@ -20,10 +19,10 @@ from repro.backscatter.impedance import (
     QUADRATURE_IMPEDANCE_STATES,
     reflection_coefficient,
 )
-from repro.backscatter.subcarrier import SquareWaveSubcarrier, square_wave_harmonics
+from repro.backscatter.subcarrier import SquareWaveSubcarrier
 from repro.backscatter.ssb import SingleSidebandModulator
 from repro.backscatter.dsb import DoubleSidebandModulator
-from repro.backscatter.detector import EnvelopeDetector, PeakDetectorReceiver
+from repro.backscatter.detector import PeakDetectorReceiver
 from repro.backscatter.power import InterscatterPowerModel, PowerBreakdown
 
 __all__ = [
@@ -31,10 +30,8 @@ __all__ = [
     "QUADRATURE_IMPEDANCE_STATES",
     "reflection_coefficient",
     "SquareWaveSubcarrier",
-    "square_wave_harmonics",
     "SingleSidebandModulator",
     "DoubleSidebandModulator",
-    "EnvelopeDetector",
     "PeakDetectorReceiver",
     "InterscatterPowerModel",
     "PowerBreakdown",

@@ -1,118 +1,19 @@
-"""Ultra-low-power receivers on the tag: envelope detector and peak detector.
+"""The tag's ultra-low-power downlink receiver: a peak detector (§2.4).
 
-Two roles in the paper:
-
-* **Packet wake-up** (§2.2): an envelope/energy detector notices the start
-  of a Bluetooth transmission (preamble + access address + header ≈ 56 µs)
-  so the tag knows when the controllable payload window begins.  Energy
-  detection cannot find the exact bit boundary, so the tag adds a ~4 µs
-  guard interval.
-* **Downlink reception** (§2.4): a peak detector tracks the envelope of the
-  802.11g OFDM waveform; constant OFDM symbols create low-envelope gaps the
-  detector turns into bits at 125 kbps.
-
-Both are modelled as: magnitude → RC low-pass → threshold, with a
-configurable sensitivity floor (the paper's off-the-shelf prototype has a
-−32 dBm sensitivity at 160 kbps).
+A peak detector tracks the envelope of the 802.11g OFDM waveform; constant
+OFDM symbols create low-envelope gaps the detector turns into bits at
+125 kbps.  It is modelled as magnitude → fast-attack / slow-decay envelope
+→ per-symbol comparison, with a sensitivity floor (the paper's
+off-the-shelf prototype has a −32 dBm sensitivity at 160 kbps).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.utils.dsp import dbm_to_watts
 
-__all__ = ["EnvelopeDetector", "EnvelopeDetection", "PeakDetectorReceiver"]
-
-
-@dataclass(frozen=True)
-class EnvelopeDetection:
-    """Result of running the envelope detector over a waveform.
-
-    Attributes
-    ----------
-    envelope:
-        Low-pass filtered magnitude of the input.
-    triggered:
-        Whether the envelope ever exceeded the detection threshold.
-    trigger_sample:
-        Index of the first sample above threshold (None when not triggered).
-    trigger_time_s:
-        Same as a time offset.
-    """
-
-    envelope: np.ndarray
-    triggered: bool
-    trigger_sample: int | None
-    trigger_time_s: float | None
-
-
-class EnvelopeDetector:
-    """Energy detector used for Bluetooth packet wake-up.
-
-    Parameters
-    ----------
-    sample_rate_hz:
-        Sample rate of the waveforms it will observe.
-    time_constant_s:
-        RC time constant of the smoothing filter.
-    threshold_dbm:
-        Power threshold; the paper tunes it so only Bluetooth transmitters
-        within 8-10 feet trigger the tag (preventing false positives).
-    sensitivity_dbm:
-        Absolute sensitivity floor of the detector.
-    """
-
-    def __init__(
-        self,
-        sample_rate_hz: float,
-        *,
-        time_constant_s: float = 2e-6,
-        threshold_dbm: float = -40.0,
-        sensitivity_dbm: float = -50.0,
-    ) -> None:
-        if sample_rate_hz <= 0:
-            raise ConfigurationError("sample_rate_hz must be positive")
-        if time_constant_s <= 0:
-            raise ConfigurationError("time_constant_s must be positive")
-        self.sample_rate_hz = sample_rate_hz
-        self.time_constant_s = time_constant_s
-        self.threshold_dbm = threshold_dbm
-        self.sensitivity_dbm = sensitivity_dbm
-
-    def envelope(self, waveform: np.ndarray) -> np.ndarray:
-        """RC-filtered magnitude envelope of a complex waveform."""
-        waveform = np.asarray(waveform, dtype=complex).ravel()
-        magnitude = np.abs(waveform)
-        alpha = 1.0 - np.exp(-1.0 / (self.sample_rate_hz * self.time_constant_s))
-        out = np.empty_like(magnitude)
-        state = 0.0
-        for index, value in enumerate(magnitude):
-            state += alpha * (value - state)
-            out[index] = state
-        return out
-
-    def detect(self, waveform: np.ndarray) -> EnvelopeDetection:
-        """Run energy detection over a waveform."""
-        envelope = self.envelope(waveform)
-        threshold_amplitude = np.sqrt(
-            dbm_to_watts(max(self.threshold_dbm, self.sensitivity_dbm))
-        )
-        above = envelope >= threshold_amplitude
-        if not np.any(above):
-            return EnvelopeDetection(
-                envelope=envelope, triggered=False, trigger_sample=None, trigger_time_s=None
-            )
-        first = int(np.argmax(above))
-        return EnvelopeDetection(
-            envelope=envelope,
-            triggered=True,
-            trigger_sample=first,
-            trigger_time_s=first / self.sample_rate_hz,
-        )
+__all__ = ["PeakDetectorReceiver"]
 
 
 class PeakDetectorReceiver:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.backscatter.subcarrier import quadrature_square_wave, square_wave
+from repro.backscatter.subcarrier import quadrature_square_wave
 
 __all__ = ["DsbBackscatterWaveform", "DoubleSidebandModulator"]
 

@@ -12,11 +12,8 @@ coefficient takes the values ``(±1 ± j)/√2·√2`` — i.e. the four quadrat
 states ``1+j, 1-j, -1+j, -1-j`` (up to a scale factor) that let the tag
 synthesize ``e^{j2πΔft}`` and hence shift the carrier to one side only.
 
-The module also models the real hardware choices the paper reports: for a
-50 Ω antenna the FPGA prototype used a 3 pF capacitor, an open circuit, a
-1 pF capacitor and a 2 nH inductor, and for the non-50 Ω loop antennas of
-the contact lens / implant prototypes the states must be re-optimised
-(:func:`optimize_states_for_antenna`).
+For the non-50 Ω loop antennas of the contact lens / implant prototypes the
+states must be re-optimised (:func:`optimize_states_for_antenna`).
 """
 
 from __future__ import annotations
@@ -32,8 +29,6 @@ __all__ = [
     "reflection_coefficient",
     "QUADRATURE_IMPEDANCE_STATES",
     "quadrature_reflection_targets",
-    "component_impedance",
-    "FPGA_PROTOTYPE_COMPONENTS",
     "optimize_states_for_antenna",
 ]
 
@@ -109,38 +104,6 @@ def _build_quadrature_states(antenna_impedance_ohm: complex = 50.0) -> dict[str,
 #: complex value they realise (paper §2.3.1 lists the equivalent impedance
 #: fractions −j/(2+j)·Za, j/(2−j)·Za, (2−j)/j·Za and (2+j)/(−j)·Za).
 QUADRATURE_IMPEDANCE_STATES: dict[str, ImpedanceState] = _build_quadrature_states()
-
-
-def component_impedance(
-    *,
-    capacitance_f: float | None = None,
-    inductance_h: float | None = None,
-    frequency_hz: float = 2.45e9,
-    open_circuit: bool = False,
-) -> complex:
-    """Impedance of a single reactive component at *frequency_hz*.
-
-    The FPGA prototype terminates its switch network in discrete reactive
-    components; this helper computes their impedance so tests can check the
-    reported component values approximate the quadrature states.
-    """
-    if open_circuit:
-        return complex(1e9, 0.0)
-    if capacitance_f is not None:
-        return 1.0 / (1j * 2.0 * np.pi * frequency_hz * capacitance_f)
-    if inductance_h is not None:
-        return 1j * 2.0 * np.pi * frequency_hz * inductance_h
-    raise ConfigurationError("specify capacitance_f, inductance_h or open_circuit")
-
-
-#: Discrete components used by the paper's 2.4 GHz FPGA front end (§2.3.1):
-#: a 3 pF capacitor, an open circuit, a 1 pF capacitor and a 2 nH inductor.
-FPGA_PROTOTYPE_COMPONENTS: dict[str, dict[str, float | bool]] = {
-    "3pF": {"capacitance_f": 3e-12},
-    "open": {"open_circuit": True},
-    "1pF": {"capacitance_f": 1e-12},
-    "2nH": {"inductance_h": 2e-9},
-}
 
 
 def optimize_states_for_antenna(antenna_impedance_ohm: complex) -> dict[str, ImpedanceState]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["square_wave", "quadrature_square_wave", "square_wave_harmonics", "SquareWaveSubcarrier"]
+__all__ = ["square_wave", "quadrature_square_wave", "SquareWaveSubcarrier"]
 
 
 def square_wave(
@@ -56,17 +56,6 @@ def quadrature_square_wave(
     sin_wave = square_wave(frequency_hz, sample_rate_hz, num_samples)
     cos_wave = square_wave(frequency_hz, sample_rate_hz, num_samples, phase_fraction=0.25)
     return cos_wave + 1j * sin_wave
-
-
-def square_wave_harmonics(max_harmonic: int = 9) -> dict[int, float]:
-    """Relative power (dB) of the odd harmonics of a ±1 square wave.
-
-    The fundamental is 0 dB; harmonic *n* is ``20·log10(1/n)`` below it —
-    9.5 dB for n=3 and ~14 dB for n=5 (the numbers quoted in §2.3.1).
-    """
-    if max_harmonic < 1:
-        raise ConfigurationError("max_harmonic must be >= 1")
-    return {n: -20.0 * np.log10(n) for n in range(1, max_harmonic + 1, 2)}
 
 
 @dataclass(frozen=True)

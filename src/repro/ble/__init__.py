@@ -13,13 +13,7 @@ Bluetooth device:
   paper's evaluation (:mod:`repro.ble.devices`).
 """
 
-from repro.ble.channels import (
-    ADVERTISING_CHANNELS,
-    BleChannel,
-    advertising_channel,
-    channel_for_frequency,
-    channel_frequency_mhz,
-)
+from repro.ble.channels import ADVERTISING_CHANNELS, BleChannel, advertising_channel
 from repro.ble.whitening import WhiteningSequence, whitening_sequence, whiten
 from repro.ble.packet import (
     ADVERTISING_ACCESS_ADDRESS,
@@ -28,11 +22,6 @@ from repro.ble.packet import (
 )
 from repro.ble.gfsk import GfskModulator, GfskDemodulator, GfskWaveform
 from repro.ble.single_tone import SingleTonePayload, craft_single_tone_payload
-from repro.ble.data_packet import (
-    DataChannelPacket,
-    DataChannelSingleTone,
-    craft_data_channel_single_tone,
-)
 from repro.ble.devices import BleDeviceProfile, DEVICE_PROFILES
 from repro.ble.radio import BleTransmitter
 
@@ -40,8 +29,6 @@ __all__ = [
     "ADVERTISING_CHANNELS",
     "BleChannel",
     "advertising_channel",
-    "channel_for_frequency",
-    "channel_frequency_mhz",
     "WhiteningSequence",
     "whitening_sequence",
     "whiten",
@@ -53,9 +40,6 @@ __all__ = [
     "GfskWaveform",
     "SingleTonePayload",
     "craft_single_tone_payload",
-    "DataChannelPacket",
-    "DataChannelSingleTone",
-    "craft_data_channel_single_tone",
     "BleDeviceProfile",
     "DEVICE_PROFILES",
     "BleTransmitter",

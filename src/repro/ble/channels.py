@@ -27,8 +27,6 @@ __all__ = [
     "ADVERTISING_CHANNELS",
     "DATA_CHANNELS",
     "advertising_channel",
-    "channel_frequency_mhz",
-    "channel_for_frequency",
     "ISM_BAND_LOW_MHZ",
     "ISM_BAND_HIGH_MHZ",
 ]
@@ -99,18 +97,3 @@ def advertising_channel(index: int) -> BleChannel:
             f"channel {index} is not a BLE advertising channel (expected 37, 38 or 39)"
         )
     return ADVERTISING_CHANNELS[index]
-
-
-def channel_frequency_mhz(index: int) -> float:
-    """Centre frequency (MHz) of any LE channel index 0–39."""
-    if index not in _CHANNEL_MAP:
-        raise ConfigurationError(f"BLE channel index must be 0-39, got {index}")
-    return _CHANNEL_MAP[index].frequency_mhz
-
-
-def channel_for_frequency(frequency_mhz: float) -> BleChannel:
-    """Return the LE channel whose centre frequency matches *frequency_mhz*."""
-    for channel in _CHANNEL_MAP.values():
-        if abs(channel.frequency_mhz - frequency_mhz) < 0.5:
-            return channel
-    raise ConfigurationError(f"no BLE channel at {frequency_mhz} MHz")

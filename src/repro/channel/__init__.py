@@ -21,7 +21,7 @@ from repro.channel.link_budget import (
     BackscatterLinkResult,
     DirectLinkBudget,
 )
-from repro.channel.geometry import Position, distance_feet, feet_to_meters, meters_to_feet
+from repro.channel.geometry import Position, feet_to_meters
 from repro.channel.error_models import (
     ber_dbpsk,
     ber_dqpsk,
@@ -45,9 +45,7 @@ __all__ = [
     "BackscatterLinkResult",
     "DirectLinkBudget",
     "Position",
-    "distance_feet",
     "feet_to_meters",
-    "meters_to_feet",
     "ber_dbpsk",
     "ber_dqpsk",
     "ber_oqpsk_dsss",

@@ -26,7 +26,6 @@ __all__ = [
     "packet_error_rate",
     "wifi_packet_error_rate",
     "WIFI_PROCESSING_GAIN_DB",
-    "required_snr_db",
 ]
 
 #: Barker-11 processing gain enjoyed by 1 and 2 Mbps 802.11b.
@@ -119,16 +118,3 @@ def wifi_packet_error_rate(
         raise ConfigurationError(f"unsupported 802.11b rate {rate_mbps}")
     payload_ok = (1.0 - payload_ber) ** payload_bits
     return _scalar_or_array(1.0 - header_ok * payload_ok, snr_db)
-
-
-def required_snr_db(rate_mbps: float) -> float:
-    """Approximate SNR needed for reliable 802.11b reception at a given rate.
-
-    The paper quotes ~6 dB for 2 Mbps and notes all 802.11b rates work below
-    14 dB (§2.3.1); these thresholds are used by the coexistence and range
-    helpers.
-    """
-    thresholds = {1.0: 4.0, 2.0: 6.0, 5.5: 8.0, 11.0: 10.0}
-    if rate_mbps not in thresholds:
-        raise ConfigurationError(f"unsupported 802.11b rate {rate_mbps}")
-    return thresholds[rate_mbps]

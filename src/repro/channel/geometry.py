@@ -16,9 +16,7 @@ __all__ = [
     "FEET_PER_METER",
     "Position",
     "feet_to_meters",
-    "meters_to_feet",
     "inches_to_meters",
-    "distance_feet",
     "fig10_geometry",
 ]
 
@@ -29,11 +27,6 @@ FEET_PER_METER = 3.280839895
 def feet_to_meters(feet: float) -> float:
     """Convert feet to metres."""
     return feet / FEET_PER_METER
-
-
-def meters_to_feet(meters: float) -> float:
-    """Convert metres to feet."""
-    return meters * FEET_PER_METER
 
 
 def inches_to_meters(inches: float) -> float:
@@ -51,11 +44,6 @@ class Position:
     def distance_to(self, other: "Position") -> float:
         """Euclidean distance in metres."""
         return float(np.hypot(self.x - other.x, self.y - other.y))
-
-
-def distance_feet(a: Position, b: Position) -> float:
-    """Distance between two positions in feet."""
-    return meters_to_feet(a.distance_to(b))
 
 
 def fig10_geometry(

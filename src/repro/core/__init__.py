@@ -9,8 +9,6 @@ The pieces map onto the paper's design section:
   by single-sideband backscattering the tone (§2.3).
 * :mod:`repro.core.downlink` — the OFDM-as-AM reverse link (§2.4).
 * :mod:`repro.core.device` — the tag device model (state machine + power).
-* :mod:`repro.core.protocol` — the query-reply protocol and the RTS/CTS /
-  CTS-to-Self collision-avoidance optimisations (§2.3.3, §2.5).
 * :mod:`repro.core.coexistence` — the airtime/interference model behind the
   Fig. 12 iperf experiment.
 * :mod:`repro.core.link` — :class:`InterscatterLink`, the high-level façade
@@ -22,7 +20,6 @@ from repro.core.timing import InterscatterTiming, max_wifi_payload_bytes
 from repro.core.uplink import InterscatterUplink, UplinkResult, UplinkTarget
 from repro.core.downlink import InterscatterDownlink, DownlinkResult
 from repro.core.device import InterscatterDevice, DeviceState
-from repro.core.protocol import QueryReplyProtocol, ChannelReservation, ProtocolEvent
 from repro.core.coexistence import CoexistenceSimulator, CoexistenceResult
 from repro.core.link import InterscatterLink, EndToEndResult
 
@@ -38,9 +35,6 @@ __all__ = [
     "DownlinkResult",
     "InterscatterDevice",
     "DeviceState",
-    "QueryReplyProtocol",
-    "ChannelReservation",
-    "ProtocolEvent",
     "CoexistenceSimulator",
     "CoexistenceResult",
     "InterscatterLink",

@@ -18,7 +18,7 @@ envelopes) and at the link level (BER vs distance, Fig. 13).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

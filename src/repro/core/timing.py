@@ -26,7 +26,6 @@ from repro.wifi.dsss.plcp import (
 __all__ = [
     "InterscatterTiming",
     "max_wifi_payload_bytes",
-    "data_packet_wifi_budget",
     "PAPER_PAYLOAD_SIZES",
 ]
 
@@ -119,41 +118,6 @@ class InterscatterTiming:
     def wifi_air_time_s(self, wifi_psdu_bytes: int) -> float:
         """Air time of a Wi-Fi packet with the given PSDU size at this rate."""
         return self.wifi_overhead_s + wifi_psdu_bytes * 8.0 / (self.wifi_rate_mbps * 1e6)
-
-
-def data_packet_wifi_budget(
-    wifi_rate_mbps: float,
-    *,
-    ble_data_payload_bytes: int = 251,
-    guard_interval_s: float = DEFAULT_GUARD_INTERVAL_S,
-) -> dict[str, float]:
-    """Wi-Fi budget when backscattering BLE *data* packets (paper §7).
-
-    Data-channel packets with the Bluetooth 4.2 length extension carry up to
-    251 payload bytes (2008 µs at 1 Mbps) — an ~8× longer tone window than a
-    31-byte advertisement.  This helper quantifies the future-work claim:
-    1 Mbps Wi-Fi packets fit, and per-packet throughput grows accordingly.
-
-    Returns a dictionary with the tone window, the largest Wi-Fi PSDU that
-    fits (long preamble for 1 Mbps, short otherwise) and the multiple of the
-    advertising-packet budget it represents.
-    """
-    if not 0 < ble_data_payload_bytes <= 251:
-        raise ConfigurationError("BLE data payload must be 1-251 bytes")
-    window_s = ble_data_payload_bytes * 8e-6 - guard_interval_s
-    overhead_s = LONG_PLCP_OVERHEAD_S if wifi_rate_mbps == 1.0 else SHORT_PLCP_OVERHEAD_S
-    usable_s = max(window_s - overhead_s, 0.0)
-    max_psdu = int(usable_s * wifi_rate_mbps * 1e6 // 8)
-    if wifi_rate_mbps == 1.0:
-        adv_budget = 0
-    else:
-        adv_budget = max_wifi_payload_bytes(wifi_rate_mbps)
-    return {
-        "tone_window_s": window_s,
-        "max_wifi_psdu_bytes": float(max_psdu),
-        "fits_1mbps_packet": float(wifi_rate_mbps != 1.0 or max_psdu > 0),
-        "gain_over_advertising": float(max_psdu / adv_budget) if adv_budget else float("inf"),
-    }
 
 
 def max_wifi_payload_bytes(

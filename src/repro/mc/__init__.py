@@ -29,7 +29,6 @@ from repro.mc.link_abstraction import LinkAbstraction, PerTable
 from repro.mc.sweep import (
     AnalyticWifiPerPipeline,
     CodedOfdmPipeline,
-    OokBerPipeline,
     SweepResult,
     run_sweep,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "PerTable",
     "AnalyticWifiPerPipeline",
     "CodedOfdmPipeline",
-    "OokBerPipeline",
     "SweepResult",
     "run_sweep",
     "BatchViterbiDecoder",

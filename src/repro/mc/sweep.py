@@ -5,11 +5,10 @@ loops of the PER/BER experiments: a *pipeline* evaluates all ``trials``
 realisations of one operating point in a single vectorised call, and the
 driver walks the operating points, chunking batches to bound memory.
 
-Three pipelines cover the reproduction's needs:
+Two pipelines cover the reproduction's needs:
 
 * :class:`AnalyticWifiPerPipeline` — link-abstraction PER draws from the
   closed-form 802.11b error model (the fig11-style experiments);
-* :class:`OokBerPipeline` — peak-detector downlink bit errors (fig13-style);
 * :class:`CodedOfdmPipeline` — the full batched PHY chain
   scramble → convolutional encode → puncture → interleave → map → AWGN →
   demap → deinterleave → depuncture → batched Viterbi → descramble,
@@ -29,7 +28,7 @@ from typing import Protocol
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.channel.error_models import ber_ook_envelope, wifi_packet_error_rate
+from repro.channel.error_models import wifi_packet_error_rate
 from repro.mc.kernels import (
     deinterleave_batch,
     demap_batch,
@@ -49,7 +48,6 @@ __all__ = [
     "SweepResult",
     "run_sweep",
     "AnalyticWifiPerPipeline",
-    "OokBerPipeline",
     "CodedOfdmPipeline",
 ]
 
@@ -151,17 +149,6 @@ class AnalyticWifiPerPipeline:
             snr_db, rate_mbps=self.rate_mbps, payload_bytes=self.payload_bytes
         )
         return (rng.random(trials) < per).astype(float)
-
-
-@dataclass(frozen=True)
-class OokBerPipeline:
-    """Peak-detector (OOK-envelope) downlink bit-error fractions."""
-
-    bits_per_trial: int = 512
-
-    def run_batch(self, snr_db: float, trials: int, rng: np.random.Generator) -> np.ndarray:
-        ber = ber_ook_envelope(snr_db)
-        return rng.binomial(self.bits_per_trial, ber, size=trials) / self.bits_per_trial
 
 
 class CodedOfdmPipeline:

@@ -1,32 +1,18 @@
-"""Shared low-level utilities: bit manipulation, CRCs, LFSRs and DSP helpers.
+"""Shared low-level utilities: bit manipulation, CRCs and DSP helpers.
 
 These modules are deliberately free of any protocol knowledge; the BLE,
 Wi-Fi and ZigBee packages build their standard-specific machinery on top of
 them.
 """
 
-from repro.utils.bits import (
-    bits_to_bytes,
-    bits_to_int,
-    bytes_to_bits,
-    hamming_distance,
-    int_to_bits,
-    pack_bits,
-    unpack_bits,
-    xor_bits,
-)
+from repro.utils.bits import bits_to_bytes, bits_to_int, bytes_to_bits, int_to_bits
 from repro.utils.crc import CrcEngine, crc16_ccitt, crc24_ble, crc32_ieee
-from repro.utils.lfsr import FibonacciLfsr, GaloisLfsr
 from repro.utils.dsp import (
     awgn_noise,
     db_to_linear,
     dbm_to_watts,
-    frequency_shift,
     linear_to_db,
-    normalize_power,
-    rms,
     signal_power,
-    signal_power_dbm,
     watts_to_dbm,
 )
 from repro.utils.spectrum import (
@@ -35,44 +21,26 @@ from repro.utils.spectrum import (
     spectral_peak,
     spectrum_asymmetry_db,
 )
-from repro.utils.pulse_shaping import (
-    gaussian_filter_taps,
-    half_sine_pulse,
-    raised_cosine_taps,
-    rect_pulse,
-)
+from repro.utils.pulse_shaping import gaussian_filter_taps
 
 __all__ = [
     "bits_to_bytes",
     "bits_to_int",
     "bytes_to_bits",
-    "hamming_distance",
     "int_to_bits",
-    "pack_bits",
-    "unpack_bits",
-    "xor_bits",
     "CrcEngine",
     "crc16_ccitt",
     "crc24_ble",
     "crc32_ieee",
-    "FibonacciLfsr",
-    "GaloisLfsr",
     "awgn_noise",
     "db_to_linear",
     "dbm_to_watts",
-    "frequency_shift",
     "linear_to_db",
-    "normalize_power",
-    "rms",
     "signal_power",
-    "signal_power_dbm",
     "watts_to_dbm",
     "occupied_bandwidth",
     "power_spectral_density",
     "spectral_peak",
     "spectrum_asymmetry_db",
     "gaussian_filter_taps",
-    "half_sine_pulse",
-    "raised_cosine_taps",
-    "rect_pulse",
 ]

@@ -16,10 +16,6 @@ __all__ = [
     "bits_to_bytes",
     "int_to_bits",
     "bits_to_int",
-    "pack_bits",
-    "unpack_bits",
-    "xor_bits",
-    "hamming_distance",
     "as_bit_array",
 ]
 
@@ -107,45 +103,3 @@ def bits_to_int(bits: Iterable[int] | np.ndarray, *, msb_first: bool = False) ->
     for i, bit in enumerate(arr):
         value |= int(bit) << i
     return value
-
-
-def pack_bits(*groups: Iterable[int] | np.ndarray) -> np.ndarray:
-    """Concatenate several bit groups into one bit array."""
-    parts = [as_bit_array(g) for g in groups]
-    if not parts:
-        return np.zeros(0, dtype=np.uint8)
-    return np.concatenate(parts)
-
-
-def unpack_bits(bits: Iterable[int] | np.ndarray, *lengths: int) -> list[np.ndarray]:
-    """Split a bit array into consecutive groups of the given lengths.
-
-    The sum of *lengths* must not exceed the number of bits; any remaining
-    bits are returned as a final group.
-    """
-    arr = as_bit_array(bits)
-    total = sum(lengths)
-    if total > arr.size:
-        raise ValueError(f"cannot split {arr.size} bits into groups totalling {total}")
-    groups: list[np.ndarray] = []
-    offset = 0
-    for length in lengths:
-        groups.append(arr[offset : offset + length])
-        offset += length
-    if offset < arr.size:
-        groups.append(arr[offset:])
-    return groups
-
-
-def xor_bits(a: Iterable[int] | np.ndarray, b: Iterable[int] | np.ndarray) -> np.ndarray:
-    """Element-wise XOR of two equal-length bit arrays."""
-    arr_a = as_bit_array(a)
-    arr_b = as_bit_array(b)
-    if arr_a.size != arr_b.size:
-        raise ValueError(f"length mismatch: {arr_a.size} vs {arr_b.size}")
-    return np.bitwise_xor(arr_a, arr_b)
-
-
-def hamming_distance(a: Iterable[int] | np.ndarray, b: Iterable[int] | np.ndarray) -> int:
-    """Number of positions at which two equal-length bit arrays differ."""
-    return int(np.count_nonzero(xor_bits(a, b)))

@@ -1,4 +1,4 @@
-"""Small DSP helpers: power conversions, frequency shifting, AWGN.
+"""Small DSP helpers: power conversions and AWGN.
 
 All complex waveforms in the library are discrete-time complex-baseband
 numpy arrays, with an associated sample rate carried separately (usually in
@@ -15,11 +15,7 @@ __all__ = [
     "linear_to_db",
     "dbm_to_watts",
     "watts_to_dbm",
-    "rms",
     "signal_power",
-    "signal_power_dbm",
-    "normalize_power",
-    "frequency_shift",
     "awgn_noise",
     "add_awgn",
 ]
@@ -59,39 +55,11 @@ def watts_to_dbm(watts: float, *, floor: float = 1e-30) -> float:
     return 10.0 * np.log10(max(watts, floor)) + 30.0
 
 
-def rms(signal: np.ndarray) -> float:
-    """Root-mean-square amplitude of a real or complex signal."""
-    if signal.size == 0:
-        return 0.0
-    return float(np.sqrt(np.mean(np.abs(signal) ** 2)))
-
-
 def signal_power(signal: np.ndarray) -> float:
     """Mean power (mean squared magnitude) of a signal."""
     if signal.size == 0:
         return 0.0
     return float(np.mean(np.abs(signal) ** 2))
-
-
-def signal_power_dbm(signal: np.ndarray, *, reference_watts: float = 1.0) -> float:
-    """Mean power of *signal* in dBm assuming unit amplitude == *reference_watts*."""
-    return watts_to_dbm(signal_power(signal) * reference_watts)
-
-
-def normalize_power(signal: np.ndarray, target_power: float = 1.0) -> np.ndarray:
-    """Scale *signal* so its mean power equals *target_power*."""
-    power = signal_power(signal)
-    if power <= 0.0:
-        return signal.copy()
-    return signal * np.sqrt(target_power / power)
-
-
-def frequency_shift(signal: np.ndarray, shift_hz: float, sample_rate: float) -> np.ndarray:
-    """Multiply *signal* by a complex exponential, shifting it by *shift_hz*."""
-    if sample_rate <= 0:
-        raise ValueError("sample_rate must be positive")
-    n = np.arange(signal.size)
-    return signal * np.exp(2j * np.pi * shift_hz * n / sample_rate)
 
 
 def awgn_noise(

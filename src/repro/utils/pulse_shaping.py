@@ -1,15 +1,10 @@
-"""Pulse-shaping filters used by the GFSK, DSSS and O-QPSK modulators."""
+"""The Gaussian pulse-shaping filter used by the BLE GFSK modulator."""
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "gaussian_filter_taps",
-    "raised_cosine_taps",
-    "half_sine_pulse",
-    "rect_pulse",
-]
+__all__ = ["gaussian_filter_taps"]
 
 
 def gaussian_filter_taps(
@@ -47,48 +42,3 @@ def gaussian_filter_taps(
     t = np.arange(-half, half + 1) / samples_per_symbol
     taps = np.exp(-(t**2) / (2.0 * sigma**2))
     return taps / np.sum(taps)
-
-
-def raised_cosine_taps(
-    beta: float,
-    samples_per_symbol: int,
-    *,
-    span_symbols: int = 6,
-) -> np.ndarray:
-    """Raised-cosine filter taps (used for optional Wi-Fi chip shaping)."""
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError("beta must be in [0, 1]")
-    if samples_per_symbol < 1:
-        raise ValueError("samples_per_symbol must be >= 1")
-    half = span_symbols * samples_per_symbol // 2
-    t = np.arange(-half, half + 1) / samples_per_symbol
-    taps = np.sinc(t)
-    if beta > 0:
-        denominator = 1.0 - (2.0 * beta * t) ** 2
-        cos_term = np.cos(np.pi * beta * t)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shaped = np.where(
-                np.abs(denominator) > 1e-12,
-                taps * cos_term / denominator,
-                np.pi / 4.0 * np.sinc(1.0 / (2.0 * beta)),
-            )
-        taps = shaped
-    total = np.sum(taps)
-    return taps / total if total != 0 else taps
-
-
-def half_sine_pulse(samples_per_half_chip: int) -> np.ndarray:
-    """Half-sine chip pulse used by IEEE 802.15.4 O-QPSK."""
-    if samples_per_half_chip < 1:
-        raise ValueError("samples_per_half_chip must be >= 1")
-    # One chip period spans 2 * samples_per_half_chip samples; the pulse is
-    # a half sine over that interval.
-    n = np.arange(2 * samples_per_half_chip)
-    return np.sin(np.pi * n / (2 * samples_per_half_chip))
-
-
-def rect_pulse(samples_per_symbol: int) -> np.ndarray:
-    """Rectangular pulse (no shaping)."""
-    if samples_per_symbol < 1:
-        raise ValueError("samples_per_symbol must be >= 1")
-    return np.ones(samples_per_symbol)

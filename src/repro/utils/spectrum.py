@@ -20,7 +20,6 @@ __all__ = [
     "spectral_peak",
     "occupied_bandwidth",
     "spectrum_asymmetry_db",
-    "band_power_db",
 ]
 
 
@@ -92,11 +91,6 @@ def occupied_bandwidth(spectrum: PowerSpectrum, fraction: float = 0.99) -> float
     needed = order[: int(np.searchsorted(cumulative, fraction * total)) + 1]
     freqs = spectrum.frequencies_hz[needed]
     return float(freqs.max() - freqs.min())
-
-
-def band_power_db(spectrum: PowerSpectrum, low_hz: float, high_hz: float) -> float:
-    """Total power in a band, in dB (relative units)."""
-    return float(linear_to_db(spectrum.band_power(low_hz, high_hz)))
 
 
 def spectrum_asymmetry_db(

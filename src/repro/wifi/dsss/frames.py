@@ -1,9 +1,8 @@
-"""Minimal 802.11 MAC frame construction (data frames, RTS, CTS).
+"""Minimal 802.11 MAC data-frame construction.
 
 The interscatter tag synthesizes whole MPDUs — a MAC header, a payload and
 the CRC-32 frame check sequence — so that an unmodified Wi-Fi receiver will
-accept them (paper §2.3).  The RTS/CTS and CTS-to-Self frames are needed for
-the collision-avoidance optimisations of §2.3.3 and the coexistence model.
+accept them (paper §2.3).
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from repro.exceptions import PacketFormatError
 from repro.utils.bits import bytes_to_bits
 from repro.utils.crc import crc32_ieee
 
-__all__ = ["WifiDataFrame", "build_rts_frame", "build_cts_frame", "mpdu_with_fcs", "verify_fcs"]
+__all__ = ["WifiDataFrame", "mpdu_with_fcs", "verify_fcs"]
 
 #: Broadcast address used when the tag does not target a specific receiver.
 BROADCAST_ADDRESS = b"\xff" * 6
@@ -109,23 +108,3 @@ def verify_fcs(mpdu: bytes) -> bool:
     body, fcs_bytes = mpdu[:-4], mpdu[-4:]
     expected = crc32_ieee.compute(bytes_to_bits(body))
     return int.from_bytes(fcs_bytes, "little") == expected
-
-
-def build_rts_frame(
-    duration_us: int, receiver: bytes = BROADCAST_ADDRESS, transmitter: bytes = b"\x02interS"[:6]
-) -> bytes:
-    """Build an RTS control frame (20 bytes including FCS)."""
-    if len(receiver) != 6 or len(transmitter) != 6:
-        raise PacketFormatError("RTS addresses must be 6 bytes")
-    frame_control = (0xB4).to_bytes(1, "little") + b"\x00"  # type=control, subtype=RTS
-    duration = int(duration_us).to_bytes(2, "little")
-    return mpdu_with_fcs(frame_control + duration + receiver + transmitter)
-
-
-def build_cts_frame(duration_us: int, receiver: bytes = BROADCAST_ADDRESS) -> bytes:
-    """Build a CTS (or CTS-to-Self) control frame (14 bytes including FCS)."""
-    if len(receiver) != 6:
-        raise PacketFormatError("CTS receiver address must be 6 bytes")
-    frame_control = (0xC4).to_bytes(1, "little") + b"\x00"  # type=control, subtype=CTS
-    duration = int(duration_us).to_bytes(2, "little")
-    return mpdu_with_fcs(frame_control + duration + receiver)

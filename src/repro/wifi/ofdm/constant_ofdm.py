@@ -37,7 +37,7 @@ interleaving every coded bit in the symbol is identical.  The construction
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -22,7 +22,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.utils.bits import as_bit_array
 
-__all__ = ["Ieee80211Scrambler", "scrambler_keystream"]
+__all__ = ["Ieee80211Scrambler"]
 
 
 class Ieee80211Scrambler:
@@ -74,9 +74,3 @@ class Ieee80211Scrambler:
         """Scramble (or descramble) a bit sequence."""
         arr = as_bit_array(bits)
         return np.bitwise_xor(arr, self.keystream(arr.size))
-
-
-def scrambler_keystream(seed: int, length: int) -> np.ndarray:
-    """Convenience: the first *length* scrambler output bits for *seed*."""
-    scrambler = Ieee80211Scrambler(seed)
-    return scrambler.keystream(length)

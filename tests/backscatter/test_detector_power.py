@@ -1,53 +1,13 @@
-"""Tests for the envelope/peak detectors and the IC power model."""
+"""Tests for the peak-detector receiver and the IC power model."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.backscatter.detector import EnvelopeDetector, PeakDetectorReceiver
+from repro.backscatter.detector import PeakDetectorReceiver
 from repro.backscatter.power import ACTIVE_RADIO_POWER_UW, InterscatterPowerModel
 from repro.exceptions import ConfigurationError
-from repro.utils.dsp import dbm_to_watts
-
-
-class TestEnvelopeDetector:
-    def _waveform_with_packet(self, power_dbm: float, fs: float = 8e6) -> np.ndarray:
-        amplitude = np.sqrt(dbm_to_watts(power_dbm))
-        idle = np.zeros(400, dtype=complex)
-        packet = amplitude * np.exp(2j * np.pi * 0.01 * np.arange(2000))
-        return np.concatenate([idle, packet])
-
-    def test_detects_strong_packet(self):
-        detector = EnvelopeDetector(8e6, threshold_dbm=-40.0)
-        detection = detector.detect(self._waveform_with_packet(-20.0))
-        assert detection.triggered
-        assert detection.trigger_sample >= 400
-
-    def test_ignores_weak_packet(self):
-        # The paper tunes the threshold so only nearby Bluetooth (8-10 ft) triggers.
-        detector = EnvelopeDetector(8e6, threshold_dbm=-40.0)
-        assert not detector.detect(self._waveform_with_packet(-60.0)).triggered
-
-    def test_trigger_time_consistent(self):
-        detector = EnvelopeDetector(8e6, threshold_dbm=-40.0)
-        detection = detector.detect(self._waveform_with_packet(-10.0))
-        assert detection.trigger_time_s == pytest.approx(
-            detection.trigger_sample / 8e6
-        )
-
-    def test_envelope_is_smoothed(self):
-        detector = EnvelopeDetector(8e6, time_constant_s=5e-6)
-        waveform = self._waveform_with_packet(-20.0)
-        envelope = detector.envelope(waveform)
-        assert envelope.size == waveform.size
-        assert envelope[401] < np.abs(waveform[401])  # attack takes time
-
-    def test_invalid_configuration(self):
-        with pytest.raises(ConfigurationError):
-            EnvelopeDetector(0.0)
-        with pytest.raises(ConfigurationError):
-            EnvelopeDetector(8e6, time_constant_s=0.0)
 
 
 class TestPeakDetectorReceiver:
@@ -74,6 +34,50 @@ class TestPeakDetectorReceiver:
     def test_invalid_sample_rate(self):
         with pytest.raises(ConfigurationError):
             PeakDetectorReceiver(0.0)
+
+    def test_decodes_random_constant_symbol_pairs(self, rng):
+        # Fig. 8: random + constant symbol = 1, random + random = 0.  A
+        # constant symbol puts its energy into an impulse at its start.
+        samples_per_symbol = 80
+        bits = [1, 0, 1, 1, 0, 0, 1, 0]
+
+        def random_symbol():
+            return np.exp(2j * np.pi * rng.random(samples_per_symbol))
+
+        def constant_symbol():
+            symbol = np.zeros(samples_per_symbol, dtype=complex)
+            symbol[:4] = np.sqrt(samples_per_symbol / 4)
+            return symbol
+
+        waveform = np.concatenate(
+            [np.concatenate([random_symbol(), constant_symbol() if bit else random_symbol()]) for bit in bits]
+        )
+        decoded = PeakDetectorReceiver().decode_bits(waveform, samples_per_symbol=samples_per_symbol, num_symbols=16)
+        assert decoded.tolist() == bits
+
+    def test_attack_is_faster_than_decay(self):
+        detector = PeakDetectorReceiver()
+        envelope = detector.envelope(np.concatenate([np.ones(100), np.zeros(100)]))
+        rise = int(np.argmax(envelope > 0.9))
+        fall = int(np.argmax(envelope[100:] < 0.1))
+        assert 0 < rise < fall
+
+    def test_envelope_follows_magnitude_not_phase(self):
+        detector = PeakDetectorReceiver()
+        envelope = detector.envelope(np.full(200, 3.0 * np.exp(0.7j)))
+        assert envelope[-1] == pytest.approx(3.0)
+
+    def test_symbols_past_the_waveform_read_zero(self):
+        detector = PeakDetectorReceiver()
+        metrics = detector.symbol_envelope_metric(np.ones(240, dtype=complex), 80, 5)
+        assert metrics[:3] == pytest.approx([1.0, 1.0, 1.0], abs=1e-6)
+        assert metrics[3:].tolist() == [0.0, 0.0]
+
+    def test_at_sensitivity_the_waveform_is_decoded(self):
+        # Only inputs strictly below the floor degrade to coin flips.
+        detector = PeakDetectorReceiver(sensitivity_dbm=-32.0)
+        bits = detector.decode_bits(np.ones(800, dtype=complex), samples_per_symbol=80, num_symbols=10, rssi_dbm=-32.0)
+        assert bits.tolist() == [0] * 5
 
 
 class TestPowerModel:

@@ -8,29 +8,32 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.channel.error_models import (
+    WIFI_PROCESSING_GAIN_DB,
     ber_dbpsk,
     ber_dqpsk,
     ber_ook_envelope,
     ber_oqpsk_dsss,
     packet_error_rate,
-    required_snr_db,
+    qfunc,
     wifi_packet_error_rate,
 )
 from repro.channel.geometry import (
+    FEET_PER_METER,
     Position,
-    distance_feet,
     feet_to_meters,
     fig10_geometry,
     inches_to_meters,
-    meters_to_feet,
 )
 from repro.channel.link_budget import BackscatterLinkBudget, DirectLinkBudget
-from repro.exceptions import LinkBudgetError
+from repro.exceptions import ConfigurationError, LinkBudgetError
+
+BER_MODELS = [ber_dbpsk, ber_dqpsk, ber_oqpsk_dsss, ber_ook_envelope]
 
 
 class TestGeometry:
     def test_feet_meters_roundtrip(self):
-        assert meters_to_feet(feet_to_meters(17.0)) == pytest.approx(17.0)
+        assert feet_to_meters(17.0) * FEET_PER_METER == pytest.approx(17.0)
+        assert feet_to_meters(1.0) == pytest.approx(0.3048)
 
     def test_inches(self):
         assert inches_to_meters(12.0) == pytest.approx(0.3048)
@@ -38,15 +41,23 @@ class TestGeometry:
     def test_position_distance(self):
         assert Position(0, 0).distance_to(Position(3, 4)) == pytest.approx(5.0)
 
-    def test_distance_feet(self):
-        assert distance_feet(Position(0, 0), Position(feet_to_meters(10), 0)) == pytest.approx(10.0)
-
     def test_fig10_geometry(self):
         bluetooth, tag, receiver = fig10_geometry(1.0, 30.0)
-        assert meters_to_feet(bluetooth.distance_to(tag)) == pytest.approx(1.0)
+        assert bluetooth.distance_to(tag) == pytest.approx(feet_to_meters(1.0))
         # The receiver is perpendicular to the midpoint.
         assert receiver.x == pytest.approx((bluetooth.x + tag.x) / 2.0)
-        assert meters_to_feet(receiver.y) == pytest.approx(30.0)
+        assert receiver.y == pytest.approx(feet_to_meters(30.0))
+
+    def test_distance_is_symmetric(self):
+        a, b = Position(1.0, -2.0), Position(-3.5, 4.0)
+        assert a.distance_to(b) == b.distance_to(a)
+        assert a.distance_to(a) == 0.0
+
+    @pytest.mark.parametrize("offset_feet", [0.0, 5.0, 30.0])
+    def test_fig10_receiver_is_equidistant_from_both_transmitters(self, offset_feet):
+        bluetooth, tag, receiver = fig10_geometry(3.0, offset_feet)
+        assert receiver.distance_to(bluetooth) == pytest.approx(receiver.distance_to(tag))
+        assert receiver.distance_to(tag) >= feet_to_meters(1.5) - 1e-12
 
 
 class TestBackscatterLinkBudget:
@@ -139,13 +150,58 @@ class TestErrorModels:
         pers = [wifi_packet_error_rate(snr, rate_mbps=2.0, payload_bytes=31) for snr in (0, 5, 10, 15)]
         assert all(a >= b for a, b in zip(pers, pers[1:], strict=False))
 
-    def test_required_snr_ordering(self):
-        assert required_snr_db(1.0) < required_snr_db(2.0) < required_snr_db(11.0)
+    def test_qfunc_known_values(self):
+        assert qfunc(0.0) == pytest.approx(0.5)
+        assert qfunc(1.0) == pytest.approx(0.158655, abs=1e-6)
+        assert qfunc(-1.0) == pytest.approx(1.0 - qfunc(1.0))
 
-    def test_required_snr_paper_values(self):
-        # §4.2: 2 Mbps needs ~6 dB; §2.3.1: every rate works below 14 dB.
-        assert required_snr_db(2.0) == pytest.approx(6.0)
-        assert all(required_snr_db(rate) < 14.0 for rate in (1.0, 2.0, 5.5, 11.0))
+    @pytest.mark.parametrize("model", BER_MODELS, ids=lambda model: model.__name__)
+    def test_ber_models_broadcast_like_scalar_calls(self, model):
+        # The batched engines pass SNR arrays where the scalar drivers pass floats.
+        snrs = np.array([-5.0, 0.0, 5.0, 10.0])
+        batched = model(snrs)
+        assert isinstance(batched, np.ndarray)
+        assert isinstance(model(5.0), float)
+        assert batched.tolist() == [model(float(snr)) for snr in snrs]
+
+    def test_processing_gain_is_barker_11(self):
+        assert WIFI_PROCESSING_GAIN_DB == pytest.approx(10.41, abs=0.01)
+
+    def test_faster_rate_needs_proportionally_more_snr(self):
+        # Eb/N0 = SNR + 10 log10(B / R): 5.5x the bit rate costs 10 log10(5.5) dB.
+        shift = 10.0 * np.log10(5.5)
+        assert ber_dbpsk(3.0 + shift, bit_rate_bps=5.5e6) == pytest.approx(ber_dbpsk(3.0, bit_rate_bps=1e6))
+
+    def test_ook_envelope_closed_form(self):
+        assert ber_ook_envelope(0.0) == pytest.approx(0.5 * np.exp(-0.25))
+
+    def test_non_positive_rate_or_bandwidth_rejected(self):
+        with pytest.raises(ConfigurationError):
+            ber_dbpsk(10.0, bit_rate_bps=0.0)
+        with pytest.raises(ConfigurationError):
+            ber_oqpsk_dsss(10.0, bandwidth_hz=-1.0)
+
+    def test_per_edge_cases(self):
+        assert packet_error_rate(0.0, 1000) == 0.0
+        assert packet_error_rate(1.0, 8) == 1.0
+        assert packet_error_rate(0.01, 1) == pytest.approx(0.01)
+        with pytest.raises(ConfigurationError):
+            packet_error_rate(0.01, 0)
+
+    def test_wifi_per_rejects_invalid_configuration(self):
+        with pytest.raises(ConfigurationError):
+            wifi_packet_error_rate(10.0, rate_mbps=6.0, payload_bytes=31)
+        with pytest.raises(ConfigurationError):
+            wifi_packet_error_rate(10.0, rate_mbps=2.0, payload_bytes=0)
+
+    def test_wifi_per_grows_with_rate_at_fixed_payload(self):
+        pers = [wifi_packet_error_rate(4.0, rate_mbps=rate, payload_bytes=100) for rate in (1.0, 5.5)]
+        assert pers[0] < pers[1]
+
+    def test_wifi_per_broadcasts_over_snr(self):
+        snrs = np.array([0.0, 4.0, 8.0])
+        batched = wifi_packet_error_rate(snrs, rate_mbps=11.0, payload_bytes=77)
+        assert batched.tolist() == [wifi_packet_error_rate(float(s), rate_mbps=11.0, payload_bytes=77) for s in snrs]
 
     @given(st.floats(min_value=0.0, max_value=0.2), st.integers(min_value=1, max_value=4000))
     def test_property_per_bounds(self, ber, bits):

@@ -1,4 +1,4 @@
-"""Tests for the protocol scheduler, coexistence model and the link façade."""
+"""Tests for the coexistence model and the link façade."""
 
 from __future__ import annotations
 
@@ -7,65 +7,8 @@ import pytest
 
 from repro.core.coexistence import CoexistenceSimulator
 from repro.core.link import InterscatterLink
-from repro.core.protocol import QueryReplyProtocol, ReservationStrategy
 from repro.core.uplink import UplinkTarget
 from repro.exceptions import ConfigurationError
-
-
-class TestProtocol:
-    def test_advertisement_timeline_spans_three_channels(self):
-        protocol = QueryReplyProtocol()
-        events = protocol.advertisement_event_timeline()
-        assert [e.kind for e in events] == ["ble_adv_ch37", "ble_adv_ch38", "ble_adv_ch39"]
-        assert events[1].time_s - events[0].time_s >= protocol.inter_channel_gap_s
-
-    def test_reservation_window_formula(self):
-        protocol = QueryReplyProtocol()
-        # 2ΔT + T_bluetooth (§2.3.3).
-        t_bluetooth = protocol.timing.ble_payload_duration_s + 80e-6
-        assert protocol.reservation_window_s() == pytest.approx(
-            2 * protocol.inter_channel_gap_s + t_bluetooth
-        )
-
-    def test_rts_cts_bootstraps_then_protects(self):
-        protocol = QueryReplyProtocol(
-            strategy=ReservationStrategy.RTS_CTS, contention_probability=0.0
-        )
-        events, reservation = protocol.schedule_exchange(rng=np.random.default_rng(0))
-        kinds = [e.kind for e in events]
-        assert "rts" in kinds and "cts" in kinds
-        assert reservation is not None
-        data = [e for e in events if e.kind == "backscatter_data"]
-        assert data and all(e.success for e in data)
-
-    def test_protected_strategies_beat_no_protection(self):
-        rng_a = np.random.default_rng(7)
-        rng_b = np.random.default_rng(7)
-        unprotected = QueryReplyProtocol(
-            strategy=ReservationStrategy.NONE, contention_probability=0.4
-        ).delivery_statistics(num_exchanges=200, rng=rng_a)
-        protected = QueryReplyProtocol(
-            strategy=ReservationStrategy.RTS_CTS, contention_probability=0.4
-        ).delivery_statistics(num_exchanges=200, rng=rng_b)
-        assert protected["delivery_ratio"] > unprotected["delivery_ratio"]
-
-    def test_cts_to_self_protects_everything(self):
-        stats = QueryReplyProtocol(
-            strategy=ReservationStrategy.CTS_TO_SELF, contention_probability=0.5
-        ).delivery_statistics(num_exchanges=50, rng=np.random.default_rng(0))
-        assert stats["delivery_ratio"] == pytest.approx(1.0)
-
-    def test_query_reply_round_scales_with_tags(self):
-        protocol = QueryReplyProtocol(contention_probability=0.0)
-        one = protocol.query_reply_round(1, rng=np.random.default_rng(0))
-        four = protocol.query_reply_round(4, rng=np.random.default_rng(0))
-        assert four["round_latency_s"] == pytest.approx(4 * one["per_tag_latency_s"], rel=0.01)
-
-    def test_invalid_configuration(self):
-        with pytest.raises(ConfigurationError):
-            QueryReplyProtocol(contention_probability=1.5)
-        with pytest.raises(ConfigurationError):
-            QueryReplyProtocol().query_reply_round(0)
 
 
 class TestCoexistence:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.timing import (
+    LONG_PLCP_OVERHEAD_S,
+    SHORT_PLCP_OVERHEAD_S,
     InterscatterTiming,
     max_wifi_payload_bytes,
 )
@@ -92,3 +94,37 @@ class TestInterscatterTiming:
     def test_invalid_payload_length(self):
         with pytest.raises(ConfigurationError):
             InterscatterTiming(ble_payload_bytes=0)
+        with pytest.raises(ConfigurationError):
+            InterscatterTiming(ble_payload_bytes=32)
+
+    def test_negative_guard_interval_rejected(self):
+        with pytest.raises(ConfigurationError):
+            InterscatterTiming(guard_interval_s=-1e-6)
+
+    def test_plcp_overheads(self):
+        # Short: 72 preamble bits at 1 Mbps + 48 header bits at 2 Mbps; long: 192 bits at 1 Mbps.
+        assert SHORT_PLCP_OVERHEAD_S == pytest.approx(96e-6)
+        assert LONG_PLCP_OVERHEAD_S == pytest.approx(192e-6)
+
+    @pytest.mark.parametrize("rate", [2.0, 5.5, 11.0])
+    def test_max_psdu_is_the_largest_that_fits(self, rate):
+        timing = InterscatterTiming(wifi_rate_mbps=rate, guard_interval_s=4e-6)
+        largest = timing.max_wifi_psdu_bytes()
+        assert timing.wifi_air_time_s(largest) <= timing.backscatter_window_s
+        assert timing.wifi_air_time_s(largest + 1) > timing.backscatter_window_s
+
+    def test_one_mbps_cannot_carry_a_data_frame(self):
+        # §2.3.3: with the long preamble a 1 Mbps packet leaves room for 7
+        # PSDU bytes, less than a 28-byte MAC header and FCS.
+        timing = InterscatterTiming(wifi_rate_mbps=1.0, short_plcp_preamble=False, guard_interval_s=0.0)
+        assert timing.max_wifi_psdu_bytes() == 7
+        assert timing.max_wifi_payload_bytes(mac_overhead_bytes=28) == 0
+
+    def test_guard_longer_than_payload_leaves_no_window(self):
+        timing = InterscatterTiming(guard_interval_s=300e-6)
+        assert timing.backscatter_window_s == 0.0
+        assert timing.max_wifi_psdu_bytes() == 0
+
+    def test_android_advertisement_shrinks_the_packet(self):
+        # Android apps control only 24 of the 31 AdvData bytes.
+        assert max_wifi_payload_bytes(11.0, ble_payload_bytes=24) == 132

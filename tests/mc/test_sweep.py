@@ -7,12 +7,8 @@ import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.channel.error_models import wifi_packet_error_rate
-from repro.mc import (
-    AnalyticWifiPerPipeline,
-    CodedOfdmPipeline,
-    OokBerPipeline,
-    run_sweep,
-)
+from repro.mc import AnalyticWifiPerPipeline, CodedOfdmPipeline, run_sweep
+from repro.obs.metrics import collect
 from repro.wifi.ofdm.rates import OfdmRate
 
 
@@ -56,14 +52,34 @@ class TestRunSweep:
         with pytest.raises(ConfigurationError):
             run_sweep(np.array([0.0]), 0, AnalyticWifiPerPipeline(2.0, 31))
 
+    def test_scalar_operating_point_accepted(self):
+        sweep = run_sweep(3.0, 10, AnalyticWifiPerPipeline(2.0, 31), seed=1)
+        assert sweep.snr_db.tolist() == [3.0]
+        assert sweep.error_rate.shape == sweep.std_error.shape == (1,)
 
-class TestOokBerPipeline:
-    def test_tracks_analytic_curve(self):
-        sweep = run_sweep(
-            np.array([-2.0, 4.0, 10.0]), 300, OokBerPipeline(bits_per_trial=256), seed=11
-        )
-        assert sweep.error_rate[0] > sweep.error_rate[-1]
-        assert 0.0 <= sweep.error_rate[-1] < 0.2
+    def test_explicit_generator_matches_seed(self):
+        pipeline = AnalyticWifiPerPipeline(rate_mbps=2.0, payload_bytes=31)
+        points = np.array([-5.0, -3.0])
+        seeded = run_sweep(points, 300, pipeline, seed=11)
+        explicit = run_sweep(points, 300, pipeline, rng=np.random.default_rng(11), seed=99)
+        assert np.array_equal(seeded.error_rate, explicit.error_rate)
+
+    def test_certain_outcomes_have_zero_standard_error(self):
+        sweep = run_sweep(np.array([-30.0, 30.0]), 200, AnalyticWifiPerPipeline(2.0, 31), seed=2)
+        assert sweep.error_rate.tolist() == [1.0, 0.0]
+        assert sweep.std_error.tolist() == [0.0, 0.0]
+
+    def test_batches_are_counted_per_point(self):
+        with collect() as collector:
+            run_sweep(np.array([0.0, 1.0, 2.0]), 100, AnalyticWifiPerPipeline(2.0, 31), max_batch=40)
+        # ceil(100 / 40) = 3 batches at each of 3 points.
+        assert collector.counters["mc.sweep.batches"] == 9
+        assert collector.counters["mc.sweep.trials"] == 300
+
+    def test_analytic_pipeline_draws_failure_indicators(self):
+        outcome = AnalyticWifiPerPipeline(2.0, 31).run_batch(-4.0, 500, np.random.default_rng(0))
+        assert outcome.shape == (500,)
+        assert set(np.unique(outcome)) <= {0.0, 1.0}
 
 
 class TestCodedOfdmPipeline:
@@ -87,3 +103,13 @@ class TestCodedOfdmPipeline:
             CodedOfdmPipeline(OfdmRate.RATE_12, statistic="nope")
         with pytest.raises(ConfigurationError):
             CodedOfdmPipeline(OfdmRate.RATE_12, num_symbols=0)
+        with pytest.raises(ConfigurationError):
+            CodedOfdmPipeline(OfdmRate.RATE_12, decision="nope")
+
+    def test_ber_statistic_is_a_bit_fraction(self):
+        pipeline = CodedOfdmPipeline(OfdmRate.RATE_12, num_symbols=2, statistic="ber")
+        ber = pipeline.run_batch(2.0, 40, np.random.default_rng(4))
+        data_bits = OfdmRate.RATE_12.parameters.data_bits_per_symbol * 2
+        assert ber.shape == (40,)
+        assert np.all((ber >= 0.0) & (ber <= 1.0))
+        assert np.allclose(ber * data_bits, np.round(ber * data_bits))

@@ -1,8 +1,12 @@
-"""Tests for package metadata, the exception hierarchy and public imports."""
+"""Tests for package metadata, the exception hierarchy, public imports and dead code."""
 
 from __future__ import annotations
 
+import ast
 import importlib
+import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +64,13 @@ class TestPublicImports:
             "repro.core",
             "repro.apps",
             "repro.experiments",
+            "repro.mc",
+            "repro.netsim",
+            "repro.api",
+            "repro.obs",
+            "repro.fabric",
+            "repro.lint",
+            "repro.plots",
         ],
     )
     def test_subpackages_import_and_export(self, module):
@@ -67,3 +78,48 @@ class TestPublicImports:
         assert hasattr(imported, "__all__")
         for name in imported.__all__:
             assert hasattr(imported, name), f"{module}.{name} missing"
+
+
+#: Public top-level names that no other ``repro`` module uses, kept on purpose.
+TEST_ONLY_KEEPS = {
+    "OfdmReceiver": "reference oracle: loopback check of OfdmTransmitter and of the mc bit-exactness tests",
+    "GfskDemodulator": "reference oracle: roundtrip check of GfskModulator",
+    "InterscatterLink": "documented entry point of the examples and the README",
+    "lint_source": "repro.lint's in-memory entry point, the seam its rule tests drive",
+    "validate_lint_document": "schema check of the `repro lint --json` document",
+    "runtime_entry": "called by benchmarks/compare_benchmarks.py",
+    "active_collector": "repro.obs's query for the collector a block runs under",
+    "matplotlib_available": "probe for the optional matplotlib backend",
+    "is_uri": "repro.fabric's URI-versus-path test for shard sources",
+}
+
+
+class TestNoTestOnlyCode:
+    def test_every_public_definition_is_used_outside_tests(self):
+        """A public function or class that no other module names is reached only from tests.
+
+        A name counts as used when it appears as a word in another
+        non-``__init__`` module (package re-exports do not count) or is
+        loaded in its own module.
+        """
+        root = Path(repro.__file__).parent
+        sources = [path.read_text() for path in root.rglob("*.py") if path.name != "__init__.py"]
+        modules_naming = Counter(word for text in sources for word in set(re.findall(r"\w+", text)))
+        unused = set()
+        for text in sources:
+            tree = ast.parse(text)
+            loaded = {
+                node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            for node in tree.body:
+                if (
+                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and modules_naming[node.name] == 1
+                    and node.name not in loaded
+                ):
+                    unused.add(node.name)
+        orphans = sorted(unused - set(TEST_ONLY_KEEPS))
+        assert not orphans, f"only tests reach these; delete them or use them in src: {orphans}"
+        stale = sorted(set(TEST_ONLY_KEEPS) - unused)
+        assert not stale, f"TEST_ONLY_KEEPS entries that src now uses or no longer defines: {stale}"

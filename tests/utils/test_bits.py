@@ -12,11 +12,7 @@ from repro.utils.bits import (
     bits_to_bytes,
     bits_to_int,
     bytes_to_bits,
-    hamming_distance,
     int_to_bits,
-    pack_bits,
-    unpack_bits,
-    xor_bits,
 )
 
 
@@ -37,6 +33,14 @@ class TestBytesToBits:
     def test_length(self):
         assert bytes_to_bits(b"abc").size == 24
 
+    def test_accepts_bytearray_and_int_sequences(self):
+        expected = bytes_to_bits(b"\x0f\xf0")
+        assert np.array_equal(bytes_to_bits(bytearray(b"\x0f\xf0")), expected)
+        assert np.array_equal(bytes_to_bits([0x0F, 0xF0]), expected)
+
+    def test_returns_uint8(self):
+        assert bytes_to_bits(b"\xff").dtype == np.uint8
+
 
 class TestBitsToBytes:
     def test_roundtrip_simple(self):
@@ -49,6 +53,17 @@ class TestBitsToBytes:
     def test_msb_roundtrip(self):
         data = b"\x12\x34"
         assert bits_to_bytes(bytes_to_bits(data, msb_first=True), msb_first=True) == data
+
+    def test_empty(self):
+        assert bits_to_bytes([]) == b""
+
+    def test_known_pattern(self):
+        assert bits_to_bytes([0, 1, 0, 1, 0, 1, 0, 1]) == b"\xaa"
+        assert bits_to_bytes([0, 1, 0, 1, 0, 1, 0, 1], msb_first=True) == b"\x55"
+
+    def test_rejects_non_binary(self):
+        with pytest.raises(ValueError):
+            bits_to_bytes([0, 1, 0, 1, 0, 1, 0, 2])
 
 
 class TestIntBits:
@@ -72,39 +87,16 @@ class TestIntBits:
     def test_zero_width(self):
         assert int_to_bits(0, 0).size == 0
 
-
-class TestPackUnpack:
-    def test_pack(self):
-        packed = pack_bits([1, 0], [1, 1, 1])
-        assert packed.tolist() == [1, 0, 1, 1, 1]
-
-    def test_pack_empty(self):
-        assert pack_bits().size == 0
-
-    def test_unpack(self):
-        groups = unpack_bits([1, 0, 1, 1, 1, 0], 2, 3)
-        assert groups[0].tolist() == [1, 0]
-        assert groups[1].tolist() == [1, 1, 1]
-        assert groups[2].tolist() == [0]
-
-    def test_unpack_too_long_raises(self):
+    def test_negative_width_raises(self):
         with pytest.raises(ValueError):
-            unpack_bits([1, 0], 3)
+            int_to_bits(0, -1)
 
+    def test_bits_to_int_known_values(self):
+        assert bits_to_int([1, 0, 1, 1]) == 13
+        assert bits_to_int([1, 0, 1, 1], msb_first=True) == 11
 
-class TestXorHamming:
-    def test_xor(self):
-        assert xor_bits([1, 0, 1], [1, 1, 0]).tolist() == [0, 1, 1]
-
-    def test_xor_length_mismatch(self):
-        with pytest.raises(ValueError):
-            xor_bits([1, 0], [1])
-
-    def test_hamming(self):
-        assert hamming_distance([1, 0, 1, 1], [1, 1, 1, 0]) == 2
-
-    def test_hamming_identical(self):
-        assert hamming_distance([0, 1], [0, 1]) == 0
+    def test_bits_to_int_empty_is_zero(self):
+        assert bits_to_int([]) == 0
 
 
 class TestAsBitArray:
@@ -114,6 +106,11 @@ class TestAsBitArray:
 
     def test_flattens(self):
         assert as_bit_array(np.array([[1, 0], [0, 1]])).tolist() == [1, 0, 0, 1]
+
+    def test_booleans_become_uint8_bits(self):
+        bits = as_bit_array([True, False, True])
+        assert bits.dtype == np.uint8
+        assert bits.tolist() == [1, 0, 1]
 
 
 @given(st.binary(min_size=0, max_size=64))
@@ -131,7 +128,14 @@ def test_property_int_bits_roundtrip(value, msb):
     assert bits_to_int(int_to_bits(value, 32, msb_first=msb), msb_first=msb) == value
 
 
-@given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=128))
-def test_property_xor_involution(bits):
-    other = np.roll(np.asarray(bits, dtype=np.uint8), 1)
-    assert xor_bits(xor_bits(bits, other), other).tolist() == list(bits)
+@given(st.binary(min_size=1, max_size=64))
+def test_property_msb_first_reverses_each_byte(data):
+    lsb = bytes_to_bits(data).reshape(-1, 8)
+    msb = bytes_to_bits(data, msb_first=True).reshape(-1, 8)
+    assert np.array_equal(msb, lsb[:, ::-1])
+
+
+@given(st.binary(min_size=0, max_size=8))
+def test_property_bytes_match_little_endian_integer(data):
+    # LSB-first bits of a byte string read as one integer are its little-endian value.
+    assert bits_to_int(bytes_to_bits(data)) == int.from_bytes(data, "little")

@@ -1,4 +1,4 @@
-"""Tests for DSP helpers: power conversions, shifting, AWGN."""
+"""Tests for DSP helpers: power conversions and AWGN."""
 
 from __future__ import annotations
 
@@ -12,12 +12,9 @@ from repro.utils.dsp import (
     awgn_noise,
     db_to_linear,
     dbm_to_watts,
-    frequency_shift,
     linear_to_db,
-    normalize_power,
-    rms,
+    scalar_or_array,
     signal_power,
-    signal_power_dbm,
     watts_to_dbm,
 )
 
@@ -39,46 +36,37 @@ class TestConversions:
     def test_property_dbm_roundtrip(self, dbm):
         assert watts_to_dbm(dbm_to_watts(dbm)) == pytest.approx(dbm, abs=1e-6)
 
+    def test_db_to_linear_broadcasts_over_arrays(self):
+        assert np.allclose(db_to_linear(np.array([0.0, 10.0, 20.0])), [1.0, 10.0, 100.0])
+
+    def test_linear_to_db_keeps_scalars_scalar(self):
+        assert isinstance(linear_to_db(100.0), float)
+        out = linear_to_db(np.array([1.0, 100.0, 0.0]))
+        assert isinstance(out, np.ndarray)
+        assert out[:2].tolist() == pytest.approx([0.0, 20.0])
+        assert out[2] == pytest.approx(-300.0)
+
+    def test_scalar_or_array(self):
+        value = np.array([1.5])
+        assert scalar_or_array(np.asarray(2.5), 3.0) == 2.5
+        assert isinstance(scalar_or_array(np.asarray(2.5), 3.0), float)
+        assert scalar_or_array(value, np.zeros(1)) is value
+
 
 class TestPower:
     def test_signal_power_of_unit_tone(self):
         tone = np.exp(1j * np.linspace(0, 20 * np.pi, 1000))
         assert signal_power(tone) == pytest.approx(1.0, rel=1e-9)
 
-    def test_rms_of_constant(self):
-        assert rms(np.full(10, 2.0)) == pytest.approx(2.0)
-
     def test_empty_signal(self):
         assert signal_power(np.zeros(0)) == 0.0
-        assert rms(np.zeros(0)) == 0.0
 
-    def test_normalize_power(self):
-        signal = np.random.default_rng(0).normal(size=1000) * 5.0
-        normalized = normalize_power(signal, 2.0)
-        assert signal_power(normalized) == pytest.approx(2.0, rel=1e-9)
+    def test_power_scales_with_amplitude_squared(self, rng):
+        signal = rng.standard_normal(1000) + 1j * rng.standard_normal(1000)
+        assert signal_power(2.0 * signal) == pytest.approx(4.0 * signal_power(signal))
 
-    def test_normalize_zero_signal_is_noop(self):
-        zeros = np.zeros(8)
-        assert np.array_equal(normalize_power(zeros), zeros)
-
-    def test_signal_power_dbm_unit_amplitude(self):
-        tone = np.ones(100, dtype=complex)
-        assert signal_power_dbm(tone) == pytest.approx(30.0)
-
-
-class TestFrequencyShift:
-    def test_shift_moves_spectral_peak(self):
-        fs = 1e6
-        n = 4096
-        tone = np.exp(2j * np.pi * 50e3 * np.arange(n) / fs)
-        shifted = frequency_shift(tone, 100e3, fs)
-        spectrum = np.abs(np.fft.fft(shifted))
-        freqs = np.fft.fftfreq(n, 1 / fs)
-        assert abs(freqs[np.argmax(spectrum)] - 150e3) < 1e3
-
-    def test_zero_sample_rate_raises(self):
-        with pytest.raises(ValueError):
-            frequency_shift(np.ones(4), 1.0, 0.0)
+    def test_real_square_wave_has_unit_power(self):
+        assert signal_power(np.tile([1.0, -1.0], 50)) == pytest.approx(1.0)
 
 
 class TestAwgn:
@@ -93,6 +81,21 @@ class TestAwgn:
     def test_negative_count_raises(self):
         with pytest.raises(ValueError):
             awgn_noise(-1, 1.0)
+
+    def test_noise_is_reproducible_in_the_generator_seed(self):
+        first = awgn_noise(64, 1.0, rng=np.random.default_rng(7))
+        second = awgn_noise(64, 1.0, rng=np.random.default_rng(7))
+        assert np.array_equal(first, second)
+
+    def test_add_awgn_to_silence_uses_absolute_noise_level(self, rng):
+        # With no signal power to refer to, the SNR is taken against unit power.
+        noisy = add_awgn(np.zeros(200_000, dtype=complex), 10.0, rng=rng)
+        assert signal_power(noisy) == pytest.approx(0.1, rel=0.05)
+
+    def test_add_awgn_keeps_real_signals_real(self, rng):
+        noisy = add_awgn(np.ones(1000), 20.0, rng=rng)
+        assert not np.iscomplexobj(noisy)
+        assert noisy.shape == (1000,)
 
     def test_add_awgn_snr(self, rng):
         signal = np.exp(2j * np.pi * 0.01 * np.arange(100_000))

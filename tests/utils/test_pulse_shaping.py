@@ -1,16 +1,11 @@
-"""Tests for pulse-shaping filters."""
+"""Tests for the Gaussian pulse-shaping filter."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.utils.pulse_shaping import (
-    gaussian_filter_taps,
-    half_sine_pulse,
-    raised_cosine_taps,
-    rect_pulse,
-)
+from repro.utils.pulse_shaping import gaussian_filter_taps
 
 
 class TestGaussianFilter:
@@ -36,40 +31,23 @@ class TestGaussianFilter:
         with pytest.raises(ValueError):
             gaussian_filter_taps(0.5, 0)
 
-
-class TestRaisedCosine:
-    def test_unit_sum(self):
-        taps = raised_cosine_taps(0.35, 8)
-        assert np.sum(taps) == pytest.approx(1.0)
-
-    def test_invalid_beta(self):
+    def test_invalid_span(self):
         with pytest.raises(ValueError):
-            raised_cosine_taps(1.5, 8)
+            gaussian_filter_taps(0.5, 8, span_symbols=0)
 
-    def test_zero_beta_is_sinc(self):
-        taps = raised_cosine_taps(0.0, 4, span_symbols=4)
-        assert np.isfinite(taps).all()
+    @pytest.mark.parametrize(("samples_per_symbol", "span_symbols"), [(8, 3), (4, 4), (16, 2)])
+    def test_tap_count(self, samples_per_symbol, span_symbols):
+        taps = gaussian_filter_taps(0.5, samples_per_symbol, span_symbols=span_symbols)
+        assert taps.size == span_symbols * samples_per_symbol + 1
 
+    def test_positive_with_peak_at_centre(self):
+        taps = gaussian_filter_taps(0.5, 8)
+        assert np.all(taps > 0)
+        assert int(np.argmax(taps)) == taps.size // 2
 
-class TestHalfSine:
-    def test_starts_at_zero_peaks_in_middle(self):
-        pulse = half_sine_pulse(8)
-        assert pulse[0] == pytest.approx(0.0)
-        assert pulse.max() == pytest.approx(1.0, abs=0.05)
-        assert np.argmax(pulse) == pytest.approx(len(pulse) // 2, abs=1)
-
-    def test_length(self):
-        assert half_sine_pulse(5).size == 10
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            half_sine_pulse(0)
-
-
-class TestRect:
-    def test_all_ones(self):
-        assert np.array_equal(rect_pulse(4), np.ones(4))
-
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            rect_pulse(0)
+    def test_ble_pulse_stays_within_one_symbol(self):
+        # BT = 0.5 gives sigma ~ 0.27 symbols: all but ~0.01 % of the pulse
+        # lies within one symbol period of its centre, so GFSK ISI is mild.
+        taps = gaussian_filter_taps(0.5, 8, span_symbols=4)
+        centre = taps.size // 2
+        assert np.sum(taps[centre - 8 : centre + 9]) > 0.9999

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError, DecodeError, PacketFormatError
 from repro.wifi.dsss.frames import (
+    BROADCAST_ADDRESS,
     WifiDataFrame,
-    build_cts_frame,
-    build_rts_frame,
     mpdu_with_fcs,
     verify_fcs,
 )
@@ -99,13 +102,36 @@ class TestFrames:
         with pytest.raises(PacketFormatError):
             WifiDataFrame.parse(b"\x00" * 40)
 
-    def test_rts_cts_sizes(self):
-        assert len(build_rts_frame(500)) == 20
-        assert len(build_cts_frame(500)) == 14
-
-    def test_rts_cts_fcs_valid(self):
-        assert verify_fcs(build_rts_frame(100))
-        assert verify_fcs(build_cts_frame(100))
-
     def test_mpdu_with_fcs_verifies(self):
         assert verify_fcs(mpdu_with_fcs(b"arbitrary body"))
+
+    def test_header_layout(self):
+        source = b"\x02\x00\x00\x00\x00\x01"
+        bssid = b"\x02\x00\x00\x00\x00\x02"
+        header = WifiDataFrame(payload=b"", source=source, bssid=bssid, sequence_number=0xABC).mac_header()
+        assert len(header) == 24
+        # Frame control: protocol 0, type data, subtype data, no flags; zero duration.
+        assert header[:4] == b"\x08\x00\x00\x00"
+        assert header[4:10] == BROADCAST_ADDRESS
+        assert header[10:16] == source
+        assert header[16:22] == bssid
+        # Sequence control: fragment number 0 in the low nibble.
+        assert int.from_bytes(header[22:24], "little") == 0xABC << 4
+
+    def test_parse_recovers_addresses(self):
+        frame = WifiDataFrame(payload=b"ab", destination=b"\x10" * 6, source=b"\x20" * 6, bssid=b"\x30" * 6)
+        assert WifiDataFrame.parse(frame.mpdu()) == frame
+
+    def test_parse_rejects_short_mpdu(self):
+        short = mpdu_with_fcs(b"\x00" * 23)
+        assert verify_fcs(short)
+        with pytest.raises(PacketFormatError, match="too short"):
+            WifiDataFrame.parse(short)
+
+    def test_verify_fcs_rejects_fragments(self):
+        assert not verify_fcs(b"\x00\x01\x02")
+
+    @given(st.binary(max_size=64))
+    def test_property_fcs_is_the_ieee_crc32(self, body):
+        # The FCS is the standard CRC-32, transmitted least-significant byte first.
+        assert mpdu_with_fcs(body) == body + zlib.crc32(body).to_bytes(4, "little")

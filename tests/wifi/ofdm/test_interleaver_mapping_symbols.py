@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import strategies as st
 
 from repro.exceptions import ConfigurationError
 from repro.wifi.ofdm.interleaver import deinterleave, interleave, interleaver_permutation
