@@ -5,10 +5,11 @@ Python callback per event, which caps fleets near 10^3 devices.  This module
 trades continuous time for *epochs* — fixed slices of the virtual clock, one
 packet air time wide by default — and keeps all per-device MAC state
 (queue depths, backoff counters, retry ladders, next-attempt epochs) in
-numpy arrays, so each epoch resolves every concurrent transmission in one
-vectorised medium pass riding the memoised
-:class:`~repro.mc.link_abstraction.LinkAbstraction` PER table plus one
-Bernoulli draw per packet.
+numpy arrays.  An epoch's work follows its real sizes: the few arrivals
+run device by device, the one transmitter that can be delivered is
+resolved as a scalar against the memoised
+:class:`~repro.mc.link_abstraction.LinkAbstraction` PER table, and only
+the losers — up to hundreds in a saturated fleet — stay vectorised.
 
 Two engines implement the *same* epoch contract:
 
@@ -19,10 +20,11 @@ Two engines implement the *same* epoch contract:
 
 Because numpy ``Generator`` array draws are bit-identical to the same number
 of sequential scalar draws (``random(k)``, ``uniform(a, b, k)``,
-``integers(lo, hi_array)``), the two engines consume the identical random
-stream and must produce **bit-identical** per-device counters — that is the
-equivalence contract ``tests/netsim/test_batched_equivalence.py`` enforces
-for every MAC at N <= 64.  The continuous-time heap engine is *not* expected
+``integers(lo, hi, k)``, ``integers(lo, hi_array)``), the two engines consume
+the identical random stream and must produce **bit-identical** per-device
+counters — that is the equivalence contract
+``tests/netsim/test_batched_equivalence.py`` enforces for every MAC on fleets
+of 4 to 2,000 devices.  The continuous-time heap engine is *not* expected
 to match bit-for-bit (it resolves collisions on real overlap intervals, not
 epoch co-occupancy); it is compared statistically instead.
 
@@ -43,10 +45,13 @@ random draw happens in ascending device id:
    ``t_end``: push ``burst_size`` packets (full queues count
    ``queue_dropped``), then one ``uniform(-1, 1)`` jitter draw per device
    advances its next arrival by ``period_s * (1 + jitter_fraction * u)``.
+   The vectorised engine loops over the devices in Python, one array draw
+   per round: arrivals per epoch track the offered load, a handful, where
+   numpy's fixed per-call price outweighs the per-device work.
 2. **Initial access** for devices whose queue went empty -> non-empty:
    ALOHA/slotted attempt at ``e + 1``; CSMA draws ``integers(0, 2**BE)``
-   epochs of initial backoff; TDMA waits for its next owned epoch
-   (``device_id % num_slots``).
+   epochs of initial backoff (a fresh head always has ``BE = min_be``);
+   TDMA waits for its next owned epoch (``device_id % num_slots``).
 3. **Contention** — devices whose attempt epoch arrived.  Duty-cycle-blocked
    devices (per-device airtime > ``duty_cycle * t_end``) defer one epoch
    without drawing.  CSMA senses busy iff epoch ``e - 1`` carried any
@@ -61,7 +66,12 @@ random draw happens in ascending device id:
    every packet collided and packets under the capture threshold get
    PER = 1, everything else looks up the PER table.  One ``random()`` draw
    per transmitter decides delivery (``rssi >= sensitivity and u > per``).
-5. **Outcomes** — delivered heads pop (latency = ``t_end - created``);
+   At most one capture: a transmitter at or above the 10 dB threshold
+   carries more than 10x the power of all the others combined, so only the
+   strongest can clear it.  The vectorised engine computes that one SINR
+   and PER; the others are certain losses, though their draws are still
+   consumed.
+5. **Outcomes** — the delivered head pops (latency = ``t_end - created``);
    failed heads at ``max_attempts`` drop; the rest draw their retry ladder
    (ALOHA ``integers(0, base * 2**min(attempts-1, 10))`` epochs; slotted
    ``integers(1, 2**min(attempts, 10) + 1)`` slots; CSMA BE-escalated
@@ -81,6 +91,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -93,7 +104,7 @@ from repro.core.downlink import InterscatterDownlink
 from repro.core.timing import InterscatterTiming
 from repro.mc.link_abstraction import LinkAbstraction
 from repro.netsim.fleet import MAC_OVERHEAD_BYTES, FleetScenario, FleetSimulator, ring_placement
-from repro.netsim.mac import MAX_BACKOFF_EXPONENT, POLL_BITS
+from repro.netsim.mac import MAX_BACKOFF_EXPONENT, POLL_BITS, integer_knob
 from repro.netsim.metrics import FleetMetrics
 from repro.obs import metrics as obs
 from repro.utils.dsp import dbm_to_watts
@@ -156,15 +167,17 @@ def resolve_epoch_mac(scenario: FleetScenario, epoch_s: float) -> EpochMacParams
     Accepts the heap engine's vocabulary where it translates naturally:
     ``base_backoff_s`` quantises to epochs; ``slot_s`` / ``backoff_slot_s``
     are accepted and ignored (the epoch *is* the slot / backoff unit);
-    unknown keys raise :class:`~repro.exceptions.ConfigurationError`.
+    unknown keys, and integer knobs that are not integers (see
+    :func:`~repro.netsim.mac.integer_knob`), raise
+    :class:`~repro.exceptions.ConfigurationError`.
     """
     name = scenario.mac
     if name not in EPOCH_MACS:
         raise ConfigurationError(f"unknown epoch MAC policy {name!r}; available: {sorted(EPOCH_MACS)}")
     params = dict(scenario.mac_params)
     fields: dict = {"name": name}
-    fields["max_attempts"] = int(params.pop("max_attempts", 8))
-    fields["queue_limit"] = int(params.pop("queue_limit", 64))
+    fields["max_attempts"] = integer_knob("max_attempts", params.pop("max_attempts", 8))
+    fields["queue_limit"] = integer_knob("queue_limit", params.pop("queue_limit", 64))
     fields["duty_cycle"] = float(params.pop("duty_cycle", 1.0))
     if fields["max_attempts"] < 1:
         raise ConfigurationError("max_attempts must be at least 1")
@@ -176,15 +189,15 @@ def resolve_epoch_mac(scenario: FleetScenario, epoch_s: float) -> EpochMacParams
         base = params.pop("base_backoff_epochs", None)
         if base is None and "base_backoff_s" in params:
             base = max(1, round(float(params.pop("base_backoff_s")) / epoch_s))
-        fields["base_backoff_epochs"] = int(base) if base is not None else 4
+        fields["base_backoff_epochs"] = integer_knob("base_backoff_epochs", base) if base is not None else 4
         if fields["base_backoff_epochs"] < 1:
             raise ConfigurationError("base_backoff_epochs must be at least 1")
     elif name == "slotted_aloha":
         params.pop("slot_s", None)  # the epoch is the slot
     elif name == "csma":
-        fields["min_be"] = int(params.pop("min_be", 3))
-        fields["max_be"] = int(params.pop("max_be", 6))
-        fields["max_cca_attempts"] = int(params.pop("max_cca_attempts", 5))
+        fields["min_be"] = integer_knob("min_be", params.pop("min_be", 3))
+        fields["max_be"] = integer_knob("max_be", params.pop("max_be", 6))
+        fields["max_cca_attempts"] = integer_knob("max_cca_attempts", params.pop("max_cca_attempts", 5))
         fields["cca_reliability"] = float(params.pop("cca_reliability", 1.0))
         params.pop("backoff_slot_s", None)  # the epoch is the backoff unit
         if not 0 <= fields["min_be"] <= fields["max_be"] <= 20:
@@ -194,7 +207,7 @@ def resolve_epoch_mac(scenario: FleetScenario, epoch_s: float) -> EpochMacParams
         if not 0.0 <= fields["cca_reliability"] <= 1.0:
             raise ConfigurationError("cca_reliability must be in [0, 1]")
     elif name == "tdma":
-        fields["num_slots"] = int(params.pop("num_slots", scenario.num_devices))
+        fields["num_slots"] = integer_knob("num_slots", params.pop("num_slots", scenario.num_devices))
         params.pop("slot_s", None)
         params.pop("slot_index", None)  # fixed to device_id % num_slots
         if fields["num_slots"] < 1:
@@ -204,6 +217,17 @@ def resolve_epoch_mac(scenario: FleetScenario, epoch_s: float) -> EpochMacParams
             f"unknown batched MAC parameters for {name!r}: {sorted(params)}"
         )
     return EpochMacParams(**fields)
+
+
+def _strongest_sinr_db(signal_w: np.ndarray, noise_w: float) -> tuple[int, float]:
+    """Index and SINR (dB) of the strongest of concurrent transmitters.
+
+    The SINR is the value a vectorised pass over all of them gives that
+    transmitter; the others are below the capture threshold.
+    """
+    strongest = int(signal_w.argmax())
+    own = signal_w[strongest]
+    return strongest, 10.0 * np.log10(own / (noise_w + max(float(signal_w.sum()) - own, 0.0)))
 
 
 class _EpochSetup:
@@ -316,17 +340,36 @@ class BatchedFleetSimulator:
         self.generated_ct = np.zeros(n, dtype=np.int64)
         self.queue_dropped_ct = np.zeros(n, dtype=np.int64)
         self.attempted_ct = np.zeros(n, dtype=np.int64)
-        self.collided_ct = np.zeros(n, dtype=np.int64)
+        self.lone_ct = np.zeros(n, dtype=np.int64)  # attempts made alone on the medium
         self.delivered_ct = np.zeros(n, dtype=np.int64)
         self.dropped_ct = np.zeros(n, dtype=np.int64)
-        self._slot_of = np.arange(n, dtype=np.int64) % self.params.num_slots
+        # Element views of the state the per-device paths (arrivals and the
+        # capture winner) touch: a memoryview item is a plain Python number
+        # and costs a fraction of a numpy scalar access.
+        self._v = SimpleNamespace(
+            **{
+                name: memoryview(getattr(self, name))
+                for name in (
+                    "queue_len", "head", "created", "head_attempts", "be", "cca_fails", "next_arrival_s",
+                    "airtime_used", "generated_ct", "queue_dropped_ct", "attempted_ct", "lone_ct", "delivered_ct",
+                )
+            }
+        )
         # Per-device constants of the medium pass: the sensitivity test and
         # the PER of a lone transmitter (no interference: SINR is the SNR).
         setup = self.setup
         self._audible = setup.rssi_dbm >= setup.sensitivity_dbm
         self._lone_per = setup.per_table.lookup(10.0 * np.log10(setup.signal_w / setup.noise_w))
-        self._lat_ids: list[np.ndarray] = []
-        self._lat_vals: list[np.ndarray] = []
+        # Upper bound of a retry draw by head attempt count, constant from
+        # MAX_BACKOFF_EXPONENT + 1 attempts on: ALOHA's window in epochs,
+        # slotted ALOHA's slots ahead (a lookup costs less than the powers).
+        steps = np.arange(MAX_BACKOFF_EXPONENT + 2)
+        if self.params.name == "aloha":
+            self._retry_hi = self.params.base_backoff_epochs * 2 ** np.maximum(steps - 1, 0)
+        else:  # slotted ALOHA; CSMA and TDMA do not use it
+            self._retry_hi = 2 ** np.minimum(steps, MAX_BACKOFF_EXPONENT) + 1
+        self._lat_ids: list[int] = []
+        self._lat_vals: list[float] = []
         # The calendar: one slot per epoch and queue (two pointers per epoch
         # of the horizon), None until a device is queued there, then a list
         # of device ids.
@@ -340,20 +383,20 @@ class BatchedFleetSimulator:
         self.epoch_trace: list[int] = [] if record_epochs else None
 
     # -------------------------------------------------------------- calendar
-    def _push(self, slots: list, epoch: int, ids: np.ndarray) -> None:
+    def _push(self, slots: list, epoch: int, ids: list[int]) -> None:
         """Queue every device of *ids* at *epoch* (beyond the horizon: dropped)."""
-        if epoch >= self.setup.num_epochs or ids.size == 0:
+        if epoch >= self.setup.num_epochs or not ids:
             return
         slot = slots[epoch]
         if slot is None:
-            slots[epoch] = ids.tolist()
+            slots[epoch] = list(ids)
         else:
-            slot.extend(ids.tolist())
+            slot.extend(ids)
 
-    def _push_each(self, slots: list, epochs: np.ndarray, ids: np.ndarray) -> None:
+    def _push_each(self, slots: list, epochs: list[int], ids: list[int]) -> None:
         """Queue device ``ids[j]`` at epoch ``epochs[j]`` for every ``j`` (same horizon rule)."""
         horizon = self.setup.num_epochs
-        for epoch, device in zip(epochs.tolist(), ids.tolist()):
+        for epoch, device in zip(epochs, ids, strict=True):
             if epoch < horizon:
                 slot = slots[epoch]
                 if slot is None:
@@ -361,14 +404,14 @@ class BatchedFleetSimulator:
                 else:
                     slot.append(device)
 
-    def _pop(self, slots: list, epoch: int) -> np.ndarray:
+    def _pop(self, slots: list, epoch: int) -> list[int]:
         """Empty *epoch*'s slot; returns its device ids in ascending order."""
         slot = slots[epoch]
         if slot is None:
-            return np.empty(0, dtype=np.int64)
+            return []
         slots[epoch] = None
         slot.sort()
-        return np.array(slot, dtype=np.int64)
+        return slot
 
     def _next_epoch(self) -> int | None:
         """First epoch at or after the cursor with a queued device.
@@ -384,37 +427,46 @@ class BatchedFleetSimulator:
         return None
 
     # ------------------------------------------------------------ scheduling
-    def _schedule_access(self, epoch: int, ids: np.ndarray) -> None:
-        """Initial-access scheduling for freshly exposed queue heads."""
-        if ids.size == 0:
+    def _schedule_access(self, epoch: int, ids: list[int]) -> None:
+        """Initial-access scheduling for freshly exposed queue heads (ascending ids)."""
+        if not ids:
             return
         name = self.params.name
         if name in ("aloha", "slotted_aloha"):
             self._push(self._attempts, epoch + 1, ids)
-        elif name == "csma":
-            width = self.rng.integers(0, 2 ** self.be[ids])
-            self._push_each(self._attempts, epoch + 1 + width, ids)
-        else:  # tdma: wait for the next owned epoch
-            nxt = epoch + 1 + ((self._slot_of[ids] - (epoch + 1)) % self.params.num_slots)
-            self._push_each(self._attempts, nxt, ids)
+        elif name == "csma":  # a queue head always starts at BE = min_be
+            width = self.rng.integers(0, 2**self.params.min_be, size=len(ids))
+            self._push_each(self._attempts, (epoch + 1 + width).tolist(), ids)
+        else:  # tdma: wait for the next owned epoch (device_id % num_slots)
+            slots = self.params.num_slots
+            self._push_each(self._attempts, [epoch + 1 + (i % slots - epoch - 1) % slots for i in ids], ids)
 
-    def _pop_heads(self, ids: np.ndarray) -> np.ndarray:
-        """Remove the head packet of each device; returns still-queued ids."""
-        self.head[ids] = (self.head[ids] + 1) % self.params.queue_limit
-        left = self.queue_len[ids] - 1
-        self.queue_len[ids] = left
-        self.head_attempts[ids] = 0
+    def _backoff(self, epoch: int, ids: np.ndarray) -> None:
+        """CSMA: escalate the backoff exponent of each device, then draw its next attempt."""
+        be = np.minimum(self.be[ids] + 1, self.params.max_be)
+        self.be[ids] = be
+        width = self.rng.integers(0, 2**be)
+        self._push_each(self._attempts, (epoch + 1 + width).tolist(), ids.tolist())
+
+    def _pop_head(self, device: int) -> bool:
+        """Remove the device's head packet; True when more are queued."""
+        v = self._v
+        v.head[device] = (v.head[device] + 1) % self.params.queue_limit
+        left = v.queue_len[device] - 1
+        v.queue_len[device] = left
+        v.head_attempts[device] = 0
         if self.params.name == "csma":
-            self.be[ids] = self.params.min_be
-            self.cca_fails[ids] = 0
-        return ids[left > 0]
+            v.be[device] = self.params.min_be
+            v.cca_fails[device] = 0
+        return left > 0
 
     # ----------------------------------------------------------------- phases
     def _start(self) -> None:
         n = self.scenario.num_devices
-        self.next_arrival_s = self.rng.uniform(0.0, self.setup.profile.period_s, n)
+        # In place: the element views share this array's buffer.
+        self.next_arrival_s[:] = self.rng.uniform(0.0, self.setup.profile.period_s, n)
         epochs = (self.next_arrival_s / self.setup.epoch_s).astype(np.int64)
-        self._push_each(self._arrivals, epochs, np.arange(n, dtype=np.int64))
+        self._push_each(self._arrivals, epochs.tolist(), range(n))
 
     def _run_epoch(self, epoch: int) -> None:
         if self.epoch_trace is not None:
@@ -422,45 +474,47 @@ class BatchedFleetSimulator:
         self.epochs_processed += 1
         p = self.params
         setup = self.setup
+        v = self._v
         t_end = (epoch + 1) * setup.epoch_s
 
-        # Phase 1: arrivals, in rounds of ascending device id.
+        # Phase 1: arrivals, device by device in rounds of ascending id with
+        # one jitter draw per round.  An epoch sees about the offered load
+        # in arrivals, a handful, which Python handles faster than numpy calls.
         active = self._pop(self._arrivals, epoch)
-        fresh = active[self.queue_len[active] == 0]
+        fresh = [i for i in active if v.queue_len[i] == 0]
         profile = setup.profile
         limit = p.queue_limit
-        while active.size:
-            t_arr = self.next_arrival_s[active]
-            self.generated_ct[active] += profile.burst_size
-            for _ in range(profile.burst_size):
-                queued = self.queue_len[active]
-                full = queued >= limit
-                if np.count_nonzero(full):
-                    self.queue_dropped_ct[active[full]] += 1
-                    room = ~full
-                    sub, queued, created = active[room], queued[room], t_arr[room]
+        while active:
+            jitters = self.rng.uniform(-1.0, 1.0, len(active)).tolist()
+            due, settled, epochs = [], [], []
+            for device, jitter in zip(active, jitters, strict=True):
+                t_arr = v.next_arrival_s[device]
+                v.generated_ct[device] += profile.burst_size
+                for _ in range(profile.burst_size):
+                    queued = v.queue_len[device]
+                    if queued < limit:
+                        v.created[device, (v.head[device] + queued) % limit] = t_arr
+                        v.queue_len[device] = queued + 1
+                    else:
+                        v.queue_dropped_ct[device] += 1
+                upcoming = t_arr + profile.period_s * (1.0 + profile.jitter_fraction * jitter)
+                v.next_arrival_s[device] = upcoming
+                if upcoming < t_end:
+                    due.append(device)
                 else:
-                    sub, created = active, t_arr
-                self.created[sub, (self.head[sub] + queued) % limit] = created
-                self.queue_len[sub] = queued + 1
-            jitter = self.rng.uniform(-1.0, 1.0, active.size)
-            upcoming = t_arr + profile.period_s * (1.0 + profile.jitter_fraction * jitter)
-            self.next_arrival_s[active] = upcoming
-            due = upcoming < t_end
-            settled = ~due
-            self._push_each(
-                self._arrivals, (upcoming[settled] / setup.epoch_s).astype(np.int64), active[settled]
-            )
-            active = active[due]
+                    settled.append(device)
+                    epochs.append(int(upcoming / setup.epoch_s))
+            self._push_each(self._arrivals, epochs, settled)
+            active = due
 
         # Phase 2: initial access for queues that went empty -> non-empty.
         self._schedule_access(epoch, fresh)
 
         # Phase 3: contention.
-        ready = self._pop(self._attempts, epoch)
+        ready = np.array(self._pop(self._attempts, epoch), dtype=np.int64)
         if p.duty_cycle < 1.0 and ready.size:
             allowed = self.airtime_used[ready] + setup.air_time_s <= p.duty_cycle * t_end
-            self._push(self._attempts, epoch + 1, ready[~allowed])
+            self._push(self._attempts, epoch + 1, ready[~allowed].tolist())
             ready = ready[allowed]
         if p.name == "csma" and ready.size and self._last_tx_epoch == epoch - 1:
             detected = self.rng.random(ready.size) < p.cca_reliability
@@ -468,80 +522,78 @@ class BatchedFleetSimulator:
             self.cca_fails[clear] = 0
             busy = ready[detected]
             if busy.size:
-                self.cca_fails[busy] += 1
-                aborting = self.cca_fails[busy] > p.max_cca_attempts
+                fails = self.cca_fails[busy] + 1
+                self.cca_fails[busy] = fails
+                aborting = fails > p.max_cca_attempts
                 defer = busy[~aborting]
                 if defer.size:
-                    self.be[defer] = np.minimum(self.be[defer] + 1, p.max_be)
-                    width = self.rng.integers(0, 2 ** self.be[defer])
-                    self._push_each(self._attempts, epoch + 1 + width, defer)
+                    self._backoff(epoch, defer)
                 aborts = busy[aborting]
                 if aborts.size:
                     self.dropped_ct[aborts] += 1
-                    self._schedule_access(epoch, self._pop_heads(aborts))
+                    self._schedule_access(epoch, [i for i in aborts.tolist() if self._pop_head(i)])
             ready = clear
         elif p.name == "tdma" and ready.size:
             polled = self.rng.random(ready.size) < setup.poll_success_prob[ready]
-            lost = ready[~polled]
-            self._push(self._attempts, epoch + p.num_slots, lost)
+            self._push(self._attempts, epoch + p.num_slots, ready[~polled].tolist())
             ready = ready[polled]
 
-        # Phase 4: one vectorised medium pass over the k transmitters.
+        # Phase 4: at most one capture.  A transmitter that clears the
+        # capture threshold carries over 10x the power of all the others
+        # combined, so only the strongest of the k can be delivered: one
+        # SINR and one PER lookup decide it, the others are certain losses.
         k = ready.size
         if k == 0:
             return
         self._last_tx_epoch = epoch
         self.busy_epochs += 1
         self.transmissions_resolved += k
-        self.attempted_ct[ready] += 1
-        self.head_attempts[ready] += 1
-        self.airtime_used[ready] += setup.air_time_s
         if k == 1:
-            per = self._lone_per[ready]
+            strongest, per = 0, self._lone_per[ready[0]]
+            v.lone_ct[ready[0]] += 1
         else:
-            signal = setup.signal_w[ready]
-            interference = np.maximum(float(signal.sum()) - signal, 0.0)
-            sinr_db = 10.0 * np.log10(signal / (setup.noise_w + interference))
-            per = np.where(sinr_db < CAPTURE_THRESHOLD_DB, 1.0, setup.per_table.lookup(sinr_db))
-            self.collided_ct[ready] += 1
-        draws = self.rng.random(k)
-        delivered = self._audible[ready] & (draws > per)
+            strongest, sinr_db = _strongest_sinr_db(setup.signal_w[ready], setup.noise_w)
+            per = setup.per_table.lookup(sinr_db) if sinr_db >= CAPTURE_THRESHOLD_DB else 1.0
+        draw = self.rng.random(k)[strongest]
+        winner = int(ready[strongest])
 
-        # Phase 5: outcomes.
-        won = ready[delivered]
-        lost = ready[~delivered]
-        still: list[np.ndarray] = []
-        if won.size:
-            self.delivered_ct[won] += 1
-            self._lat_ids.append(won)
-            self._lat_vals.append(t_end - self.created[won, self.head[won]])
-            still.append(self._pop_heads(won))
-        if lost.size:
-            exhausted = self.head_attempts[lost] >= p.max_attempts
+        # Phase 5: outcomes, each transmitter's attempt counted with it: the
+        # winner's in scalars, the losers' vectorised.
+        heads = []
+        delivered = bool(self._audible[winner] and draw > per)
+        if delivered:
+            v.attempted_ct[winner] += 1
+            v.airtime_used[winner] += setup.air_time_s
+            v.delivered_ct[winner] += 1
+            self._lat_ids.append(winner)
+            self._lat_vals.append(t_end - v.created[winner, v.head[winner]])
+            if self._pop_head(winner):
+                heads.append(winner)
+        if k > delivered:  # the losers retry or drop
+            lost = ready[ready != winner] if delivered else ready
+            self.attempted_ct[lost] += 1
+            self.airtime_used[lost] += setup.air_time_s
+            attempts = self.head_attempts[lost] + 1
+            self.head_attempts[lost] = attempts
+            exhausted = attempts >= p.max_attempts
             drops = lost[exhausted]
-            retries = lost[~exhausted]
             if drops.size:
                 self.dropped_ct[drops] += 1
-                still.append(self._pop_heads(drops))
-            if retries.size:
+                heads += [i for i in drops.tolist() if self._pop_head(i)]
+                lost, attempts = lost[~exhausted], attempts[~exhausted]
+            if lost.size:
                 if p.name == "aloha":
-                    expo = np.minimum(self.head_attempts[retries] - 1, MAX_BACKOFF_EXPONENT)
-                    width = self.rng.integers(0, p.base_backoff_epochs * 2**expo)
-                    self._push_each(self._attempts, epoch + 1 + width, retries)
+                    width = self.rng.integers(0, self._retry_hi[np.minimum(attempts, MAX_BACKOFF_EXPONENT + 1)])
+                    self._push_each(self._attempts, (epoch + 1 + width).tolist(), lost.tolist())
                 elif p.name == "slotted_aloha":
-                    expo = np.minimum(self.head_attempts[retries], MAX_BACKOFF_EXPONENT)
-                    ahead = self.rng.integers(1, 2**expo + 1)
-                    self._push_each(self._attempts, epoch + ahead, retries)
+                    ahead = self.rng.integers(1, self._retry_hi[np.minimum(attempts, MAX_BACKOFF_EXPONENT + 1)])
+                    self._push_each(self._attempts, (epoch + ahead).tolist(), lost.tolist())
                 elif p.name == "csma":
-                    self.be[retries] = np.minimum(self.be[retries] + 1, p.max_be)
-                    width = self.rng.integers(0, 2 ** self.be[retries])
-                    self._push_each(self._attempts, epoch + 1 + width, retries)
+                    self._backoff(epoch, lost)
                 else:  # tdma: retry in the next owned slot
-                    self._push(self._attempts, epoch + p.num_slots, retries)
-        if still:
-            # One part is already ascending: a subset of the sorted ready ids.
-            heads = still[0] if len(still) == 1 else np.sort(np.concatenate(still))
-            self._schedule_access(epoch, heads)
+                    self._push(self._attempts, epoch + p.num_slots, lost.tolist())
+        heads.sort()
+        self._schedule_access(epoch, heads)
 
     # -------------------------------------------------------------------- run
     def pending_packets(self) -> int:
@@ -578,8 +630,8 @@ class BatchedFleetSimulator:
         metrics = FleetMetrics()
         n = self.scenario.num_devices
         if self._lat_ids:
-            lat_dev = np.concatenate(self._lat_ids)
-            lat_val = np.concatenate(self._lat_vals)
+            lat_dev = np.array(self._lat_ids, dtype=np.int64)
+            lat_val = np.array(self._lat_vals, dtype=float)
             order = np.argsort(lat_dev, kind="stable")
             lat_val = lat_val[order]
             counts = np.bincount(lat_dev, minlength=n)
@@ -594,7 +646,7 @@ class BatchedFleetSimulator:
         generated = self.generated_ct.tolist()
         queue_dropped = self.queue_dropped_ct.tolist()
         attempted = self.attempted_ct.tolist()
-        collided = self.collided_ct.tolist()
+        collided = (self.attempted_ct - self.lone_ct).tolist()  # every attempt made alongside another
         delivered = self.delivered_ct.tolist()
         dropped = self.dropped_ct.tolist()
         for i in range(n):

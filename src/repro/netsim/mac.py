@@ -25,6 +25,7 @@ from __future__ import annotations
 import abc
 import functools
 import inspect
+import numbers
 from collections import deque
 from dataclasses import dataclass
 
@@ -40,6 +41,7 @@ __all__ = [
     "TdmaPolling",
     "MAC_POLICIES",
     "make_mac",
+    "integer_knob",
 ]
 
 #: Cap on the binary-exponential window growth of the ALOHA policies.  Deep
@@ -50,6 +52,19 @@ MAX_BACKOFF_EXPONENT = 10
 #: Address bits in one TDMA poll (sets how many downlink bit errors it takes
 #: to lose a poll).
 POLL_BITS = 16
+
+
+def integer_knob(name: str, value) -> int:
+    """*value* of the integer MAC knob *name*, checked the same way by every engine.
+
+    Only :class:`numbers.Integral` values other than ``bool`` pass; anything
+    else (``2.5``, ``"3"``, ``nan``) raises
+    :class:`~repro.exceptions.ConfigurationError` naming the knob, so no
+    engine truncates a value that another compares raw.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass
@@ -88,6 +103,8 @@ class MacProtocol(abc.ABC):
     name = "mac"
 
     def __init__(self, *, max_attempts: int = 8, queue_limit: int = 64) -> None:
+        max_attempts = integer_knob("max_attempts", max_attempts)
+        queue_limit = integer_knob("queue_limit", queue_limit)
         if max_attempts < 1:
             raise ConfigurationError("max_attempts must be at least 1")
         if queue_limit < 1:
@@ -287,6 +304,9 @@ class CsmaBackoff(MacProtocol):
         **kwargs,
     ) -> None:
         super().__init__(**kwargs)
+        min_be = integer_knob("min_be", min_be)
+        max_be = integer_knob("max_be", max_be)
+        max_cca_attempts = integer_knob("max_cca_attempts", max_cca_attempts)
         if not 0 <= min_be <= max_be:
             raise ConfigurationError("need 0 <= min_be <= max_be")
         if max_cca_attempts < 1:
@@ -375,6 +395,8 @@ class TdmaPolling(MacProtocol):
         **kwargs,
     ) -> None:
         super().__init__(**kwargs)
+        slot_index = integer_knob("slot_index", slot_index)
+        num_slots = integer_knob("num_slots", num_slots)
         if num_slots < 1 or not 0 <= slot_index < num_slots:
             raise ConfigurationError("need 0 <= slot_index < num_slots")
         if slot_s <= 0:

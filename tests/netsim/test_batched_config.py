@@ -9,6 +9,7 @@ of silently simulating the wrong protocol.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
@@ -17,8 +18,9 @@ from repro.netsim.batched import (
     BatchedFleetSimulator,
     EpochReferenceSimulator,
     resolve_epoch_mac,
+    simulate,
 )
-from repro.netsim.fleet import FleetScenario
+from repro.netsim.fleet import ENGINES, FleetScenario
 
 
 def _scenario(**overrides) -> FleetScenario:
@@ -69,6 +71,34 @@ def test_tdma_superframe_defaults_to_fleet_size():
 def test_invalid_mac_params_are_rejected(mac, mac_params):
     with pytest.raises(ConfigurationError):
         resolve_epoch_mac(_scenario(mac=mac, mac_params=mac_params), 1e-3)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(
+    "mac, knob, value",
+    (
+        # Truncated, 2.7 runs 2 attempts; compared raw, it runs 3.
+        ("aloha", "max_attempts", 2.7),
+        ("aloha", "queue_limit", 2.5),
+        ("aloha", "queue_limit", "3"),
+        ("aloha", "max_attempts", True),
+        ("csma", "min_be", 2.5),
+        ("csma", "max_be", float("nan")),
+        ("csma", "max_cca_attempts", float("inf")),
+        ("tdma", "num_slots", 1.5),
+    ),
+)
+def test_non_integer_mac_knobs_are_rejected_by_every_engine(engine, mac, knob, value):
+    scenario = _scenario(mac=mac, engine=engine, mac_params={knob: value})
+    with pytest.raises(ConfigurationError, match=f"{knob} must be an integer"):
+        simulate(scenario)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_numpy_integer_mac_knobs_are_accepted(engine):
+    as_numpy = simulate(_scenario(engine=engine, mac_params={"max_attempts": np.int64(2)}))
+    as_int = simulate(_scenario(engine=engine, mac_params={"max_attempts": 2}))
+    assert as_numpy.fingerprint() == as_int.fingerprint()
 
 
 def test_unknown_mac_policy_is_rejected():

@@ -7,9 +7,11 @@ documented epoch contract (see the module docstring of
 other **bit-for-bit** — per-device counters, byte totals and latency sums
 via :meth:`repro.netsim.metrics.FleetMetrics.fingerprint`, plus the list of
 processed epochs and the busy-epoch and transmission counts — across a
-seed × MAC × density matrix, MAC-knob presets (imperfect CCA, abort
-ladders, duty cycles) and the bursty card-to-card profile.  Any divergence
-is a bug in one of the engines, never tolerance noise.
+seed × MAC × density matrix (up to fleets with devices below receiver
+sensitivity), MAC-knob presets (imperfect CCA, abort ladders, duty
+cycles), the bursty card-to-card profile and saturated fleets at coarse
+epochs.  Any divergence is a bug in one of the engines, never tolerance
+noise.
 """
 
 from __future__ import annotations
@@ -31,13 +33,15 @@ SEEDS = (1, 7, 2016, 90210, 424242)
 
 MACS = ("aloha", "slotted_aloha", "csma", "tdma")
 
-#: (num_devices, period_s): tiny saturated fleets through light 64-device ones.
-FLEETS = ((4, 0.004), (8, 0.02), (16, 0.05), (32, 0.02), (64, 0.1))
+#: (num_devices, period_s): tiny saturated fleets through light 64-device ones,
+#: and 256 lenses whose outer rings fall below receiver sensitivity (an
+#: inaudible transmitter is never delivered but still consumes a delivery draw).
+FLEETS = ((4, 0.004), (8, 0.02), (16, 0.05), (32, 0.02), (64, 0.1), (256, 0.2))
 
 
-def _fingerprints(scenario: FleetScenario):
-    batched = BatchedFleetSimulator(scenario, record_epochs=True)
-    reference = EpochReferenceSimulator(scenario, record_epochs=True)
+def _fingerprints(scenario: FleetScenario, epoch_s: float | None = None):
+    batched = BatchedFleetSimulator(scenario, epoch_s=epoch_s, record_epochs=True)
+    reference = EpochReferenceSimulator(scenario, epoch_s=epoch_s, record_epochs=True)
     fingerprints = batched.run().fingerprint(), reference.run().fingerprint()
     # The schedule too, not just the counters it produced: an engine that
     # visits an extra empty epoch changes no fingerprint.
@@ -108,6 +112,31 @@ def test_engines_bit_identical_on_bursty_profile(seed, mac):
     )
     batched, reference = _fingerprints(scenario)
     assert batched == reference
+
+
+#: Saturated-fleet MACs; 4 TDMA slots put 500 devices on each owned epoch.
+SATURATED_MACS = (("aloha", {}), ("slotted_aloha", {}), ("csma", {}), ("tdma", {"num_slots": 4}))
+
+
+@pytest.mark.parametrize("seed", (1, 2016))
+@pytest.mark.parametrize("case", SATURATED_MACS, ids=lambda c: c[0])
+def test_engines_bit_identical_on_saturated_coarse_epochs(seed, case):
+    # The 10^5-device benchmark's 2 ms epochs on 2,000 devices: dozens to
+    # hundreds of transmitters per busy epoch, almost all of them losers.
+    mac, mac_params = case
+    scenario = FleetScenario(
+        profile="contact_lens",
+        num_devices=2000,
+        mac=mac,
+        duration_s=0.3,
+        period_s=0.05,
+        seed=seed,
+        mac_params={"queue_limit": 8, **mac_params},
+    )
+    with obs.collect() as collector:
+        batched, reference = _fingerprints(scenario, epoch_s=2e-3)
+    assert batched == reference
+    assert collector.gauges["netsim.batched.mean_tx_per_busy_epoch"] > 50
 
 
 def test_simulate_dispatches_on_scenario_engine():

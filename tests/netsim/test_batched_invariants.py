@@ -1,10 +1,9 @@
 """Randomised invariants of the epoch-batched engine.
 
-Seeded :class:`numpy.random.Generator` fuzzing (no external property
-library): each trial draws a random fleet configuration — MAC, size,
-offered load and the contention-realism knobs — runs the vectorised
-engine and checks structural invariants that must hold for *any*
-configuration:
+Seeded :class:`numpy.random.Generator` fuzzing: each trial draws a random
+fleet configuration — MAC, size, offered load and the contention-realism
+knobs — runs the vectorised engine and checks structural invariants that
+must hold for *any* configuration:
 
 * conservation — every generated packet is delivered, dropped, refused at
   the queue, or still pending at the horizon (per device and aggregate);
@@ -13,19 +12,30 @@ configuration:
 * duty-cycle budgets are never exceeded (up to one in-flight packet of
   slack, which is the admission granularity);
 * retry counters are bounded by the abort ladder
-  (``attempted <= packets_finished_or_in_progress * max_attempts``).
+  (``attempted <= packets_finished_or_in_progress * max_attempts``);
+* at most one packet is delivered per busy epoch.
 
 Each trial also cross-checks the vectorised engine against the scalar
 epoch oracle, so the fuzz doubles as a randomised differential test over
-knob combinations the fixed matrix never enumerates.
+knob combinations the fixed matrix never enumerates.  A ``hypothesis``
+property pins the premise of the engine's medium pass: at most one of
+several concurrent transmitters, the strongest, can clear the capture
+threshold.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.netsim.batched import BatchedFleetSimulator, EpochReferenceSimulator
+from repro.netsim.batched import (
+    CAPTURE_THRESHOLD_DB,
+    BatchedFleetSimulator,
+    EpochReferenceSimulator,
+    _strongest_sinr_db,
+)
 from repro.netsim.fleet import FleetScenario
 
 TRIALS = 25
@@ -111,6 +121,30 @@ def test_retry_counters_bounded_by_abort_ladder(fuzzed):
         assert stats.attempted <= (finished + in_progress) * max_attempts, (scenario, device_id)
         assert stats.collided <= stats.attempted
         assert all(lat >= 0.0 for lat in stats.latencies_s)
+
+
+def test_at_most_one_delivery_per_busy_epoch(fuzzed):
+    scenario, sim, metrics = fuzzed
+    assert metrics.aggregate().delivered <= sim.busy_epochs, scenario
+
+
+#: Powers in watts, -270 to +30 dBm: every physical level, no subnormals.
+POWERS_W = st.floats(min_value=1e-30, max_value=1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(signal=st.lists(POWERS_W, min_size=2, max_size=64), noise=POWERS_W)
+def test_only_the_strongest_transmitter_can_capture(signal, noise):
+    # SINRs the way a vectorised pass over every transmitter computes them.
+    signal_w = np.array(signal)
+    interference = np.maximum(float(signal_w.sum()) - signal_w, 0.0)
+    sinr_db = 10.0 * np.log10(signal_w / (noise + interference))
+    captured = np.flatnonzero(sinr_db >= CAPTURE_THRESHOLD_DB)
+    strongest, strongest_sinr_db = _strongest_sinr_db(signal_w, noise)
+    assert captured.size <= 1
+    if captured.size:
+        assert captured[0] == strongest
+    assert strongest_sinr_db == sinr_db[strongest]
 
 
 def test_fuzzed_configurations_match_the_oracle(fuzzed):
