@@ -96,14 +96,9 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.channel.geometry import Position
-from repro.channel.link_budget import BackscatterLinkBudget
-from repro.channel.noise import NoiseModel
-from repro.channel.propagation import PathLossModel
 from repro.core.downlink import InterscatterDownlink
-from repro.core.timing import InterscatterTiming
 from repro.mc.link_abstraction import LinkAbstraction
-from repro.netsim.fleet import MAC_OVERHEAD_BYTES, FleetScenario, FleetSimulator, ring_placement
+from repro.netsim.fleet import FleetScenario, FleetSimulator, fleet_links
 from repro.netsim.mac import MAX_BACKOFF_EXPONENT, POLL_BITS, integer_knob
 from repro.netsim.metrics import FleetMetrics
 from repro.obs import metrics as obs
@@ -236,22 +231,16 @@ class _EpochSetup:
     Both engines build their own instance from the same scenario, so every
     derived float (air time, epoch width, per-device RSSI / signal power,
     TDMA poll probabilities) is computed by the same code path and therefore
-    bit-identical between them.
+    bit-identical between them.  Packet size, placement and link budgets
+    come from :func:`~repro.netsim.fleet.fleet_links`, as on the heap engine.
     """
 
     def __init__(self, scenario: FleetScenario, *, epoch_s: float | None = None) -> None:
         self.scenario = scenario
         self.profile = scenario.resolved_profile()
-        timing = InterscatterTiming(wifi_rate_mbps=self.profile.wifi_rate_mbps)
-        psdu_bytes = min(
-            self.profile.payload_bytes + MAC_OVERHEAD_BYTES, timing.max_wifi_psdu_bytes()
-        )
-        if psdu_bytes <= 0:
-            raise ConfigurationError(
-                f"no Wi-Fi payload fits at {self.profile.wifi_rate_mbps} Mbps"
-            )
-        self.psdu_bytes = psdu_bytes
-        self.air_time_s = timing.wifi_air_time_s(psdu_bytes)
+        links = fleet_links(scenario)
+        self.psdu_bytes = links.psdu_bytes
+        self.air_time_s = links.air_time_s
         slot_s = self.air_time_s * (1.0 + FleetSimulator.SLOT_GUARD_FRACTION)
         self.epoch_s = float(epoch_s) if epoch_s is not None else slot_s
         if self.epoch_s < self.air_time_s:
@@ -260,40 +249,22 @@ class _EpochSetup:
             )
         self.num_epochs = int(scenario.duration_s / self.epoch_s)
 
-        link_budget = BackscatterLinkBudget(
-            source_power_dbm=scenario.source_power_dbm,
-            tag_antenna=self.profile.tag_antenna,
-            tissue=self.profile.tissue,
-            path_loss=PathLossModel(path_loss_exponent=2.0),
-            noise=NoiseModel(bandwidth_hz=22e6),
-        )
-        self.noise_w = dbm_to_watts(link_budget.noise.noise_floor_dbm)
-        self.sensitivity_dbm = link_budget.receiver_sensitivity_dbm
-        receiver = Position(0.0, self.profile.receiver_offset_m)
-        origin = Position(0.0, 0.0)
-        positions = ring_placement(
-            scenario.num_devices,
-            inner_radius_m=self.profile.inner_radius_m,
-            ring_spacing_m=self.profile.ring_spacing_m,
-        )
-        to_origin = np.array([p.distance_to(origin) for p in positions])
-        to_receiver = np.array([p.distance_to(receiver) for p in positions])
-        self.rssi_dbm = np.asarray(
-            link_budget.evaluate_batch(to_origin, to_receiver).rssi_dbm, dtype=float
-        )
+        self.noise_w = dbm_to_watts(links.noise.noise_floor_dbm)
+        self.sensitivity_dbm = links.sensitivity_dbm
+        self.rssi_dbm = links.rssi_dbm
         self.signal_w = dbm_to_watts(self.rssi_dbm)
         self.per_table = LinkAbstraction().table(
-            rate_mbps=self.profile.wifi_rate_mbps, payload_bytes=psdu_bytes
+            rate_mbps=self.profile.wifi_rate_mbps, payload_bytes=self.psdu_bytes
         )
         if scenario.mac == "tdma":
             downlink = InterscatterDownlink(rng=np.random.default_rng(scenario.seed))
             self.poll_success_prob = np.array(
                 [
                     float(
-                        (1.0 - downlink.link_bit_error_rate(p.distance_to(receiver))[0])
+                        (1.0 - downlink.link_bit_error_rate(p.distance_to(links.receiver))[0])
                         ** POLL_BITS
                     )
-                    for p in positions
+                    for p in links.positions
                 ]
             )
         else:

@@ -8,13 +8,16 @@ and a seed; :class:`FleetSimulator` then
    :mod:`repro.channel.geometry` positions, with ring scale matched to the
    profile's physical range (contact lenses live tens of centimetres from
    the watch, implants centimetres from the headset),
-2. evaluates each device's two-hop :class:`~repro.channel.link_budget.
-   BackscatterLinkBudget` once (the fleet is static, so RSSI per device is
-   a constant of the scenario),
+2. evaluates every device's two-hop :class:`~repro.channel.link_budget.
+   BackscatterLinkBudget` in one batch call (the fleet is static, so RSSI
+   per device is a constant of the scenario),
 3. drives per-device traffic generators and MAC instances over the shared
    medium with one seeded RNG and one event queue, and
 4. returns :class:`~repro.netsim.metrics.FleetMetrics`.
 
+Steps 1 and 2, with the packet every device synthesizes, are
+:func:`fleet_links`, which the epoch engines of :mod:`repro.netsim.batched`
+share, so every engine runs a scenario on the same per-device constants.
 Runs are fully deterministic in the scenario seed.
 """
 
@@ -47,6 +50,7 @@ from repro.netsim.mac import (
     SlottedAloha,
     TdmaPolling,
     POLL_BITS,
+    integer_knob,
     make_mac,
 )
 from repro.netsim.medium import SharedMedium
@@ -59,6 +63,8 @@ __all__ = [
     "neural_implant_profile",
     "card_to_card_profile",
     "ring_placement",
+    "FleetLinks",
+    "fleet_links",
     "ENGINES",
     "FleetScenario",
     "SimDevice",
@@ -210,6 +216,77 @@ def ring_placement(
     return positions
 
 
+@dataclass(frozen=True)
+class FleetLinks:
+    """Per-device constants of one placed fleet (see :func:`fleet_links`).
+
+    Attributes
+    ----------
+    psdu_bytes / air_time_s:
+        Size and air time of the 802.11b packet every device synthesizes.
+    positions / receiver:
+        Device placement around the carrier source at the origin, and the
+        position of the fleet's Wi-Fi receiver.
+    rssi_dbm / incident_power_dbm:
+        Per device: received power at the receiver and carrier power
+        arriving at the tag.
+    noise / sensitivity_dbm:
+        The receiver the link budget models; the medium judges packets
+        against the same one.
+    """
+
+    psdu_bytes: int
+    air_time_s: float
+    positions: list[Position]
+    receiver: Position
+    rssi_dbm: np.ndarray
+    incident_power_dbm: np.ndarray
+    noise: NoiseModel
+    sensitivity_dbm: float
+
+
+def fleet_links(scenario: FleetScenario) -> FleetLinks:
+    """Size the packet, place the fleet and evaluate every device's link once.
+
+    The fleet is static, so these are constants of the scenario: one
+    :meth:`~repro.channel.link_budget.BackscatterLinkBudget.evaluate_batch`
+    call covers every device.
+    """
+    profile = scenario.resolved_profile()
+    timing = InterscatterTiming(wifi_rate_mbps=profile.wifi_rate_mbps)
+    psdu_bytes = min(profile.payload_bytes + MAC_OVERHEAD_BYTES, timing.max_wifi_psdu_bytes())
+    if psdu_bytes <= 0:
+        raise ConfigurationError(f"no Wi-Fi payload fits at {profile.wifi_rate_mbps} Mbps")
+    link_budget = BackscatterLinkBudget(
+        source_power_dbm=scenario.source_power_dbm,
+        tag_antenna=profile.tag_antenna,
+        tissue=profile.tissue,
+        path_loss=PathLossModel(path_loss_exponent=2.0),
+        noise=NoiseModel(bandwidth_hz=22e6),
+    )
+    origin = Position(0.0, 0.0)
+    receiver = Position(0.0, profile.receiver_offset_m)
+    positions = ring_placement(
+        scenario.num_devices,
+        inner_radius_m=profile.inner_radius_m,
+        ring_spacing_m=profile.ring_spacing_m,
+    )
+    links = link_budget.evaluate_batch(
+        np.array([p.distance_to(origin) for p in positions]),
+        np.array([p.distance_to(receiver) for p in positions]),
+    )
+    return FleetLinks(
+        psdu_bytes=psdu_bytes,
+        air_time_s=timing.wifi_air_time_s(psdu_bytes),
+        positions=positions,
+        receiver=receiver,
+        rssi_dbm=np.asarray(links.rssi_dbm, dtype=float),
+        incident_power_dbm=np.asarray(links.incident_power_dbm, dtype=float),
+        noise=link_budget.noise,
+        sensitivity_dbm=link_budget.receiver_sensitivity_dbm,
+    )
+
+
 def _finite(value) -> bool:
     """Whether *value* is a real number other than ±inf and NaN."""
     return isinstance(value, numbers.Real) and math.isfinite(value)
@@ -253,8 +330,9 @@ class FleetScenario:
         trust).
 
     Construction rejects inputs no engine can run (a non-positive or
-    non-finite horizon or packet interval, an empty fleet, a non-finite
-    carrier power, an unknown engine) with
+    non-finite horizon or packet interval, a fleet size or seed that is
+    not an integer, an empty fleet, a negative seed, a non-finite carrier
+    power, an unknown engine) with
     :class:`~repro.exceptions.ConfigurationError`, so every engine sees
     the same validated scenario.
     """
@@ -270,8 +348,15 @@ class FleetScenario:
     engine: str = "scalar"
 
     def __post_init__(self) -> None:
+        # Integers only, stored as int (numpy integers pass): a float, bool or
+        # string fleet size, or an unseeded run, means something different
+        # on each engine.
+        object.__setattr__(self, "num_devices", integer_knob("num_devices", self.num_devices))
+        object.__setattr__(self, "seed", integer_knob("seed", self.seed))
         if self.num_devices < 1:
             raise ConfigurationError("num_devices must be at least 1")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if not (_finite(self.duration_s) and self.duration_s > 0):
             raise ConfigurationError(f"duration_s must be finite and positive, got {self.duration_s!r}")
         if self.period_s is not None and not (_finite(self.period_s) and self.period_s > 0):
@@ -337,59 +422,34 @@ class FleetSimulator:
         self.scheduler = EventScheduler()
         self.metrics = FleetMetrics()
 
-        timing = InterscatterTiming(wifi_rate_mbps=self.profile.wifi_rate_mbps)
-        budget_bytes = timing.max_wifi_psdu_bytes()
-        psdu_bytes = min(self.profile.payload_bytes + MAC_OVERHEAD_BYTES, budget_bytes)
-        if psdu_bytes <= 0:
-            raise ConfigurationError(
-                f"no Wi-Fi payload fits at {self.profile.wifi_rate_mbps} Mbps"
-            )
-        self._air_time_s = timing.wifi_air_time_s(psdu_bytes)
-        slot_s = self._air_time_s * (1.0 + self.SLOT_GUARD_FRACTION)
-
-        link_budget = BackscatterLinkBudget(
-            source_power_dbm=scenario.source_power_dbm,
-            tag_antenna=self.profile.tag_antenna,
-            tissue=self.profile.tissue,
-            path_loss=PathLossModel(path_loss_exponent=2.0),
-            noise=NoiseModel(bandwidth_hz=22e6),
-        )
-        # The medium must judge packets against the same receiver the link
-        # budget models, so it inherits that noise floor and sensitivity.
+        links = fleet_links(scenario)
+        slot_s = links.air_time_s * (1.0 + self.SLOT_GUARD_FRACTION)
         self.link_abstraction = LinkAbstraction() if scenario.engine == "fast_path" else None
         self.medium = SharedMedium(
-            noise=link_budget.noise,
-            receiver_sensitivity_dbm=link_budget.receiver_sensitivity_dbm,
+            noise=links.noise,
+            receiver_sensitivity_dbm=links.sensitivity_dbm,
             link_abstraction=self.link_abstraction,
         )
-        receiver = Position(0.0, self.profile.receiver_offset_m)
-        positions = ring_placement(
-            scenario.num_devices,
-            inner_radius_m=self.profile.inner_radius_m,
-            ring_spacing_m=self.profile.ring_spacing_m,
-        )
         downlink = InterscatterDownlink(rng=np.random.default_rng(scenario.seed))
-        origin = Position(0.0, 0.0)
 
         self.nodes: list[SimDevice] = []
-        for device_id, position in enumerate(positions):
-            link = link_budget.evaluate(
-                position.distance_to(origin), position.distance_to(receiver)
-            )
+        for device_id, (position, rssi_dbm, incident_power_dbm) in enumerate(
+            zip(links.positions, links.rssi_dbm.tolist(), links.incident_power_dbm.tolist(), strict=True)
+        ):
             mac = self._make_mac(
                 device_id,
                 slot_s=slot_s,
                 downlink=downlink,
-                poll_distance_m=position.distance_to(receiver),
+                poll_distance_m=position.distance_to(links.receiver),
             )
-            stats = self.metrics.add_device(device_id, self.profile.name, link.rssi_dbm)
+            stats = self.metrics.add_device(device_id, self.profile.name, rssi_dbm)
             node = SimDevice(
                 device_id,
                 position,
-                rssi_dbm=link.rssi_dbm,
-                incident_power_dbm=link.incident_power_dbm,
-                psdu_bytes=psdu_bytes,
-                air_time_s=self._air_time_s,
+                rssi_dbm=rssi_dbm,
+                incident_power_dbm=incident_power_dbm,
+                psdu_bytes=links.psdu_bytes,
+                air_time_s=links.air_time_s,
                 rate_mbps=self.profile.wifi_rate_mbps,
                 mac=mac,
                 stats=stats,
@@ -499,4 +559,10 @@ class FleetSimulator:
             )
         obs.gauge("netsim.medium.busy_time_s", self.medium.busy_time_s)
         obs.gauge("netsim.medium.airtime_s", self.medium.airtime_s)
+        # The medium's own tallies, once per run instead of once per packet;
+        # a counter that never moved is left out, as per-packet counting did.
+        for name in ("resolutions", "collisions", "fast_path_hits", "phy_calls"):
+            total = getattr(self.medium, name)
+            if total:
+                obs.count(f"netsim.medium.{name}", total)
         return self.metrics

@@ -55,7 +55,10 @@ POLL_BITS = 16
 
 
 def integer_knob(name: str, value) -> int:
-    """*value* of the integer MAC knob *name*, checked the same way by every engine.
+    """*value* of the integer knob *name*, checked the same way by every engine.
+
+    The MAC knobs and :class:`~repro.netsim.fleet.FleetScenario`'s
+    ``num_devices`` and ``seed`` pass through it.
 
     Only :class:`numbers.Integral` values other than ``bool`` pass; anything
     else (``2.5``, ``"3"``, ``nan``) raises

@@ -27,7 +27,6 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.channel.error_models import wifi_packet_error_rate
 from repro.channel.noise import NoiseModel
-from repro.obs import metrics as obs
 from repro.utils.dsp import dbm_to_watts
 
 __all__ = ["Transmission", "MediumOutcome", "SharedMedium"]
@@ -112,10 +111,19 @@ class SharedMedium:
     link_abstraction:
         Optional :class:`repro.mc.link_abstraction.LinkAbstraction`.  When
         set, packet fates come from its memoised PER-vs-SINR tables (one
-        lookup + one Bernoulli draw per packet) instead of evaluating the
-        analytic PHY error model per packet — the fast path that makes
-        1000-device fleets cheap.  ``None`` (the default) keeps the exact
-        per-packet evaluation.
+        lookup + one Bernoulli draw per packet) instead of the analytic
+        PHY error model — the fast path that makes 1000-device fleets
+        cheap.  ``None`` (the default) keeps the exact model.
+
+    A packet nothing overlapped has the SINR of its link alone, so the
+    medium computes it once per link, keyed on ``(signal_w, rate_mbps,
+    psdu_bytes)``, together with its exact PER (the fast path still looks
+    the PER up per packet).  Overlapped packets are evaluated one by one.
+    The counters ``resolutions``, ``collisions``, ``fast_path_hits``
+    (packets whose PER came from the table) and ``phy_calls`` (packets
+    whose PER came from the exact model, memoised or not) are the totals
+    :class:`~repro.netsim.fleet.FleetSimulator` reports as
+    ``netsim.medium.*`` telemetry at the end of a run.
     """
 
     def __init__(
@@ -140,6 +148,9 @@ class SharedMedium:
         self.resolutions = 0
         self.fast_path_hits = 0
         self.phy_calls = 0
+        # Outcome inputs of a packet nothing overlapped, per link: the SINR
+        # and, on the exact path, its PER.
+        self._clean: dict[tuple[float, float, int], tuple[float, float | None]] = {}
 
     # ---------------------------------------------------------------- status
     @property
@@ -208,29 +219,31 @@ class SharedMedium:
             self.busy_time_s += now - self._busy_since
             self._busy_since = None
 
-        sinr_db = float(
-            10.0 * np.log10(tx.signal_w / (self._noise_w + tx.peak_interference_w))
-        )
         self.resolutions += 1
-        obs.count("netsim.medium.resolutions")
         collided = tx.peak_interference_w > 0.0
+        exact_per = None
+        if collided:
+            self.collisions += 1
+            sinr_db = self._sinr_db(tx)
+        else:
+            key = (tx.signal_w, tx.rate_mbps, tx.psdu_bytes)
+            clean = self._clean.get(key)
+            if clean is None:
+                sinr_db = self._sinr_db(tx)
+                if self.link_abstraction is None:
+                    exact_per = self._exact_per(sinr_db, tx)
+                clean = self._clean[key] = (sinr_db, exact_per)
+            sinr_db, exact_per = clean
         if collided and sinr_db < self.capture_threshold_db:
             per = 1.0
         elif self.link_abstraction is not None:
             self.fast_path_hits += 1
-            obs.count("netsim.medium.fast_path_hits")
             per = self.link_abstraction.per(
                 sinr_db, rate_mbps=tx.rate_mbps, payload_bytes=tx.psdu_bytes
             )
         else:
             self.phy_calls += 1
-            obs.count("netsim.medium.phy_calls")
-            per = wifi_packet_error_rate(
-                sinr_db, rate_mbps=tx.rate_mbps, payload_bytes=tx.psdu_bytes
-            )
-        if collided:
-            self.collisions += 1
-            obs.count("netsim.medium.collisions")
+            per = exact_per if exact_per is not None else self._exact_per(sinr_db, tx)
         delivered = bool(
             tx.rssi_dbm >= self.receiver_sensitivity_dbm and rng.random() > per
         )
@@ -241,6 +254,13 @@ class SharedMedium:
             packet_error_rate=float(per),
             rssi_dbm=tx.rssi_dbm,
         )
+
+    def _sinr_db(self, tx: Transmission) -> float:
+        return float(10.0 * np.log10(tx.signal_w / (self._noise_w + tx.peak_interference_w)))
+
+    @staticmethod
+    def _exact_per(sinr_db: float, tx: Transmission) -> float:
+        return wifi_packet_error_rate(sinr_db, rate_mbps=tx.rate_mbps, payload_bytes=tx.psdu_bytes)
 
     def finalize(self, now: float) -> None:
         """Close the busy-time ledger at the end of a run.

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
+from repro.obs import metrics as obs
 from repro.netsim import (
     ENGINES,
     PROFILES,
@@ -77,6 +78,14 @@ def _wall_clock_bound(seconds: float):
         {"source_power_dbm": float("inf")},  # unchecked, the engines disagree on delivery
         {"source_power_dbm": float("nan")},
         {"engine": "warp_drive"},
+        {"num_devices": float("nan")},  # unchecked, the heap engine ran 0 devices
+        {"num_devices": True},  # unchecked, the heap engine ran 1 device
+        {"num_devices": 2.5},
+        {"num_devices": 3.0},
+        {"num_devices": "3"},
+        {"seed": None},  # unchecked, an unseeded run on every engine
+        {"seed": -1},
+        {"seed": 1.5},
     ),
     ids=lambda overrides: "-".join(f"{k}={v}" for k, v in overrides.items()),
 )
@@ -85,6 +94,17 @@ def test_degenerate_scenarios_are_rejected_on_every_engine(overrides):
         scenario = {"num_devices": 3, "duration_s": 0.2, "engine": engine, **overrides}
         with _wall_clock_bound(5.0), pytest.raises(ConfigurationError):
             simulate(FleetScenario(**scenario))
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_numpy_integer_fleet_size_and_seed_are_accepted(engine):
+    as_numpy = FleetScenario(num_devices=np.int64(3), seed=np.int64(5), duration_s=0.2, engine=engine)
+    as_int = FleetScenario(num_devices=3, seed=5, duration_s=0.2, engine=engine)
+    assert type(as_numpy.num_devices) is int and type(as_numpy.seed) is int
+    # Span attributes must be JSON scalars, which numpy integers are not.
+    with obs.collect():
+        fingerprint = simulate(as_numpy).fingerprint()
+    assert fingerprint == simulate(as_int).fingerprint()
 
 
 def test_same_seed_reproduces_bit_identical_metrics():
