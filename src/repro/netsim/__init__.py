@@ -31,7 +31,7 @@ Quickstart
 True
 """
 
-from repro.netsim.events import Event, EventScheduler
+from repro.netsim.events import EventScheduler
 from repro.netsim.medium import SharedMedium, Transmission, MediumOutcome
 from repro.netsim.mac import (
     MAC_POLICIES,
@@ -66,7 +66,6 @@ from repro.netsim.batched import (
 from repro.netsim.metrics import AggregateMetrics, DeviceStats, FleetMetrics
 
 __all__ = [
-    "Event",
     "EventScheduler",
     "SharedMedium",
     "Transmission",

@@ -20,7 +20,8 @@ Two engines implement the *same* epoch contract:
 
 Because numpy ``Generator`` array draws are bit-identical to the same number
 of sequential scalar draws (``random(k)``, ``uniform(a, b, k)``,
-``integers(lo, hi, k)``, ``integers(lo, hi_array)``), the two engines consume
+``integers(lo, hi, k)``, ``integers(lo, hi_array)``), and ``uniform(a, b)``
+is ``a + (b - a) * random()`` bit for bit, the two engines consume
 the identical random stream and must produce **bit-identical** per-device
 counters — that is the equivalence contract
 ``tests/netsim/test_batched_equivalence.py`` enforces for every MAC on fleets
@@ -456,7 +457,8 @@ class BatchedFleetSimulator:
         profile = setup.profile
         limit = p.queue_limit
         while active:
-            jitters = self.rng.uniform(-1.0, 1.0, len(active)).tolist()
+            # uniform(-1, 1, k) is -1 + 2 * random(k), same values and state.
+            jitters = [-1.0 + 2.0 * u for u in self.rng.random(len(active)).tolist()]
             due, settled, epochs = [], [], []
             for device, jitter in zip(active, jitters, strict=True):
                 t_arr = v.next_arrival_s[device]

@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
@@ -483,46 +484,50 @@ class FleetSimulator:
         return make_mac(name, **params)
 
     # --------------------------------------------------------------- traffic
-    def _schedule_arrival(self, node: SimDevice, delay_s: float) -> None:
-        self.scheduler.schedule(delay_s, lambda: self._arrive(node))
-
-    def _arrive(self, node: SimDevice) -> None:
+    def _arrivals(self, node: SimDevice) -> Callable[[], None]:
+        """*node*'s traffic generator: one event per arrival, rescheduling itself."""
         profile = self.profile
-        for _ in range(profile.burst_size):
-            node.sequence += 1
-            packet = Packet(
-                device_id=node.device_id,
-                sequence=node.sequence,
-                psdu_bytes=node.psdu_bytes,
-                created_s=self.scheduler.now,
-            )
-            node.stats.generated += 1
-            if not node.mac.packet_arrived(packet):
-                node.stats.queue_dropped += 1
-        jitter = profile.jitter_fraction * float(self.rng.uniform(-1.0, 1.0))
-        self._schedule_arrival(node, profile.period_s * (1.0 + jitter))
+        scheduler = self.scheduler
+        rng = self.rng
+        mac = node.mac
+        stats = node.stats
+
+        def arrive() -> None:
+            for _ in range(profile.burst_size):
+                node.sequence += 1
+                packet = Packet(node.device_id, node.sequence, node.psdu_bytes, scheduler.now)
+                stats.generated += 1
+                if not mac.packet_arrived(packet):
+                    stats.queue_dropped += 1
+            # Generator.uniform(-1, 1) is -1 + 2 * random(), same value and state.
+            jitter = profile.jitter_fraction * (-1.0 + 2.0 * rng.random())
+            scheduler.schedule(profile.period_s * (1.0 + jitter), arrive)
+
+        return arrive
 
     # ----------------------------------------------------- MAC-facing service
     def transmit(self, node: SimDevice, packet: Packet, done) -> None:
         """Put *packet* on the air; *done(packet, outcome)* fires at its end."""
         packet.attempts += 1
         node.stats.attempted += 1
-        tx = self.medium.begin(
+        medium = self.medium
+        scheduler = self.scheduler
+        tx = medium.begin(
             device_id=node.device_id,
             rssi_dbm=node.rssi_dbm,
             duration_s=node.air_time_s,
             psdu_bytes=packet.psdu_bytes,
             rate_mbps=node.rate_mbps,
-            now=self.scheduler.now,
+            now=scheduler.now,
         )
 
         def finish() -> None:
-            outcome = self.medium.end(tx, now=self.scheduler.now, rng=self.rng)
+            outcome = medium.end(tx, now=scheduler.now, rng=self.rng)
             if outcome.collided:
                 node.stats.collided += 1
             done(packet, outcome)
 
-        self.scheduler.schedule(node.air_time_s, finish)
+        scheduler.schedule(node.air_time_s, finish)
 
     def record_delivery(self, node: SimDevice, packet: Packet) -> None:
         """Credit a decoded packet to its device."""
@@ -547,8 +552,8 @@ class FleetSimulator:
             for node in self.nodes:
                 node.mac.start()
                 # Desynchronise first arrivals across the fleet.
-                self._schedule_arrival(
-                    node, float(self.rng.uniform(0.0, self.profile.period_s))
+                self.scheduler.schedule(
+                    float(self.rng.uniform(0.0, self.profile.period_s)), self._arrivals(node)
                 )
             self.scheduler.run(until_s=self.scenario.duration_s)
             self.medium.finalize(self.scenario.duration_s)

@@ -115,31 +115,37 @@ class MacProtocol(abc.ABC):
         self.max_attempts = max_attempts
         self.queue_limit = queue_limit
         self._queue: deque[Packet] = deque()
-        self._pending = None  # scheduled attempt Event, if any
+        # Whether an attempt is scheduled and has not fired yet; scheduled
+        # events cannot be cancelled, so this flag is the only handle.
+        self._pending = False
         self._in_flight = False
         self.node = None
         self.sim = None
+        self.scheduler = None
+        self.medium = None
+        self.rng = None
+        self._tie_break = 0
 
     # -------------------------------------------------------------- plumbing
     def bind(self, node, sim) -> None:
-        """Attach the policy to its device and the running simulator."""
+        """Attach the policy to its device and the running simulator.
+
+        Besides ``node`` and ``sim`` it keeps the simulator's ``scheduler``,
+        ``medium`` (the carrier-sense primitive) and seeded ``rng``, which
+        the policy reaches on every action.  Its events carry the bound
+        device's id as their ``tie_break`` key: simultaneous MAC events
+        (slot boundaries, equal backoff draws) used to resolve in
+        heap-insertion order, a latent bias that favoured whichever
+        device's previous event happened to run first, and keying ties on
+        the device id makes same-instant contention an explicit,
+        documented function of the scenario.
+        """
         self.node = node
         self.sim = sim
-
-    @property
-    def scheduler(self):
-        """The simulator's event scheduler."""
-        return self.sim.scheduler
-
-    @property
-    def medium(self):
-        """The shared medium (carrier-sense primitive)."""
-        return self.sim.medium
-
-    @property
-    def rng(self):
-        """The simulator's seeded random generator."""
-        return self.sim.rng
+        self.scheduler = sim.scheduler
+        self.medium = sim.medium
+        self.rng = sim.rng
+        self._tie_break = getattr(node, "device_id", 0)
 
     @property
     def queue_length(self) -> int:
@@ -171,27 +177,16 @@ class MacProtocol(abc.ABC):
         """Hook run after a packet leaves the queue (delivered or dropped)."""
 
     # ------------------------------------------------------------- internals
-    @property
-    def _tie_break(self) -> int:
-        """Ordering key for same-instant attempts: the bound device's id.
-
-        Simultaneous MAC events (slot boundaries, equal backoff draws) used
-        to resolve in heap-insertion order — a latent bias that favoured
-        whichever device's previous event happened to run first.  Keying
-        ties on the device id makes same-instant contention an explicit,
-        documented function of the scenario.
-        """
-        return getattr(self.node, "device_id", 0)
-
     def _kick(self) -> None:
-        if self._in_flight or self._pending is not None or not self._queue:
+        if self._in_flight or self._pending or not self._queue:
             return
-        self._pending = self.scheduler.schedule(
+        self._pending = True
+        self.scheduler.schedule(
             self.access_delay_s(self._queue[0]), self._attempt, tie_break=self._tie_break
         )
 
     def _attempt(self) -> None:
-        self._pending = None
+        self._pending = False
         if self._in_flight or not self._queue:
             return
         self._begin_transmission(self._queue[0])
@@ -216,7 +211,8 @@ class MacProtocol(abc.ABC):
             self._handle_failure(packet)
 
     def _handle_failure(self, packet: Packet) -> None:
-        self._pending = self.scheduler.schedule(
+        self._pending = True
+        self.scheduler.schedule(
             self.retry_delay_s(packet), self._attempt, tie_break=self._tie_break
         )
 
@@ -241,7 +237,8 @@ class PureAloha(MacProtocol):
 
     def retry_delay_s(self, packet: Packet) -> float:
         exponent = min(packet.attempts - 1, MAX_BACKOFF_EXPONENT)
-        return float(self.rng.uniform(0.0, self.base_backoff_s * 2.0**exponent))
+        # Generator.uniform(0, w) is 0 + w * random(), same value and state.
+        return self.base_backoff_s * 2.0**exponent * self.rng.random()
 
 
 class SlottedAloha(MacProtocol):
@@ -342,7 +339,7 @@ class CsmaBackoff(MacProtocol):
         self._cca_attempts = 0
 
     def _attempt(self) -> None:
-        self._pending = None
+        self._pending = False
         if self._in_flight or not self._queue:
             return
         sensed_busy = self.medium.busy and bool(
@@ -358,9 +355,8 @@ class CsmaBackoff(MacProtocol):
                 self._kick()
                 return
             self._be = min(self._be + 1, self.max_be)
-            self._pending = self.scheduler.schedule(
-                self._backoff_s(), self._attempt, tie_break=self._tie_break
-            )
+            self._pending = True
+            self.scheduler.schedule(self._backoff_s(), self._attempt, tie_break=self._tie_break)
             return
         self._cca_attempts = 0
         self._begin_transmission(self._queue[0])

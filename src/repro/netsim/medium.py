@@ -21,6 +21,7 @@ CSMA MACs and as the medium-utilization metric.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,9 +33,11 @@ from repro.utils.dsp import dbm_to_watts
 __all__ = ["Transmission", "MediumOutcome", "SharedMedium"]
 
 
-@dataclass
+@dataclass(eq=False)
 class Transmission:
     """One in-flight packet on the shared medium.
+
+    Transmissions compare by identity: each is one packet's air time.
 
     Attributes
     ----------
@@ -46,6 +49,8 @@ class Transmission:
         Received power of this packet at the fleet receiver.
     psdu_bytes / rate_mbps:
         Synthesized 802.11b packet parameters (drive the PER model).
+    signal_w:
+        ``rssi_dbm`` in linear watts.
     peak_interference_w:
         Largest concurrent interference power seen at any instant of the
         packet's air time (linear watts at the receiver).
@@ -57,12 +62,9 @@ class Transmission:
     rssi_dbm: float
     psdu_bytes: int
     rate_mbps: float
-    signal_w: float = field(init=False)
+    signal_w: float
     current_interference_w: float = field(default=0.0, init=False)
     peak_interference_w: float = field(default=0.0, init=False)
-
-    def __post_init__(self) -> None:
-        self.signal_w = dbm_to_watts(self.rssi_dbm)
 
     @property
     def end_s(self) -> float:
@@ -70,8 +72,7 @@ class Transmission:
         return self.start_s + self.duration_s
 
 
-@dataclass(frozen=True)
-class MediumOutcome:
+class MediumOutcome(NamedTuple):
     """Fate of one transmission, decided when its air time ends.
 
     Attributes
@@ -115,10 +116,12 @@ class SharedMedium:
         PHY error model — the fast path that makes 1000-device fleets
         cheap.  ``None`` (the default) keeps the exact model.
 
-    A packet nothing overlapped has the SINR of its link alone, so the
-    medium computes it once per link, keyed on ``(signal_w, rate_mbps,
-    psdu_bytes)``, together with its exact PER (the fast path still looks
-    the PER up per packet).  Overlapped packets are evaluated one by one.
+    A device's received power is a constant of its link, so the medium
+    converts each ``rssi_dbm`` to watts once.  A packet nothing overlapped
+    has the SINR of its link alone, so the medium computes it once per
+    link, keyed on ``(signal_w, rate_mbps, psdu_bytes)``, together with its
+    exact PER (the fast path still looks the PER up per packet).
+    Overlapped packets are evaluated one by one.
     The counters ``resolutions``, ``collisions``, ``fast_path_hits``
     (packets whose PER came from the table) and ``phy_calls`` (packets
     whose PER came from the exact model, memoised or not) are the totals
@@ -148,6 +151,8 @@ class SharedMedium:
         self.resolutions = 0
         self.fast_path_hits = 0
         self.phy_calls = 0
+        # Received power in watts, per rssi_dbm.
+        self._signal_w: dict[float, float] = {}
         # Outcome inputs of a packet nothing overlapped, per link: the SINR
         # and, on the exact path, its PER.
         self._clean: dict[tuple[float, float, int], tuple[float, float | None]] = {}
@@ -183,14 +188,10 @@ class SharedMedium:
         """Start a transmission and update the mutual-interference ledger."""
         if duration_s <= 0:
             raise ConfigurationError("duration_s must be positive")
-        tx = Transmission(
-            device_id=device_id,
-            start_s=now,
-            duration_s=duration_s,
-            rssi_dbm=rssi_dbm,
-            psdu_bytes=psdu_bytes,
-            rate_mbps=rate_mbps,
-        )
+        signal_w = self._signal_w.get(rssi_dbm)
+        if signal_w is None:
+            signal_w = self._signal_w[rssi_dbm] = dbm_to_watts(rssi_dbm)
+        tx = Transmission(device_id, now, duration_s, rssi_dbm, psdu_bytes, rate_mbps, signal_w)
         for other in self._active:
             other.current_interference_w += tx.signal_w
             other.peak_interference_w = max(
@@ -247,13 +248,7 @@ class SharedMedium:
         delivered = bool(
             tx.rssi_dbm >= self.receiver_sensitivity_dbm and rng.random() > per
         )
-        return MediumOutcome(
-            delivered=delivered,
-            collided=collided,
-            sinr_db=sinr_db,
-            packet_error_rate=float(per),
-            rssi_dbm=tx.rssi_dbm,
-        )
+        return MediumOutcome(delivered, collided, sinr_db, float(per), tx.rssi_dbm)
 
     def _sinr_db(self, tx: Transmission) -> float:
         return float(10.0 * np.log10(tx.signal_w / (self._noise_w + tx.peak_interference_w)))

@@ -89,8 +89,10 @@ def stats_frame(
     ``runtime_p50_s`` / ``runtime_p95_s`` (over every run's recorded
     ``runtime_s``), ``spans`` (total spans collected), ``events_per_s``
     (netsim events dispatched per second of observed wall time) and
-    ``fast_path_hit_rate`` (table lookups / medium resolutions; 0.0 when
-    the experiment never touched the medium).
+    ``fast_path_hit_rate``: the share of PER decisions made by a table
+    lookup, ``fast_path_hits / (fast_path_hits + phy_calls)``, 0.0 when
+    the medium made none.  A collided packet below the capture threshold
+    needs no PER and counts in neither term.
     """
     results = list(store.iter_results() if isinstance(store, ResultStore) else store)
     if experiment is not None:
@@ -122,11 +124,9 @@ def stats_frame(
         events = _counter_sum(members, "netsim.events.dispatched")
         observed_runtime = sum(member.runtime_s for member in observed)
         events_per_s.append(_ratio(events, observed_runtime))
+        hits = _counter_sum(members, "netsim.medium.fast_path_hits")
         fast_path_rate.append(
-            _ratio(
-                _counter_sum(members, "netsim.medium.fast_path_hits"),
-                _counter_sum(members, "netsim.medium.resolutions"),
-            )
+            _ratio(hits, hits + _counter_sum(members, "netsim.medium.phy_calls"))
         )
     return Frame(
         {

@@ -1,4 +1,4 @@
-"""Event scheduler: ordering, cancellation, determinism."""
+"""Event scheduler: ordering, clock, determinism."""
 
 from __future__ import annotations
 
@@ -70,18 +70,6 @@ def test_callbacks_can_schedule_more_events():
     scheduler.schedule(0.5, tick)
     scheduler.run()
     assert trace == pytest.approx([0.5, 1.0, 1.5, 2.0])
-
-
-def test_cancelled_event_does_not_fire():
-    scheduler = EventScheduler()
-    trace = []
-    keep = scheduler.schedule(0.1, lambda: trace.append("keep"))
-    drop = scheduler.schedule(0.2, lambda: trace.append("drop"))
-    drop.cancel()
-    scheduler.run()
-    assert trace == ["keep"]
-    assert keep.cancelled is False
-    assert scheduler.pending == 0
 
 
 def test_run_until_leaves_later_events_and_advances_clock():

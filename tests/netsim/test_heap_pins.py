@@ -4,10 +4,13 @@ Each digest is a sha256 over the ``repr`` of every
 :meth:`~repro.netsim.metrics.FleetMetrics.fingerprint` row (the recipe of
 the ``fleet_100k`` digest, ``perfbench/workloads.py::fleet_digest``), then
 over the medium's ``(resolutions, fast_path_hits, phy_calls, collisions)``.
-Each run is 12 devices for 0.3 s at a 20 ms packet period: the ALOHA runs
-mix clean, captured and collision-lost packets, and at 0 dBm carrier power
-some contact lenses sit near the receiver's sensitivity, where clean
-packets are lost to their PER draw.  A change to the heap engine's
+Each run in :data:`HEAP_DIGESTS` is 12 devices for 0.3 s at a 20 ms packet
+period: the ALOHA runs mix clean, captured and collision-lost packets, and
+at 0 dBm carrier power some contact lenses sit near the receiver's
+sensitivity, where clean packets are lost to their PER draw.  Those runs
+barely fill a queue, so :data:`SATURATED_DIGESTS` adds a saturated card
+fleet that overflows its queues and, on the contention MACs, gives up on
+packets at the retry and CCA limits.  A change to the heap engine's
 arithmetic, draw order or event order moves a digest; an optimisation of
 it must leave every one as it is.
 """
@@ -57,6 +60,50 @@ HEAP_DIGESTS = {
 }
 
 
+#: 24 cards at a 3 ms period for 0.1 s, with 4-packet queues, 3 attempts per
+#: packet and, for CSMA, 2 busy channel assessments.  "<mac>-<engine>" -> digest.
+SATURATED_DIGESTS = {
+    "aloha-scalar": "0ec3b8bb1064bc870958f0294245ff18ca85b1d2357bfbe75a473c4de0a78ff3",
+    "aloha-fast_path": "b5e4e72dfe676aa9935f994801ea159331ad6e34d44498a850c8afe69d8cc513",
+    "slotted_aloha-scalar": "15c3d6193f60d12aa276a884ec62a540ac457c6c37ac4d688272d124ef30a546",
+    "slotted_aloha-fast_path": "062f6690ca7343a5fcc79f5ce1c52839d72e50beabadad9040d61a8e15e4fbf3",
+    "csma-scalar": "20c859e1b16e39fc5e22eba13f5d563e15ab4e0fcd508b6a703de0b73eaaa0b9",
+    "csma-fast_path": "dcd6c97b081a7a5807e21821efe5f2abc5bf1888516fa3e63d247350da31a440",
+    "tdma-scalar": "e36a56a8a464c4eff8deec881ab5e223bde1bddca77ef5da3339b9362add1ca6",
+    "tdma-fast_path": "f8c2ff630254e9fac2bc6148e8f69a727f0aff87bdae3e3df8e90597b0acbf45",
+}
+
+
+def _pinned_cases():
+    for case, digest in sorted(HEAP_DIGESTS.items()):
+        profile, power, mac, engine = case.split("-")
+        scenario = FleetScenario(
+            profile=profile,
+            num_devices=12,
+            mac=mac,
+            duration_s=0.3,
+            period_s=0.02,
+            source_power_dbm=float(power.removesuffix("dBm")),
+            engine=engine,
+        )
+        yield pytest.param(scenario, digest, False, id=case)
+    for case, digest in sorted(SATURATED_DIGESTS.items()):
+        mac, engine = case.split("-")
+        mac_params = {"queue_limit": 4, "max_attempts": 3}
+        if mac == "csma":
+            mac_params["max_cca_attempts"] = 2
+        scenario = FleetScenario(
+            profile="card_to_card",
+            num_devices=24,
+            mac=mac,
+            duration_s=0.1,
+            period_s=0.003,
+            mac_params=mac_params,
+            engine=engine,
+        )
+        yield pytest.param(scenario, digest, True, id=f"saturated-card_to_card-{case}")
+
+
 def _digest(sim: FleetSimulator) -> str:
     digest = hashlib.sha256()
     for row in sim.run().fingerprint():
@@ -66,16 +113,14 @@ def _digest(sim: FleetSimulator) -> str:
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("case", sorted(HEAP_DIGESTS))
-def test_heap_engine_output_is_pinned(case):
-    profile, power, mac, engine = case.split("-")
-    scenario = FleetScenario(
-        profile=profile,
-        num_devices=12,
-        mac=mac,
-        duration_s=0.3,
-        period_s=0.02,
-        source_power_dbm=float(power.removesuffix("dBm")),
-        engine=engine,
-    )
-    assert _digest(FleetSimulator(scenario)) == HEAP_DIGESTS[case]
+@pytest.mark.parametrize(("scenario", "digest", "saturated"), _pinned_cases())
+def test_heap_engine_output_is_pinned(scenario, digest, saturated):
+    sim = FleetSimulator(scenario)
+    assert _digest(sim) == digest
+    if saturated:
+        devices = sim.metrics.devices.values()
+        # The pins cover a full queue refusing arrivals and, except on TDMA
+        # (no collisions, no head reaches the retry limit), heads given up on.
+        assert sum(device.queue_dropped for device in devices) > 0
+        if scenario.mac != "tdma":
+            assert sum(device.dropped for device in devices) > 0
