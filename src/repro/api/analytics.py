@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy import special
 
 from repro.api.registry import get_experiment
 from repro.api.result import Result
@@ -136,6 +136,17 @@ class Frame:
         return f"Frame({self._length} rows × {len(self._columns)} columns: {self.column_names})"
 
 
+def _check_confidence(confidence: float) -> None:
+    if not 0.0 < confidence < 1.0:
+        raise ConfigurationError(f"confidence must be in (0, 1), got {confidence!r}")
+
+
+def _t_quantile(confidence: float, df: int) -> float:
+    # scipy.stats.t.ppf(0.5 + confidence / 2, df) evaluates this same stdtrit call; calling it
+    # directly spares every process the scipy.stats import.
+    return float(special.stdtrit(df, 0.5 + confidence / 2.0))
+
+
 def mean_std_ci(samples: Iterable[float], *, confidence: float = 0.95) -> tuple[float, float, float, int]:
     """Collapse replicate samples into ``(mean, std, ci_half_width, n)``.
 
@@ -144,8 +155,10 @@ def mean_std_ci(samples: Iterable[float], *, confidence: float = 0.95) -> tuple[
     quantile at the given confidence, so ``mean ± ci_half_width`` is the
     usual small-sample confidence interval.  With a single sample the
     interval degenerates to the point: std and half-width are ``0.0``.
-    With no finite samples everything is NaN and ``n`` is 0.
+    With no finite samples everything is NaN and ``n`` is 0.  A
+    *confidence* outside (0, 1) raises ``ConfigurationError``.
     """
+    _check_confidence(confidence)
     values = np.asarray(list(samples), dtype=float)
     finite = values[np.isfinite(values)]
     n = int(finite.size)
@@ -155,8 +168,7 @@ def mean_std_ci(samples: Iterable[float], *, confidence: float = 0.95) -> tuple[
     if n == 1:
         return mean, 0.0, 0.0, 1
     std = float(np.std(finite, ddof=1))
-    t = float(scipy_stats.t.ppf(0.5 + confidence / 2.0, df=n - 1))
-    return mean, std, t * std / math.sqrt(n), n
+    return mean, std, _t_quantile(confidence, n - 1) * std / math.sqrt(n), n
 
 
 @dataclass(frozen=True)
@@ -309,8 +321,10 @@ def aggregate(
     per metric, a single replicate degenerates to a zero-width interval).
 
     An empty store (or no matching results) yields a frame with the same
-    columns minus the metric columns and zero rows.
+    columns minus the metric columns and zero rows.  A *confidence*
+    outside (0, 1) raises :class:`~repro.exceptions.ConfigurationError`.
     """
+    _check_confidence(confidence)
     registered = get_experiment(experiment)
     if reduce is None:
         reduce = registered.metrics

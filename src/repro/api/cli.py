@@ -30,13 +30,12 @@ Subcommands
     ``--store DIR`` streams the envelopes into a
     :class:`~repro.api.store.ResultStore` (reruns skip work the store
     already holds).  A stored result is reused only when its invocation
-    matches and it was produced by the current code — the normalized
-    source of the whole package — so reuse survives comment/formatting
-    edits and any behavioural edit re-executes; ``--no-resume`` (which
-    requires ``--store``) re-executes regardless.  ``--shard-index I
-    --shard-count N`` executes one deterministic slice of the expanded
-    batch (:mod:`repro.fabric.slicing`) and ``--manifest PATH`` records
-    the shard's campaign manifest for fan-in validation.
+    matches and it was produced by the current code — the source text
+    of the whole package — so any edit, a comment included, re-executes;
+    ``--no-resume`` (which requires ``--store``) re-executes regardless.
+    ``--shard-index I --shard-count N`` executes one deterministic slice
+    of the expanded batch (:mod:`repro.fabric.slicing`) and ``--manifest
+    PATH`` records the shard's campaign manifest for fan-in validation.
 ``report --store DIR``
     Regenerate the registry-driven paper-vs-measured ``EXPERIMENTS.md``
     from a result store.  ``--check`` verifies the committed document is

@@ -66,7 +66,7 @@ class Result:
         JSON), or ``None`` when the run was not observed.  Never part of
         result identity or of generated-document bytes.
     source_hash:
-        Normalized source digest of the code that produced this run —
+        Source-text digest of the code that produced this run —
         the whole ``repro`` package, plus the driver module when it lives
         outside it (:func:`repro.fabric.cas.driver_source_hash`) — or
         ``None`` when unavailable.  Resume metadata only: a stored

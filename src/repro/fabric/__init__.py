@@ -5,12 +5,11 @@ The single-machine campaign runner (``Runner(jobs=N)`` over a
 three pieces that compose through the existing store format:
 
 * **Code-aware resume** (:mod:`repro.fabric.cas`): every envelope
-  records a digest of the *normalized* source of the whole ``repro``
-  package, and a stored envelope is reused only when its invocation and
-  that digest both match — stored results survive comment/formatting
-  edits and invalidate on any behavioural edit, in a driver or in a
-  module it imports, so ``run --all`` at full fidelity becomes
-  incremental.
+  records a digest of the source text of the whole ``repro`` package,
+  and a stored envelope is reused only when its invocation and that
+  digest both match — stored results survive until any module changes,
+  a driver or a module it imports, a comment included, so ``run --all``
+  at full fidelity becomes incremental.
 * **Deterministic shard slicing** (:mod:`repro.fabric.slicing`):
   ``specs[I::N]`` strides over the expanded batch — seeds are fixed
   before slicing, so any (I, N) decomposition merged back together is
@@ -28,7 +27,7 @@ merging stores and publishing the nightly ``EXPERIMENTS.md`` +
 ``FIGURES.md`` beside the committed fast-campaign documents.
 """
 
-from repro.fabric.cas import driver_source_hash, normalized_source_digest
+from repro.fabric.cas import driver_source_hash
 from repro.fabric.manifest import (
     MANIFEST_VERSION,
     CampaignManifest,
@@ -44,7 +43,6 @@ from repro.fabric.slicing import read_spec_files, shard_slice, spec_identity
 
 __all__ = [
     "driver_source_hash",
-    "normalized_source_digest",
     "MANIFEST_VERSION",
     "CampaignManifest",
     "ShardEntry",

@@ -100,7 +100,7 @@ from repro.exceptions import ConfigurationError
 from repro.core.downlink import InterscatterDownlink
 from repro.mc.link_abstraction import LinkAbstraction
 from repro.netsim.fleet import FleetScenario, FleetSimulator, fleet_links
-from repro.netsim.mac import MAX_BACKOFF_EXPONENT, POLL_BITS, integer_knob
+from repro.netsim.mac import MAX_BACKOFF_EXPONENT, POLL_BITS, finite_positive_knob, integer_knob
 from repro.netsim.metrics import FleetMetrics
 from repro.obs import metrics as obs
 from repro.utils.dsp import dbm_to_watts
@@ -162,10 +162,12 @@ def resolve_epoch_mac(scenario: FleetScenario, epoch_s: float) -> EpochMacParams
 
     Accepts the heap engine's vocabulary where it translates naturally:
     ``base_backoff_s`` quantises to epochs; ``slot_s`` / ``backoff_slot_s``
-    are accepted and ignored (the epoch *is* the slot / backoff unit);
-    unknown keys, and integer knobs that are not integers (see
-    :func:`~repro.netsim.mac.integer_knob`), raise
-    :class:`~repro.exceptions.ConfigurationError`.
+    are checked and ignored (the epoch *is* the slot / backoff unit);
+    unknown keys, integer knobs that are not integers (see
+    :func:`~repro.netsim.mac.integer_knob`) and widths that are not finite
+    positive numbers (see :func:`~repro.netsim.mac.finite_positive_knob`)
+    raise :class:`~repro.exceptions.ConfigurationError`, as on the heap
+    engine.
     """
     name = scenario.mac
     if name not in EPOCH_MACS:
@@ -181,21 +183,21 @@ def resolve_epoch_mac(scenario: FleetScenario, epoch_s: float) -> EpochMacParams
         raise ConfigurationError("queue_limit must be at least 1")
     if not 0.0 < fields["duty_cycle"] <= 1.0:
         raise ConfigurationError("duty_cycle must be in (0, 1]")
+    width = {"slotted_aloha": "slot_s", "csma": "backoff_slot_s", "tdma": "slot_s"}.get(name)
+    if width in params:  # checked, then ignored: the epoch is the slot / backoff unit
+        finite_positive_knob(width, params.pop(width))
     if name == "aloha":
         base = params.pop("base_backoff_epochs", None)
         if base is None and "base_backoff_s" in params:
-            base = max(1, round(float(params.pop("base_backoff_s")) / epoch_s))
+            base = max(1, round(finite_positive_knob("base_backoff_s", params.pop("base_backoff_s")) / epoch_s))
         fields["base_backoff_epochs"] = integer_knob("base_backoff_epochs", base) if base is not None else 4
         if fields["base_backoff_epochs"] < 1:
             raise ConfigurationError("base_backoff_epochs must be at least 1")
-    elif name == "slotted_aloha":
-        params.pop("slot_s", None)  # the epoch is the slot
     elif name == "csma":
         fields["min_be"] = integer_knob("min_be", params.pop("min_be", 3))
         fields["max_be"] = integer_knob("max_be", params.pop("max_be", 6))
         fields["max_cca_attempts"] = integer_knob("max_cca_attempts", params.pop("max_cca_attempts", 5))
         fields["cca_reliability"] = float(params.pop("cca_reliability", 1.0))
-        params.pop("backoff_slot_s", None)  # the epoch is the backoff unit
         if not 0 <= fields["min_be"] <= fields["max_be"] <= 20:
             raise ConfigurationError("need 0 <= min_be <= max_be <= 20")
         if fields["max_cca_attempts"] < 1:
@@ -204,7 +206,6 @@ def resolve_epoch_mac(scenario: FleetScenario, epoch_s: float) -> EpochMacParams
             raise ConfigurationError("cca_reliability must be in [0, 1]")
     elif name == "tdma":
         fields["num_slots"] = integer_knob("num_slots", params.pop("num_slots", scenario.num_devices))
-        params.pop("slot_s", None)
         params.pop("slot_index", None)  # fixed to device_id % num_slots
         if fields["num_slots"] < 1:
             raise ConfigurationError("num_slots must be at least 1")

@@ -59,9 +59,9 @@ class EventScheduler:
     def schedule(
         self, delay_s: float, callback: Callable[[], None], *, tie_break: int = 0
     ) -> None:
-        """Schedule *callback* to run ``delay_s`` seconds from now."""
-        if delay_s < 0:
-            raise ConfigurationError(f"cannot schedule {delay_s} s in the past")
+        """Schedule *callback* to run ``delay_s`` (finite, ``>= 0``) seconds from now."""
+        if not 0.0 <= delay_s < math.inf:
+            raise ConfigurationError(f"cannot schedule {delay_s} s ahead: a delay must be finite and non-negative")
         self.schedule_at(self._now + delay_s, callback, tie_break=tie_break)
 
     def schedule_at(

@@ -25,6 +25,7 @@ from __future__ import annotations
 import abc
 import functools
 import inspect
+import math
 import numbers
 from collections import deque
 from dataclasses import dataclass
@@ -42,6 +43,7 @@ __all__ = [
     "MAC_POLICIES",
     "make_mac",
     "integer_knob",
+    "finite_positive_knob",
 ]
 
 #: Cap on the binary-exponential window growth of the ALOHA policies.  Deep
@@ -68,6 +70,17 @@ def integer_knob(name: str, value) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def finite_positive_knob(name: str, value) -> float:
+    """*value* of the MAC width *name*, checked the same way by every engine: a finite real above zero.
+
+    Anything else (``0``, ``nan``, ``inf``, ``"1e-3"``, ``True``) raises
+    :class:`~repro.exceptions.ConfigurationError` naming the knob.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
+        raise ConfigurationError(f"{name} must be a finite positive number, got {value!r}")
+    return float(value)
 
 
 @dataclass
@@ -231,9 +244,7 @@ class PureAloha(MacProtocol):
 
     def __init__(self, *, base_backoff_s: float = 1e-3, **kwargs) -> None:
         super().__init__(**kwargs)
-        if base_backoff_s <= 0:
-            raise ConfigurationError("base_backoff_s must be positive")
-        self.base_backoff_s = base_backoff_s
+        self.base_backoff_s = finite_positive_knob("base_backoff_s", base_backoff_s)
 
     def retry_delay_s(self, packet: Packet) -> float:
         exponent = min(packet.attempts - 1, MAX_BACKOFF_EXPONENT)
@@ -254,9 +265,7 @@ class SlottedAloha(MacProtocol):
 
     def __init__(self, *, slot_s: float = 1e-3, **kwargs) -> None:
         super().__init__(**kwargs)
-        if slot_s <= 0:
-            raise ConfigurationError("slot_s must be positive")
-        self.slot_s = slot_s
+        self.slot_s = finite_positive_knob("slot_s", slot_s)
 
     def _next_boundary(self, slots_ahead: int = 1) -> float:
         now = self.scheduler.now
@@ -313,12 +322,10 @@ class CsmaBackoff(MacProtocol):
             raise ConfigurationError("max_cca_attempts must be at least 1")
         if not 0.0 <= cca_reliability <= 1.0:
             raise ConfigurationError("cca_reliability must be in [0, 1]")
-        if backoff_slot_s <= 0:
-            raise ConfigurationError("backoff_slot_s must be positive")
         self.min_be = min_be
         self.max_be = max_be
         self.max_cca_attempts = max_cca_attempts
-        self.backoff_slot_s = backoff_slot_s
+        self.backoff_slot_s = finite_positive_knob("backoff_slot_s", backoff_slot_s)
         self.cca_reliability = cca_reliability
         self._be = min_be
         self._cca_attempts = 0
@@ -398,13 +405,11 @@ class TdmaPolling(MacProtocol):
         num_slots = integer_knob("num_slots", num_slots)
         if num_slots < 1 or not 0 <= slot_index < num_slots:
             raise ConfigurationError("need 0 <= slot_index < num_slots")
-        if slot_s <= 0:
-            raise ConfigurationError("slot_s must be positive")
         if not 0.0 <= poll_success_prob <= 1.0:
             raise ConfigurationError("poll_success_prob must be in [0, 1]")
         self.slot_index = slot_index
         self.num_slots = num_slots
-        self.slot_s = slot_s
+        self.slot_s = finite_positive_knob("slot_s", slot_s)
         self.poll_success_prob = poll_success_prob
 
     @property

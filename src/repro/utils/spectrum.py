@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as scipy_signal
 
 from repro.utils.dsp import linear_to_db
 
@@ -58,6 +57,10 @@ def power_spectral_density(
     nfft: int = 4096,
 ) -> PowerSpectrum:
     """Welch PSD estimate of a complex baseband waveform (two-sided)."""
+    # Imported here: scipy.signal (which loads scipy.stats) costs most of a
+    # process's start-up, and only the spectrum figures call this.
+    from scipy import signal as scipy_signal
+
     if waveform.size == 0:
         raise ValueError("waveform is empty")
     nperseg = min(nfft, waveform.size)

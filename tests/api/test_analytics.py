@@ -19,6 +19,7 @@ from repro.api import (
     payload_equal,
     replicate_groups,
 )
+from repro.api.analytics import _t_quantile
 from repro.exceptions import ConfigurationError
 
 
@@ -82,6 +83,29 @@ class TestMeanStdCi:
         mean, std, half, n = mean_std_ci([math.nan, math.nan])
         assert math.isnan(mean) and math.isnan(std) and math.isnan(half)
         assert n == 0
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.5, math.nan])
+    def test_confidence_outside_the_open_unit_interval_is_rejected(self, confidence):
+        # Unchecked, -0.5 gives a negative half-width, 1.5 NaN and 1.0 inf.
+        with pytest.raises(ConfigurationError, match="confidence must be in"):
+            mean_std_ci([1.0, 2.0, 3.0], confidence=confidence)
+
+    def test_quantile_equals_scipy_stats_t_ppf_bit_for_bit(self):
+        # The half-width calls scipy.special.stdtrit so that no process
+        # imports scipy.stats; t.ppf evaluates stdtrit itself.  A scipy
+        # release that computes either differently fails here by name
+        # instead of moving EXPERIMENTS.md.  (At confidence -1, i.e. p = 0,
+        # the two differ in sign; the confidence check keeps it unreachable.)
+        from scipy import stats
+
+        dfs = np.arange(1, 2001)
+        for confidence in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 0.0, 1.0, 1.5, -0.5, math.nan):
+            expected = stats.t.ppf(0.5 + confidence / 2.0, df=dfs)
+            quantiles = np.array([_t_quantile(confidence, int(df)) for df in dfs])
+            # A NaN's payload bits carry no value; every other bit must match.
+            assert np.array_equal(np.isnan(quantiles), np.isnan(expected)), confidence
+            number = ~np.isnan(expected)
+            assert quantiles[number].tobytes() == expected[number].tobytes(), confidence
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +250,12 @@ class TestAggregate:
         store.append(Runner().run("table_power"))
         with pytest.raises(ConfigurationError, match="not a scalar"):
             aggregate(store, "table_power", reduce=lambda payload: {"bad": [1, 2]})
+
+    @pytest.mark.parametrize("confidence", [0.0, 1.0, 1.5, -0.5, math.nan])
+    def test_confidence_outside_the_open_unit_interval_is_rejected(self, replicated_store, confidence):
+        # Unchecked, 1.5 gives NaN half-widths in a column labelled ci150.
+        with pytest.raises(ConfigurationError, match="confidence must be in"):
+            aggregate(replicated_store, "fig17", group_by=["phone_power_dbm"], confidence=confidence)
 
     def test_results_iterable_accepted_directly(self, replicated_store):
         results = replicated_store.query("fig17")

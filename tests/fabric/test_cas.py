@@ -2,11 +2,10 @@
 
 A stored envelope is reused only when its invocation key matches the
 spec's and its ``source_hash`` equals the current
-:func:`~repro.fabric.cas.driver_source_hash` — a digest of the normalized
-source of the whole ``repro`` package.  A comment- or blank-line-only edit
-anywhere keeps every stored result warm; a behavioural edit, in the driver
-or in a module it imports, re-executes; ``resume=False`` re-executes
-regardless.  The runner tests drive the real
+:func:`~repro.fabric.cas.driver_source_hash` — a digest of the source text
+of the whole ``repro`` package.  Any edit, in the driver or in a module it
+imports, a comment or blank line included, re-executes; ``resume=False``
+re-executes regardless.  The runner tests drive the real
 :class:`~repro.api.Runner` against a real store with edited source served
 through the ``cas.module_source`` seam, so the end-to-end resume path is
 what's under test — not just the hash function.
@@ -14,6 +13,7 @@ what's under test — not just the hash function.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -26,30 +26,13 @@ import pytest
 import repro
 from repro.api import ResultStore, Runner
 from repro.api.spec import ExperimentSpec
-from repro.exceptions import ConfigurationError
 from repro.fabric import cas
-
-_SOURCE = "def run(x):\n    return x + 1\n"
-_SOURCE_REFLOWED = "# a comment\n\ndef run(x):\n\n    # another comment\n    return x + 1\n"
-_SOURCE_EDITED = "def run(x):\n    return x + 2\n"
 
 #: A module the ``table_power`` driver imports (the driver itself lives in
 #: ``experiments/table_power.py``), and a behavioural edit of it.
 _IMPORTED = "backscatter/power.py"
 _SYNTHESIZER = '"frequency_synthesizer": 9.69,'
 _SYNTHESIZER_EDITED = '"frequency_synthesizer": 19.69,'
-
-
-class TestNormalizedSourceDigest:
-    def test_comment_and_whitespace_changes_do_not_shift_the_digest(self):
-        assert cas.normalized_source_digest(_SOURCE) == cas.normalized_source_digest(_SOURCE_REFLOWED)
-
-    def test_behavioural_edit_shifts_the_digest(self):
-        assert cas.normalized_source_digest(_SOURCE) != cas.normalized_source_digest(_SOURCE_EDITED)
-
-    def test_unparseable_source_raises(self):
-        with pytest.raises(ConfigurationError, match="cannot normalize"):
-            cas.normalized_source_digest("def run(:\n")
 
 
 def _resolved(name):
@@ -77,6 +60,17 @@ class TestDriverSourceHash:
         monkeypatch.setattr(cas, "_module_digests", {})
         monkeypatch.setattr(cas, "module_source", boom)
         assert cas.driver_source_hash(_resolved("fig13")) is None
+
+    def test_digest_is_built_from_the_text_of_the_files_on_disk(self):
+        # No parse and no Python-version-dependent dump: the digest is a
+        # function of the files on disk alone.
+        def sha256(text):
+            return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+        root = Path(repro.__file__).resolve().parent
+        texts = {path.relative_to(root).as_posix(): path.read_text(encoding="utf-8") for path in root.rglob("*.py")}
+        lines = "".join(f"{relative} {sha256(texts[relative])}\n" for relative in sorted(texts))
+        assert cas.driver_source_hash(_resolved("fig13")) == sha256(lines)
 
     def test_a_package_without_module_sources_is_uncacheable(self, monkeypatch, tmp_path):
         monkeypatch.setattr(cas, "_PACKAGE_ROOT", tmp_path)
@@ -111,8 +105,8 @@ def edit_source(monkeypatch):
     """Serve an edited copy of one package module through ``cas.module_source``.
 
     Only that module's memoised digest is dropped, so the rest of the
-    package is not parsed again; monkeypatch restores the real digest
-    when the test ends.
+    package is not read again; monkeypatch restores the real digest when
+    the test ends.
     """
     cas.driver_source_hash(_resolved("table_power"))  # the memo now holds every real digest
     read = cas.module_source
@@ -165,13 +159,15 @@ class TestResume:
         ],
         ids=["comment", "blank-lines"],
     )
-    def test_formatting_edit_of_an_imported_module_hits(self, tmp_path, edit_source, transform):
+    def test_formatting_edit_of_an_imported_module_misses(self, tmp_path, edit_source, transform):
+        # The digest hashes text, so it cannot tell a comment from code:
+        # it may re-execute what would not change, never reuse what would.
         store = ResultStore(tmp_path / "store")
         runner = Runner(telemetry=False)
         spec = ExperimentSpec(experiment="table_power")
         assert _run(runner, store, spec) is False
         edit_source(_IMPORTED, transform)
-        assert _run(runner, store, spec) is True
+        assert _run(runner, store, spec) is False
 
     def test_unhashable_driver_fails_safe_to_re_execution(self, tmp_path, monkeypatch):
         store = ResultStore(tmp_path / "store")
@@ -192,22 +188,16 @@ class TestResume:
         store.append_document(document)
         assert _run(Runner(telemetry=False), store) is False
 
-    def test_a_batch_parses_each_module_at_most_once(self, tmp_path, monkeypatch):
+    def test_a_batch_reads_each_module_at_most_once(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cas, "_module_digests", {})
         reads: Counter[str] = Counter()
-        read, digest = cas.module_source, cas.normalized_source_digest
-        parses = []
+        read = cas.module_source
 
         def counting_read(relative):
             reads[relative] += 1
             return read(relative)
 
-        def counting_digest(source):
-            parses.append(source)
-            return digest(source)
-
         monkeypatch.setattr(cas, "module_source", counting_read)
-        monkeypatch.setattr(cas, "normalized_source_digest", counting_digest)
         specs = [
             ExperimentSpec(experiment="fig13", params={"step_feet": 2.0 + index}, engine="batch")
             for index in range(50)
@@ -215,7 +205,6 @@ class TestResume:
         Runner(telemetry=False).run_batch(specs, store=ResultStore(tmp_path / "store"))
         assert set(reads) == set(cas._package_modules())
         assert max(reads.values()) == 1
-        assert len(parses) == len(reads)
 
 
 class TestImportOrder:

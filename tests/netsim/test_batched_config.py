@@ -95,6 +95,30 @@ def test_non_integer_mac_knobs_are_rejected_by_every_engine(engine, mac, knob, v
 
 
 @pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(
+    "mac, knob, value",
+    (
+        # Unchecked, NaN runs on the heap engines but raises a raw
+        # ValueError on the epoch engines, and inf delivers nothing on one
+        # family and everything on the other.
+        ("aloha", "base_backoff_s", float("nan")),
+        ("aloha", "base_backoff_s", float("inf")),
+        ("aloha", "base_backoff_s", "1e-3"),
+        ("slotted_aloha", "slot_s", float("nan")),
+        ("slotted_aloha", "slot_s", float("inf")),
+        ("csma", "backoff_slot_s", float("nan")),
+        ("csma", "backoff_slot_s", float("inf")),
+        ("tdma", "slot_s", float("nan")),
+        ("tdma", "slot_s", float("inf")),
+    ),
+)
+def test_non_finite_mac_widths_are_rejected_by_every_engine(engine, mac, knob, value):
+    scenario = _scenario(mac=mac, engine=engine, mac_params={knob: value})
+    with pytest.raises(ConfigurationError, match=f"{knob} must be a finite positive number"):
+        simulate(scenario)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
 def test_numpy_integer_mac_knobs_are_accepted(engine):
     as_numpy = simulate(_scenario(engine=engine, mac_params={"max_attempts": np.int64(2)}))
     as_int = simulate(_scenario(engine=engine, mac_params={"max_attempts": 2}))

@@ -96,6 +96,14 @@ def test_scheduling_in_the_past_raises():
         scheduler.schedule_at(0.5, lambda: None)
 
 
+@pytest.mark.parametrize("delay_s", [float("nan"), float("inf")])
+def test_non_finite_delay_raises(delay_s):
+    scheduler = EventScheduler()
+    with pytest.raises(ConfigurationError, match="finite and non-negative"):
+        scheduler.schedule(delay_s, lambda: None)
+    assert scheduler.pending == 0
+
+
 def test_max_events_bounds_execution():
     scheduler = EventScheduler()
     trace = []

@@ -14,6 +14,7 @@ from repro.netsim.mac import (
     PureAloha,
     SlottedAloha,
     TdmaPolling,
+    finite_positive_knob,
     make_mac,
 )
 from repro.netsim.medium import MediumOutcome, SharedMedium
@@ -238,6 +239,18 @@ def test_make_mac_registry():
     with pytest.raises(ConfigurationError, match="'slotted_aloha'.*'duty_cycle'"):
         make_mac("slotted_aloha", duty_cycle=0.5)
     assert make_mac("tdma", max_attempts=2, queue_limit=4).max_attempts == 2
+
+
+@pytest.mark.parametrize("value", [0.0, -1e-3, float("nan"), float("inf"), float("-inf"), "1e-3", True, None])
+def test_finite_positive_knob_rejects_what_no_engine_can_run(value):
+    with pytest.raises(ConfigurationError, match="slot_s must be a finite positive number"):
+        finite_positive_knob("slot_s", value)
+
+
+def test_finite_positive_knob_returns_a_plain_float():
+    for value in (2, np.float64(1e-3), np.int64(3)):
+        checked = finite_positive_knob("slot_s", value)
+        assert type(checked) is float and checked == value
 
 
 def test_queue_limit_rejects_overflow():

@@ -1,10 +1,13 @@
-"""Tests for package metadata, the exception hierarchy, public imports and dead code."""
+"""Tests for package metadata, the exception hierarchy, public and start-up imports and dead code."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -78,6 +81,23 @@ class TestPublicImports:
         assert hasattr(imported, "__all__")
         for name in imported.__all__:
             assert hasattr(imported, name), f"{module}.{name} missing"
+
+
+class TestStartUpImports:
+    def test_cli_and_registry_load_without_scipy_stats_or_signal(self):
+        # The two subpackages cost more than half of a process's start-up.
+        # Only the Welch PSD of the spectrum figures needs scipy.signal
+        # (which loads scipy.stats), and it imports it when it runs.
+        code = (
+            "import sys\n"
+            "import repro.api, repro.api.cli\n"
+            "repro.api.load_registry()\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] in (['scipy', 'stats'], ['scipy', 'signal'])))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 #: Public top-level names that no other ``repro`` module uses, kept on purpose.
