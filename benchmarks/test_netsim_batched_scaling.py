@@ -76,7 +76,6 @@ def test_batched_100k_device_fleet(benchmark, paper_report):
         duration_s=PROBE_DURATION_S,
         period_s=PERIOD_S * (PROBE_DEVICES / FLEET),  # same offered load per airtime
         seed=2016,
-        engine="fast_path",
         mac_params={"queue_limit": 8},
     )
     start = time.perf_counter()

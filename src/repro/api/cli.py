@@ -51,10 +51,10 @@ Subcommands
     gallery and images match a fresh render instead of writing.
 ``stats --store DIR``
     Per-experiment telemetry tables from the envelopes' attached
-    :mod:`repro.obs` documents: wall time mean/p50/p95, span counts,
-    events/sec and the netsim fast-path hit rate, plus every counter's
-    store-wide total and the campaign-level counters (resume hits and
-    misses, merge fan-in) from the store's telemetry sidecar.
+    :mod:`repro.obs` documents: wall time mean/p50/p95, span counts and
+    events/sec, plus every counter's store-wide total and the
+    campaign-level counters (resume hits and misses, merge fan-in) from
+    the store's telemetry sidecar.
     ``--experiment NAME`` restricts the view and ``--json`` emits the
     same as machine-readable JSON.
 ``trace NAME``
@@ -92,7 +92,7 @@ import sys
 from pathlib import Path
 from typing import Any
 
-from repro.api.registry import Experiment, get_experiment, iter_experiments
+from repro.api.registry import KNOWN_ENGINES, Experiment, get_experiment, iter_experiments
 from repro.api.report import check_report, generate_report, write_report
 from repro.api.result import Result, validate_result_dict
 from repro.api.runner import Runner
@@ -131,6 +131,8 @@ _BARE_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_.+-]*")
 
 #: Baseline the `lint` verb picks up automatically when it exists.
 _DEFAULT_BASELINE = "lint-baseline.json"
+
+_ENGINE_HELP = f"engine to dispatch to ({'/'.join(KNOWN_ENGINES)})"
 
 
 def _parse_value(key: str, raw: str) -> Any:
@@ -196,9 +198,7 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="with --specs: total number of shards the batch is sliced into",
     )
-    run_parser.add_argument(
-        "--engine", default=None, help="engine to dispatch to (scalar/batch/fast_path/batched/reference)"
-    )
+    run_parser.add_argument("--engine", default=None, help=_ENGINE_HELP)
     run_parser.add_argument("--seed", type=int, default=None, help="seed override for seedable experiments")
     run_parser.add_argument(
         "--set",
@@ -291,9 +291,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     trace_parser = sub.add_parser("trace", help="run one experiment and print its span tree")
     trace_parser.add_argument("name", help="experiment name (see `list`)")
-    trace_parser.add_argument(
-        "--engine", default=None, help="engine to dispatch to (scalar/batch/fast_path/batched/reference)"
-    )
+    trace_parser.add_argument("--engine", default=None, help=_ENGINE_HELP)
     trace_parser.add_argument("--seed", type=int, default=None, help="seed override for seedable experiments")
     trace_parser.add_argument(
         "--set",
@@ -658,14 +656,14 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         )
         return 0
     width = max(len(name) for name in frame.column("experiment"))
-    header = f"{'experiment'.ljust(width)}  runs  obs  mean s   p50 s    p95 s    spans  events/s  fast-path"
+    header = f"{'experiment'.ljust(width)}  runs  obs  mean s   p50 s    p95 s    spans  events/s"
     print(header)
     print("-" * len(header))
     for row in frame.rows():
         print(
             f"{row['experiment'].ljust(width)}  {row['runs']:4d}  {row['observed']:3d}  "
             f"{row['runtime_mean_s']:7.3f}  {row['runtime_p50_s']:7.3f}  {row['runtime_p95_s']:7.3f}  "
-            f"{row['spans']:5d}  {row['events_per_s']:8.0f}  {row['fast_path_hit_rate']:9.3f}"
+            f"{row['spans']:5d}  {row['events_per_s']:8.0f}"
         )
     if totals:
         print("\ncounters (store-wide totals):")

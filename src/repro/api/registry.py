@@ -35,7 +35,7 @@ __all__ = [
 #: Engine names any experiment may declare.  ``batched`` is the epoch-batched
 #: netsim engine; ``reference`` its scalar epoch oracle (the differential
 #: tests' trusted twin, exposed so campaigns can cross-check engines).
-KNOWN_ENGINES = ("scalar", "batch", "fast_path", "batched", "reference")
+KNOWN_ENGINES = ("scalar", "batch", "batched", "reference")
 
 _REGISTRY: dict[str, "Experiment"] = {}
 _LOADED = False

@@ -50,8 +50,9 @@ class Result:
         Registry name (``fig11``, ``table_power``, ...).
     engine:
         Engine that executed the run: one of the experiment's registered
-        engine names (``scalar``, ``batch``, ``fast_path``, ``batched``,
-        ``reference``).
+        engine names (``scalar``, ``batch``, ``batched``, ``reference``).
+        Nothing checks the name on read, so an envelope stored under an
+        engine since removed still loads and renders.
     seed:
         Effective RNG seed, or ``None`` for deterministic experiments.
     params:

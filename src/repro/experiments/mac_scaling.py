@@ -9,11 +9,11 @@ policies compare?  For each fleet size and MAC policy it runs one seeded
 PER, medium utilization and median latency.
 
 The engines are netsim's own (:data:`repro.netsim.fleet.ENGINES`): the
-continuous-time heap engine with the analytic PHY (``scalar``) or the PER
-tables (``fast_path``), and the epoch-batched engine (``batched``), whose
-numpy arrays carry the fleet-size axis into the thousands-of-devices
-regime (a stadium of payment cards, a ward of implants), plus its scalar
-oracle (``reference``) for bit-for-bit cross-checks at small sizes.
+continuous-time heap engine with the analytic PHY (``scalar``), and the
+epoch-batched engine (``batched``), whose numpy arrays carry the
+fleet-size axis into the thousands-of-devices regime (a stadium of
+payment cards, a ward of implants), plus its scalar oracle
+(``reference``) for bit-for-bit cross-checks at small sizes.
 
 The contention-realism knobs of :class:`repro.netsim.batched.EpochMacParams`
 are sweepable too: imperfect CCA detection, the retry ladder's abort

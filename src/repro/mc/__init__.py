@@ -1,6 +1,6 @@
 """``repro.mc`` — the batched Monte-Carlo PHY engine.
 
-Three layers, each usable on its own:
+Two layers, each usable on its own:
 
 * **Batched kernels** (:mod:`repro.mc.viterbi`, :mod:`repro.mc.kernels`):
   numpy-vectorised, bit-exact counterparts of the scalar 802.11 PHY blocks —
@@ -10,9 +10,6 @@ Three layers, each usable on its own:
   :func:`run_sweep` evaluates whole batches of Monte-Carlo trials per
   operating point; the channel helpers evaluate arrays of link-budget
   realisations in one call.
-* **Link abstraction** (:mod:`repro.mc.link_abstraction`): memoised
-  PER-vs-SINR tables that let the fleet simulator resolve packet outcomes
-  by table lookup + Bernoulli draw instead of per-packet PHY work.
 """
 
 from repro.mc.channel import BatchLinkResult, backscatter_link_batch, direct_rssi_batch
@@ -25,9 +22,7 @@ from repro.mc.kernels import (
     puncture_batch,
     scramble_batch,
 )
-from repro.mc.link_abstraction import LinkAbstraction, PerTable
 from repro.mc.sweep import (
-    AnalyticWifiPerPipeline,
     CodedOfdmPipeline,
     SweepResult,
     run_sweep,
@@ -45,9 +40,6 @@ __all__ = [
     "map_batch",
     "puncture_batch",
     "scramble_batch",
-    "LinkAbstraction",
-    "PerTable",
-    "AnalyticWifiPerPipeline",
     "CodedOfdmPipeline",
     "SweepResult",
     "run_sweep",

@@ -5,18 +5,14 @@ loops of the PER/BER experiments: a *pipeline* evaluates all ``trials``
 realisations of one operating point in a single vectorised call, and the
 driver walks the operating points, chunking batches to bound memory.
 
-Two pipelines cover the reproduction's needs:
-
-* :class:`AnalyticWifiPerPipeline` — link-abstraction PER draws from the
-  closed-form 802.11b error model (the fig11-style experiments);
-* :class:`CodedOfdmPipeline` — the full batched PHY chain
-  scramble → convolutional encode → puncture → interleave → map → AWGN →
-  demap → deinterleave → depuncture → batched Viterbi → descramble,
-  exercising every kernel in :mod:`repro.mc` at waveform-accurate coding
-  level without per-trial Python loops.  ``decision="soft"`` swaps the
-  hard demapper for :func:`repro.mc.kernels.demap_soft_batch` LLRs and
-  decodes with the soft-metric Viterbi (~2 dB at the PER ≈ 10⁻² operating
-  point).
+The reproduction's pipeline is :class:`CodedOfdmPipeline`, the full
+batched PHY chain scramble → convolutional encode → puncture → interleave
+→ map → AWGN → demap → deinterleave → depuncture → batched Viterbi →
+descramble, exercising every kernel in :mod:`repro.mc` at
+waveform-accurate coding level without per-trial Python loops.
+``decision="soft"`` swaps the hard demapper for
+:func:`repro.mc.kernels.demap_soft_batch` LLRs and decodes with the
+soft-metric Viterbi (~2 dB at the PER ≈ 10⁻² operating point).
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ from typing import Protocol
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.channel.error_models import wifi_packet_error_rate
 from repro.mc.kernels import (
     deinterleave_batch,
     demap_batch,
@@ -47,7 +42,6 @@ __all__ = [
     "SweepPipeline",
     "SweepResult",
     "run_sweep",
-    "AnalyticWifiPerPipeline",
     "CodedOfdmPipeline",
 ]
 
@@ -135,20 +129,6 @@ def run_sweep(
     return SweepResult(
         snr_db=points, error_rate=error_rate, std_error=std_error, trials=trials
     )
-
-
-@dataclass(frozen=True)
-class AnalyticWifiPerPipeline:
-    """Packet-failure draws from the analytic 802.11b PER model."""
-
-    rate_mbps: float
-    payload_bytes: int
-
-    def run_batch(self, snr_db: float, trials: int, rng: np.random.Generator) -> np.ndarray:
-        per = wifi_packet_error_rate(
-            snr_db, rate_mbps=self.rate_mbps, payload_bytes=self.payload_bytes
-        )
-        return (rng.random(trials) < per).astype(float)
 
 
 class CodedOfdmPipeline:

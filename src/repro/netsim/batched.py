@@ -7,8 +7,7 @@ packet air time wide by default — and keeps all per-device MAC state
 (queue depths, backoff counters, retry ladders, next-attempt epochs) in
 numpy arrays.  An epoch's work follows its real sizes: the few arrivals
 run device by device, the one transmitter that can be delivered is
-resolved as a scalar against the memoised
-:class:`~repro.mc.link_abstraction.LinkAbstraction` PER table, and only
+resolved as a scalar against a PER table (:func:`per_table`), and only
 the losers — up to hundreds in a saturated fleet — stay vectorised.
 
 Two engines implement the *same* epoch contract:
@@ -79,12 +78,13 @@ random draw happens in ascending device id:
    backoff; TDMA waits a superframe).  Retry draws precede the initial
    access draws of freshly exposed queue heads.
 
-The PER table is always used (the batched mode exists *because* of the fast
-path).  MAC knobs arrive through ``FleetScenario.mac_params`` — see
-:func:`resolve_epoch_mac` — including the contention-realism set:
-``cca_reliability`` (imperfect CCA), ``max_attempts`` (retry-ladder abort
-counter) and ``duty_cycle`` (fraction of elapsed virtual time a device may
-spend on air).
+The PER table holds the closed-form model at 0.25 dB SINR bins, built
+once per simulator; a lookup interpolates between bin centres, within
+5e-3 of the model for the fleet profiles' packets.  MAC knobs arrive
+through ``FleetScenario.mac_params`` — see :func:`resolve_epoch_mac` —
+including the contention-realism set: ``cca_reliability`` (imperfect
+CCA), ``max_attempts`` (retry-ladder abort counter) and ``duty_cycle``
+(fraction of elapsed virtual time a device may spend on air).
 """
 
 from __future__ import annotations
@@ -97,15 +97,17 @@ from types import SimpleNamespace
 import numpy as np
 
 from repro.exceptions import ConfigurationError
-from repro.core.downlink import InterscatterDownlink
-from repro.mc.link_abstraction import LinkAbstraction
+from repro.channel.error_models import wifi_packet_error_rate
 from repro.netsim.fleet import FleetScenario, FleetSimulator, fleet_links
-from repro.netsim.mac import MAX_BACKOFF_EXPONENT, POLL_BITS, finite_positive_knob, integer_knob
+from repro.netsim.mac import MAX_BACKOFF_EXPONENT, finite_positive_knob, integer_knob, probability_knob
 from repro.netsim.metrics import FleetMetrics
 from repro.obs import metrics as obs
-from repro.utils.dsp import dbm_to_watts
+from repro.utils.dsp import dbm_to_watts, scalar_or_array
 
 __all__ = [
+    "PER_TABLE_SINR_DB",
+    "PerTable",
+    "per_table",
     "EpochMacParams",
     "resolve_epoch_mac",
     "BatchedFleetSimulator",
@@ -119,6 +121,30 @@ EPOCH_MACS = ("aloha", "slotted_aloha", "csma", "tdma")
 
 #: Capture threshold shared with :class:`repro.netsim.medium.SharedMedium`.
 CAPTURE_THRESHOLD_DB = 10.0
+
+#: SINR bin centres (dB) of the epoch engines' PER table: 0.25 dB bins, well
+#: below the dB-scale granularity of the PER model.
+PER_TABLE_SINR_DB = np.arange(-15.0, 40.0 + 0.25, 0.25)
+
+
+@dataclass(frozen=True)
+class PerTable:
+    """PER of one link class at every SINR of :data:`PER_TABLE_SINR_DB`."""
+
+    per: np.ndarray
+
+    def lookup(self, sinr_db: float | np.ndarray) -> float | np.ndarray:
+        """Interpolated PER; SINRs outside the grid clamp to the edge bins (≈1 below, ≈0 above)."""
+        value = np.interp(np.asarray(sinr_db, dtype=float), PER_TABLE_SINR_DB, self.per)
+        return scalar_or_array(value, sinr_db)
+
+
+def per_table(rate_mbps: float, payload_bytes: int) -> PerTable:
+    """The closed-form 802.11b PER of one link class, evaluated at every bin centre."""
+    # perfbench reads this counter under its historical name.
+    obs.count("mc.link_abstraction.tables_built")
+    per = wifi_packet_error_rate(PER_TABLE_SINR_DB, rate_mbps=float(rate_mbps), payload_bytes=int(payload_bytes))
+    return PerTable(np.asarray(per))
 
 
 @dataclass(frozen=True)
@@ -164,10 +190,11 @@ def resolve_epoch_mac(scenario: FleetScenario, epoch_s: float) -> EpochMacParams
     ``base_backoff_s`` quantises to epochs; ``slot_s`` / ``backoff_slot_s``
     are checked and ignored (the epoch *is* the slot / backoff unit);
     unknown keys, integer knobs that are not integers (see
-    :func:`~repro.netsim.mac.integer_knob`) and widths that are not finite
+    :func:`~repro.netsim.mac.integer_knob`), widths that are not finite
     positive numbers (see :func:`~repro.netsim.mac.finite_positive_knob`)
-    raise :class:`~repro.exceptions.ConfigurationError`, as on the heap
-    engine.
+    and probabilities outside [0, 1] (see
+    :func:`~repro.netsim.mac.probability_knob`) raise
+    :class:`~repro.exceptions.ConfigurationError`, as on the heap engine.
     """
     name = scenario.mac
     if name not in EPOCH_MACS:
@@ -176,12 +203,12 @@ def resolve_epoch_mac(scenario: FleetScenario, epoch_s: float) -> EpochMacParams
     fields: dict = {"name": name}
     fields["max_attempts"] = integer_knob("max_attempts", params.pop("max_attempts", 8))
     fields["queue_limit"] = integer_knob("queue_limit", params.pop("queue_limit", 64))
-    fields["duty_cycle"] = float(params.pop("duty_cycle", 1.0))
+    fields["duty_cycle"] = probability_knob("duty_cycle", params.pop("duty_cycle", 1.0))
     if fields["max_attempts"] < 1:
         raise ConfigurationError("max_attempts must be at least 1")
     if fields["queue_limit"] < 1:
         raise ConfigurationError("queue_limit must be at least 1")
-    if not 0.0 < fields["duty_cycle"] <= 1.0:
+    if fields["duty_cycle"] == 0.0:
         raise ConfigurationError("duty_cycle must be in (0, 1]")
     width = {"slotted_aloha": "slot_s", "csma": "backoff_slot_s", "tdma": "slot_s"}.get(name)
     if width in params:  # checked, then ignored: the epoch is the slot / backoff unit
@@ -197,13 +224,11 @@ def resolve_epoch_mac(scenario: FleetScenario, epoch_s: float) -> EpochMacParams
         fields["min_be"] = integer_knob("min_be", params.pop("min_be", 3))
         fields["max_be"] = integer_knob("max_be", params.pop("max_be", 6))
         fields["max_cca_attempts"] = integer_knob("max_cca_attempts", params.pop("max_cca_attempts", 5))
-        fields["cca_reliability"] = float(params.pop("cca_reliability", 1.0))
+        fields["cca_reliability"] = probability_knob("cca_reliability", params.pop("cca_reliability", 1.0))
         if not 0 <= fields["min_be"] <= fields["max_be"] <= 20:
             raise ConfigurationError("need 0 <= min_be <= max_be <= 20")
         if fields["max_cca_attempts"] < 1:
             raise ConfigurationError("max_cca_attempts must be at least 1")
-        if not 0.0 <= fields["cca_reliability"] <= 1.0:
-            raise ConfigurationError("cca_reliability must be in [0, 1]")
     elif name == "tdma":
         fields["num_slots"] = integer_knob("num_slots", params.pop("num_slots", scenario.num_devices))
         params.pop("slot_index", None)  # fixed to device_id % num_slots
@@ -231,9 +256,9 @@ class _EpochSetup:
     """Scenario constants shared by both epoch engines.
 
     Both engines build their own instance from the same scenario, so every
-    derived float (air time, epoch width, per-device RSSI / signal power,
-    TDMA poll probabilities) is computed by the same code path and therefore
-    bit-identical between them.  Packet size, placement and link budgets
+    derived float (air time, epoch width, per-device RSSI / signal power)
+    is computed by the same code path and therefore bit-identical between
+    them.  Packet size, placement, link budgets and TDMA poll probabilities
     come from :func:`~repro.netsim.fleet.fleet_links`, as on the heap engine.
     """
 
@@ -255,22 +280,8 @@ class _EpochSetup:
         self.sensitivity_dbm = links.sensitivity_dbm
         self.rssi_dbm = links.rssi_dbm
         self.signal_w = dbm_to_watts(self.rssi_dbm)
-        self.per_table = LinkAbstraction().table(
-            rate_mbps=self.profile.wifi_rate_mbps, payload_bytes=self.psdu_bytes
-        )
-        if scenario.mac == "tdma":
-            downlink = InterscatterDownlink(rng=np.random.default_rng(scenario.seed))
-            self.poll_success_prob = np.array(
-                [
-                    float(
-                        (1.0 - downlink.link_bit_error_rate(p.distance_to(links.receiver))[0])
-                        ** POLL_BITS
-                    )
-                    for p in links.positions
-                ]
-            )
-        else:
-            self.poll_success_prob = None
+        self.per_table = per_table(self.profile.wifi_rate_mbps, self.psdu_bytes)
+        self.poll_success_prob = links.poll_success_prob
 
 
 class BatchedFleetSimulator:
@@ -929,10 +940,10 @@ def simulate(
 ) -> FleetMetrics:
     """Run *scenario* under the engine its ``engine`` field names.
 
-    ``"scalar"`` and ``"fast_path"`` dispatch to the continuous-time heap
-    engine (:class:`~repro.netsim.fleet.FleetSimulator`, the latter with
-    PER tables); ``"batched"`` and ``"reference"`` to the epoch engines of
-    this module (``epoch_s`` applies only to those).
+    ``"scalar"`` dispatches to the continuous-time heap engine
+    (:class:`~repro.netsim.fleet.FleetSimulator`); ``"batched"`` and
+    ``"reference"`` to the epoch engines of this module (``epoch_s``
+    applies only to those).
     """
     if scenario.engine in EPOCH_ENGINES:
         return EPOCH_ENGINES[scenario.engine](scenario, epoch_s=epoch_s).run()

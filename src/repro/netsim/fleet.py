@@ -15,9 +15,10 @@ and a seed; :class:`FleetSimulator` then
    medium with one seeded RNG and one event queue, and
 4. returns :class:`~repro.netsim.metrics.FleetMetrics`.
 
-Steps 1 and 2, with the packet every device synthesizes, are
-:func:`fleet_links`, which the epoch engines of :mod:`repro.netsim.batched`
-share, so every engine runs a scenario on the same per-device constants.
+Steps 1 and 2, with the packet every device synthesizes and a TDMA
+fleet's poll success probabilities, are :func:`fleet_links`, which the
+epoch engines of :mod:`repro.netsim.batched` share, so every engine runs a
+scenario on the same per-device constants.
 Runs are fully deterministic in the scenario seed.
 """
 
@@ -40,7 +41,6 @@ from repro.channel.noise import NoiseModel
 from repro.channel.propagation import PathLossModel
 from repro.core.downlink import InterscatterDownlink
 from repro.core.timing import InterscatterTiming
-from repro.mc.link_abstraction import LinkAbstraction
 from repro.netsim.events import EventScheduler
 from repro.obs import metrics as obs
 from repro.netsim.mac import (
@@ -77,7 +77,7 @@ MAC_OVERHEAD_BYTES = 6
 
 #: Execution engines a :class:`FleetScenario` may name, default first.
 #: ``repro.netsim.batched.simulate`` dispatches on them.
-ENGINES = ("scalar", "fast_path", "batched", "reference")
+ENGINES = ("scalar", "batched", "reference")
 
 
 @dataclass(frozen=True)
@@ -234,6 +234,11 @@ class FleetLinks:
     noise / sensitivity_dbm:
         The receiver the link budget models; the medium judges packets
         against the same one.
+    poll_success_prob:
+        TDMA scenarios only (``None`` otherwise): per device, the
+        probability of decoding a poll, ``(1 - BER)**POLL_BITS`` with the
+        BER of the interscatter downlink over the receiver-to-device
+        distance.
     """
 
     psdu_bytes: int
@@ -244,6 +249,7 @@ class FleetLinks:
     incident_power_dbm: np.ndarray
     noise: NoiseModel
     sensitivity_dbm: float
+    poll_success_prob: np.ndarray | None
 
 
 def fleet_links(scenario: FleetScenario) -> FleetLinks:
@@ -251,7 +257,8 @@ def fleet_links(scenario: FleetScenario) -> FleetLinks:
 
     The fleet is static, so these are constants of the scenario: one
     :meth:`~repro.channel.link_budget.BackscatterLinkBudget.evaluate_batch`
-    call covers every device.
+    call covers every device, and a TDMA fleet gets each device's poll
+    success probability here, once for every engine.
     """
     profile = scenario.resolved_profile()
     timing = InterscatterTiming(wifi_rate_mbps=profile.wifi_rate_mbps)
@@ -276,6 +283,11 @@ def fleet_links(scenario: FleetScenario) -> FleetLinks:
         np.array([p.distance_to(origin) for p in positions]),
         np.array([p.distance_to(receiver) for p in positions]),
     )
+    poll_success_prob = None
+    if scenario.mac == TdmaPolling.name:
+        downlink = InterscatterDownlink(rng=np.random.default_rng(scenario.seed))
+        bers = [downlink.link_bit_error_rate(p.distance_to(receiver))[0] for p in positions]
+        poll_success_prob = np.array([(1.0 - ber) ** POLL_BITS for ber in bers])
     return FleetLinks(
         psdu_bytes=psdu_bytes,
         air_time_s=timing.wifi_air_time_s(psdu_bytes),
@@ -285,6 +297,7 @@ def fleet_links(scenario: FleetScenario) -> FleetLinks:
         incident_power_dbm=np.asarray(links.incident_power_dbm, dtype=float),
         noise=link_budget.noise,
         sensitivity_dbm=link_budget.receiver_sensitivity_dbm,
+        poll_success_prob=poll_success_prob,
     )
 
 
@@ -321,12 +334,9 @@ class FleetScenario:
     engine:
         Execution engine (one of :data:`ENGINES`) that
         ``repro.netsim.batched.simulate`` dispatches on: ``"scalar"`` (this
-        module's continuous-time heap engine, analytic PHY error model per
-        packet), ``"fast_path"`` (the heap engine resolving packet fates
-        through the memoised PER tables of
-        :class:`repro.mc.link_abstraction.LinkAbstraction` — statistically
-        equivalent up to the table's 0.25 dB SINR binning, essential for
-        1000+ device fleets), ``"batched"`` (vectorised epoch engine) or
+        module's continuous-time heap engine, analytic PHY error model
+        evaluated once per link for clean packets and per packet for
+        captured ones), ``"batched"`` (vectorised epoch engine) or
         ``"reference"`` (the scalar epoch oracle the differential tests
         trust).
 
@@ -425,24 +435,13 @@ class FleetSimulator:
 
         links = fleet_links(scenario)
         slot_s = links.air_time_s * (1.0 + self.SLOT_GUARD_FRACTION)
-        self.link_abstraction = LinkAbstraction() if scenario.engine == "fast_path" else None
-        self.medium = SharedMedium(
-            noise=links.noise,
-            receiver_sensitivity_dbm=links.sensitivity_dbm,
-            link_abstraction=self.link_abstraction,
-        )
-        downlink = InterscatterDownlink(rng=np.random.default_rng(scenario.seed))
+        self.medium = SharedMedium(noise=links.noise, receiver_sensitivity_dbm=links.sensitivity_dbm)
 
         self.nodes: list[SimDevice] = []
         for device_id, (position, rssi_dbm, incident_power_dbm) in enumerate(
             zip(links.positions, links.rssi_dbm.tolist(), links.incident_power_dbm.tolist(), strict=True)
         ):
-            mac = self._make_mac(
-                device_id,
-                slot_s=slot_s,
-                downlink=downlink,
-                poll_distance_m=position.distance_to(links.receiver),
-            )
+            mac = self._make_mac(device_id, slot_s=slot_s, poll_success_prob=links.poll_success_prob)
             stats = self.metrics.add_device(device_id, self.profile.name, rssi_dbm)
             node = SimDevice(
                 device_id,
@@ -459,14 +458,7 @@ class FleetSimulator:
             self.nodes.append(node)
 
     # ------------------------------------------------------------- MAC setup
-    def _make_mac(
-        self,
-        device_id: int,
-        *,
-        slot_s: float,
-        downlink: InterscatterDownlink,
-        poll_distance_m: float,
-    ) -> MacProtocol:
+    def _make_mac(self, device_id: int, *, slot_s: float, poll_success_prob: np.ndarray | None) -> MacProtocol:
         name = self.scenario.mac
         params = dict(self.scenario.mac_params)
         if name == PureAloha.name:
@@ -476,11 +468,10 @@ class FleetSimulator:
         elif name == CsmaBackoff.name:
             params.setdefault("backoff_slot_s", slot_s / 4.0)
         elif name == TdmaPolling.name:
-            ber, _ = downlink.link_bit_error_rate(poll_distance_m)
             params.setdefault("slot_index", device_id)
             params.setdefault("num_slots", self.scenario.num_devices)
             params.setdefault("slot_s", slot_s)
-            params.setdefault("poll_success_prob", float((1.0 - ber) ** POLL_BITS))
+            params.setdefault("poll_success_prob", float(poll_success_prob[device_id]))
         return make_mac(name, **params)
 
     # --------------------------------------------------------------- traffic
@@ -547,7 +538,6 @@ class FleetSimulator:
             profile=self.profile.name,
             devices=self.scenario.num_devices,
             mac=self.scenario.mac,
-            fast_path=self.link_abstraction is not None,
         ):
             for node in self.nodes:
                 node.mac.start()
@@ -566,7 +556,7 @@ class FleetSimulator:
         obs.gauge("netsim.medium.airtime_s", self.medium.airtime_s)
         # The medium's own tallies, once per run instead of once per packet;
         # a counter that never moved is left out, as per-packet counting did.
-        for name in ("resolutions", "collisions", "fast_path_hits", "phy_calls"):
+        for name in ("resolutions", "collisions", "phy_calls"):
             total = getattr(self.medium, name)
             if total:
                 obs.count(f"netsim.medium.{name}", total)

@@ -44,6 +44,7 @@ __all__ = [
     "make_mac",
     "integer_knob",
     "finite_positive_knob",
+    "probability_knob",
 ]
 
 #: Cap on the binary-exponential window growth of the ALOHA policies.  Deep
@@ -80,6 +81,17 @@ def finite_positive_knob(name: str, value) -> float:
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
         raise ConfigurationError(f"{name} must be a finite positive number, got {value!r}")
+    return float(value)
+
+
+def probability_knob(name: str, value) -> float:
+    """*value* of the probability knob *name*, checked the same way by every engine: a real in [0, 1].
+
+    Anything else (``1.5``, ``nan``, ``"0.5"``, ``True``) raises
+    :class:`~repro.exceptions.ConfigurationError` naming the knob.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
+        raise ConfigurationError(f"{name} must be a probability in [0, 1], got {value!r}")
     return float(value)
 
 
@@ -320,13 +332,11 @@ class CsmaBackoff(MacProtocol):
             raise ConfigurationError("need 0 <= min_be <= max_be")
         if max_cca_attempts < 1:
             raise ConfigurationError("max_cca_attempts must be at least 1")
-        if not 0.0 <= cca_reliability <= 1.0:
-            raise ConfigurationError("cca_reliability must be in [0, 1]")
         self.min_be = min_be
         self.max_be = max_be
         self.max_cca_attempts = max_cca_attempts
         self.backoff_slot_s = finite_positive_knob("backoff_slot_s", backoff_slot_s)
-        self.cca_reliability = cca_reliability
+        self.cca_reliability = probability_knob("cca_reliability", cca_reliability)
         self._be = min_be
         self._cca_attempts = 0
 
@@ -405,12 +415,10 @@ class TdmaPolling(MacProtocol):
         num_slots = integer_knob("num_slots", num_slots)
         if num_slots < 1 or not 0 <= slot_index < num_slots:
             raise ConfigurationError("need 0 <= slot_index < num_slots")
-        if not 0.0 <= poll_success_prob <= 1.0:
-            raise ConfigurationError("poll_success_prob must be in [0, 1]")
         self.slot_index = slot_index
         self.num_slots = num_slots
         self.slot_s = finite_positive_knob("slot_s", slot_s)
-        self.poll_success_prob = poll_success_prob
+        self.poll_success_prob = probability_knob("poll_success_prob", poll_success_prob)
 
     @property
     def superframe_s(self) -> float:

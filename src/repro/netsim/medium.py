@@ -109,22 +109,14 @@ class SharedMedium:
     capture_threshold_db:
         Minimum SINR for a packet that overlapped another transmission to
         capture the receiver; below it the packet is corrupted outright.
-    link_abstraction:
-        Optional :class:`repro.mc.link_abstraction.LinkAbstraction`.  When
-        set, packet fates come from its memoised PER-vs-SINR tables (one
-        lookup + one Bernoulli draw per packet) instead of the analytic
-        PHY error model — the fast path that makes 1000-device fleets
-        cheap.  ``None`` (the default) keeps the exact model.
 
     A device's received power is a constant of its link, so the medium
     converts each ``rssi_dbm`` to watts once.  A packet nothing overlapped
     has the SINR of its link alone, so the medium computes it once per
     link, keyed on ``(signal_w, rate_mbps, psdu_bytes)``, together with its
-    exact PER (the fast path still looks the PER up per packet).
-    Overlapped packets are evaluated one by one.
-    The counters ``resolutions``, ``collisions``, ``fast_path_hits``
-    (packets whose PER came from the table) and ``phy_calls`` (packets
-    whose PER came from the exact model, memoised or not) are the totals
+    PER.  Overlapped packets are evaluated one by one.
+    The counters ``resolutions``, ``collisions`` and ``phy_calls``
+    (packets whose fate needed a PER, memoised or not) are the totals
     :class:`~repro.netsim.fleet.FleetSimulator` reports as
     ``netsim.medium.*`` telemetry at the end of a run.
     """
@@ -135,12 +127,10 @@ class SharedMedium:
         noise: NoiseModel | None = None,
         receiver_sensitivity_dbm: float = -94.0,
         capture_threshold_db: float = 10.0,
-        link_abstraction=None,
     ) -> None:
         self.noise = noise if noise is not None else NoiseModel(bandwidth_hz=22e6)
         self.receiver_sensitivity_dbm = receiver_sensitivity_dbm
         self.capture_threshold_db = capture_threshold_db
-        self.link_abstraction = link_abstraction
         self._noise_w = dbm_to_watts(self.noise.noise_floor_dbm)
         self._active: list[Transmission] = []
         self._busy_since: float | None = None
@@ -149,13 +139,12 @@ class SharedMedium:
         self.transmissions = 0
         self.collisions = 0
         self.resolutions = 0
-        self.fast_path_hits = 0
         self.phy_calls = 0
         # Received power in watts, per rssi_dbm.
         self._signal_w: dict[float, float] = {}
         # Outcome inputs of a packet nothing overlapped, per link: the SINR
-        # and, on the exact path, its PER.
-        self._clean: dict[tuple[float, float, int], tuple[float, float | None]] = {}
+        # and its PER.
+        self._clean: dict[tuple[float, float, int], tuple[float, float]] = {}
 
     # ---------------------------------------------------------------- status
     @property
@@ -222,29 +211,22 @@ class SharedMedium:
 
         self.resolutions += 1
         collided = tx.peak_interference_w > 0.0
-        exact_per = None
         if collided:
             self.collisions += 1
             sinr_db = self._sinr_db(tx)
+            if sinr_db < self.capture_threshold_db:
+                per = 1.0
+            else:
+                self.phy_calls += 1
+                per = self._per(sinr_db, tx)
         else:
+            self.phy_calls += 1
             key = (tx.signal_w, tx.rate_mbps, tx.psdu_bytes)
             clean = self._clean.get(key)
             if clean is None:
                 sinr_db = self._sinr_db(tx)
-                if self.link_abstraction is None:
-                    exact_per = self._exact_per(sinr_db, tx)
-                clean = self._clean[key] = (sinr_db, exact_per)
-            sinr_db, exact_per = clean
-        if collided and sinr_db < self.capture_threshold_db:
-            per = 1.0
-        elif self.link_abstraction is not None:
-            self.fast_path_hits += 1
-            per = self.link_abstraction.per(
-                sinr_db, rate_mbps=tx.rate_mbps, payload_bytes=tx.psdu_bytes
-            )
-        else:
-            self.phy_calls += 1
-            per = exact_per if exact_per is not None else self._exact_per(sinr_db, tx)
+                clean = self._clean[key] = (sinr_db, self._per(sinr_db, tx))
+            sinr_db, per = clean
         delivered = bool(
             tx.rssi_dbm >= self.receiver_sensitivity_dbm and rng.random() > per
         )
@@ -254,7 +236,7 @@ class SharedMedium:
         return float(10.0 * np.log10(tx.signal_w / (self._noise_w + tx.peak_interference_w)))
 
     @staticmethod
-    def _exact_per(sinr_db: float, tx: Transmission) -> float:
+    def _per(sinr_db: float, tx: Transmission) -> float:
         return wifi_packet_error_rate(sinr_db, rate_mbps=tx.rate_mbps, payload_bytes=tx.psdu_bytes)
 
     def finalize(self, now: float) -> None:

@@ -3,9 +3,9 @@
 The runner attaches one :mod:`repro.obs.metrics` document per envelope;
 this module folds a whole campaign's documents back into summary tables.
 :func:`stats_frame` produces one :class:`~repro.api.analytics.Frame` row
-per experiment — wall-time mean/p50/p95, span counts, event throughput
-and the netsim fast-path hit rate — and :func:`counter_totals` sums every
-counter across the store.  Both feed ``python -m repro stats``.
+per experiment — wall-time mean/p50/p95, span counts and event
+throughput — and :func:`counter_totals` sums every counter across the
+store.  Both feed ``python -m repro stats``.
 
 Like every analytics path, iteration order is deterministic (experiments
 sorted by name, counters by name) so the same store always renders the
@@ -87,12 +87,8 @@ def stats_frame(
     Columns: ``experiment``, ``runs`` (distinct stored invocations),
     ``observed`` (runs carrying telemetry), ``runtime_mean_s`` /
     ``runtime_p50_s`` / ``runtime_p95_s`` (over every run's recorded
-    ``runtime_s``), ``spans`` (total spans collected), ``events_per_s``
-    (netsim events dispatched per second of observed wall time) and
-    ``fast_path_hit_rate``: the share of PER decisions made by a table
-    lookup, ``fast_path_hits / (fast_path_hits + phy_calls)``, 0.0 when
-    the medium made none.  A collided packet below the capture threshold
-    needs no PER and counts in neither term.
+    ``runtime_s``), ``spans`` (total spans collected) and ``events_per_s``
+    (netsim events dispatched per second of observed wall time).
     """
     results = list(store.iter_results() if isinstance(store, ResultStore) else store)
     if experiment is not None:
@@ -110,7 +106,6 @@ def stats_frame(
     runtime_p95: list[float] = []
     spans: list[int] = []
     events_per_s: list[float] = []
-    fast_path_rate: list[float] = []
     for name in names:
         members = by_experiment[name]
         observed = _observed(members)
@@ -124,10 +119,6 @@ def stats_frame(
         events = _counter_sum(members, "netsim.events.dispatched")
         observed_runtime = sum(member.runtime_s for member in observed)
         events_per_s.append(_ratio(events, observed_runtime))
-        hits = _counter_sum(members, "netsim.medium.fast_path_hits")
-        fast_path_rate.append(
-            _ratio(hits, hits + _counter_sum(members, "netsim.medium.phy_calls"))
-        )
     return Frame(
         {
             "experiment": names,
@@ -138,6 +129,5 @@ def stats_frame(
             "runtime_p95_s": np.asarray(runtime_p95, dtype=float),
             "spans": spans,
             "events_per_s": np.asarray(events_per_s, dtype=float),
-            "fast_path_hit_rate": np.asarray(fast_path_rate, dtype=float),
         }
     )

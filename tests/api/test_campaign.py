@@ -226,7 +226,7 @@ class TestGridDocuments:
         assert len(specs) >= 100
         profiles = {spec.params.get("profile", "contact_lens") for spec in specs}
         assert profiles == {"contact_lens", "neural_implant", "card_to_card"}
-        assert {spec.engine for spec in specs} == {None, "fast_path", "batched"}
+        assert {spec.engine for spec in specs} == {None, "batched"}
         assert {spec.experiment for spec in specs} == {"mac_scaling"}
         seeds = [spec.seed for spec in specs]
         assert len(set(seeds)) == len(seeds)

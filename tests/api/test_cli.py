@@ -8,6 +8,7 @@ import pytest
 
 from repro.api import Result, ResultStore, payload_equal
 from repro.api.cli import main
+from repro.api.registry import KNOWN_ENGINES
 from repro.experiments import fig11_per
 
 
@@ -239,6 +240,12 @@ class TestErrors:
         assert main(["run", "fig15", "--engine", "batch"]) == 1
         assert "engine not supported" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["run", "trace"])
+    def test_engine_help_names_the_known_engines(self, verb, capsys):
+        with pytest.raises(SystemExit):
+            main([verb, "--help"])
+        assert f"({'/'.join(KNOWN_ENGINES)})" in capsys.readouterr().out
+
     def test_unknown_experiment_fails_cleanly(self, capsys):
         assert main(["run", "fig99"]) == 1
         assert "unknown experiment" in capsys.readouterr().err
@@ -268,7 +275,7 @@ class TestObservability:
         store_dir = self._store(tmp_path)
         assert main(["stats", "--store", str(store_dir)]) == 0
         out = capsys.readouterr().out
-        assert "experiment" in out and "fast-path" in out
+        assert "experiment" in out and "events/s" in out and "fast-path" not in out
         assert "fig11" in out and "table_power" in out
         assert "channel.link_realisations" in out
 

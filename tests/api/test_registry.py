@@ -47,7 +47,7 @@ class TestMetadata:
 
     def test_mac_scaling_declares_every_netsim_engine(self):
         experiment = get_experiment("mac_scaling")
-        assert experiment.engine_names == ("scalar", "fast_path", "batched", "reference")
+        assert experiment.engine_names == ("scalar", "batched", "reference")
         assert experiment.default_engine == "scalar"
 
     def test_coded_ofdm_is_batch_only(self):

@@ -11,6 +11,7 @@ from repro.api import (
     check_report,
     experiment_names,
     generate_report,
+    payload_equal,
     write_report,
 )
 
@@ -53,6 +54,19 @@ class TestGenerate:
 
     def test_excludes_runtime(self, populated_store):
         assert "runtime" not in generate_report(populated_store).lower()
+
+    def test_envelope_of_a_removed_engine_still_reads_and_renders(self, tmp_path):
+        # Stores written while mac_scaling had a `fast_path` engine hold
+        # envelopes under that name; nothing checks engine names on read.
+        result = Runner().run("mac_scaling", params={"fleet_sizes": (1, 2), "duration_s": 0.2})
+        store = ResultStore(tmp_path)
+        store.append_document({**result.to_dict(), "engine": "fast_path"})
+        (stored,) = store.iter_results()
+        assert stored.engine == "fast_path"
+        assert payload_equal(stored.payload, result.payload)
+        text = generate_report(store)
+        assert "- engines: fast_path" in text
+        assert "Measured (fast_path engine" in text
 
 
 class TestWriteAndCheck:

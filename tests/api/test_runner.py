@@ -5,8 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import ExperimentSpec, Runner, payload_equal
+from repro.api import ExperimentSpec, Runner, load_specs, payload_equal
 from repro.exceptions import ConfigurationError
+from repro.netsim import FleetScenario
 
 
 class TestSeedPolicy:
@@ -67,14 +68,21 @@ class TestEngineDispatch:
         with pytest.raises(ConfigurationError, match="engine not supported"):
             runner.run("fig12")
 
-    def test_mac_scaling_fast_path(self):
-        result = Runner().run(
-            "mac_scaling",
-            engine="fast_path",
-            params={"fleet_sizes": (1, 4), "duration_s": 0.2},
-        )
-        assert result.engine == "fast_path"
-        assert np.all(result.payload.delivery_ratio["tdma"] > 0.0)
+    def test_removed_fast_path_engine_is_rejected_everywhere(self):
+        # The heap engine's PER-table twin is gone and no alias runs it as
+        # another engine: the scenario, the runner and a grid naming it fail.
+        with pytest.raises(ConfigurationError, match=r"unknown netsim engine 'fast_path'; available: \["):
+            FleetScenario(engine="fast_path")
+        with pytest.raises(ConfigurationError, match="engine not supported"):
+            Runner().run("mac_scaling", engine="fast_path", params={"fleet_sizes": (1,), "duration_s": 0.2})
+        sweep = {
+            "experiment": "mac_scaling",
+            "grid": {"fleet_sizes": [[100], [200]]},
+            "engine": "fast_path",
+            "replicates": 3,
+        }
+        with pytest.raises(ConfigurationError, match="engine not supported"):
+            load_specs({"sweeps": [sweep]})
 
     def test_fig10_batch_matches_scalar_exactly(self):
         scalar = Runner().run("fig10", params={"step_feet": 10.0}).payload

@@ -2,14 +2,28 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from repro.exceptions import ConfigurationError
 from repro.channel.error_models import wifi_packet_error_rate
-from repro.mc import AnalyticWifiPerPipeline, CodedOfdmPipeline, run_sweep
+from repro.mc import CodedOfdmPipeline, run_sweep
 from repro.obs.metrics import collect
 from repro.wifi.ofdm.rates import OfdmRate
+
+
+@dataclass(frozen=True)
+class AnalyticWifiPerPipeline:
+    """A cheap pipeline for the driver tests: packet-failure draws from the analytic 802.11b PER."""
+
+    rate_mbps: float
+    payload_bytes: int
+
+    def run_batch(self, snr_db: float, trials: int, rng: np.random.Generator) -> np.ndarray:
+        per = wifi_packet_error_rate(snr_db, rate_mbps=self.rate_mbps, payload_bytes=self.payload_bytes)
+        return (rng.random(trials) < per).astype(float)
 
 
 class TestRunSweep:

@@ -7,7 +7,8 @@ import warnings
 import numpy as np
 import pytest
 
-from repro.mc.sweep import AnalyticWifiPerPipeline, run_sweep
+from repro.mc.sweep import run_sweep
+from tests.mc.test_sweep import AnalyticWifiPerPipeline
 
 POINTS = np.array([4.0, 8.0])
 

@@ -119,6 +119,39 @@ def test_non_finite_mac_widths_are_rejected_by_every_engine(engine, mac, knob, v
 
 
 @pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize(
+    "mac, knob, value",
+    (
+        # Unchecked, "0.5" raised a raw TypeError on the heap engine and ran
+        # as 0.5 on the epoch engines; True ran as 1.0 on every engine.
+        ("csma", "cca_reliability", "0.5"),
+        ("csma", "cca_reliability", True),
+        ("csma", "cca_reliability", float("nan")),
+        ("csma", "cca_reliability", -0.1),
+        # A raw TypeError on the heap engine, True ran as 1.0 there; the
+        # epoch engines take no such knob.
+        ("tdma", "poll_success_prob", "0.9"),
+        ("tdma", "poll_success_prob", True),
+        # The heap engine models no duty cycle; the epoch engines ran these.
+        ("aloha", "duty_cycle", "0.5"),
+        ("aloha", "duty_cycle", True),
+        ("aloha", "duty_cycle", float("nan")),
+    ),
+)
+def test_invalid_probability_knobs_are_rejected_by_every_engine(engine, mac, knob, value):
+    scenario = _scenario(mac=mac, engine=engine, mac_params={knob: value})
+    with pytest.raises(ConfigurationError, match=knob):
+        simulate(scenario)
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_numpy_float_probability_knobs_are_accepted(engine):
+    as_numpy = simulate(_scenario(mac="csma", engine=engine, mac_params={"cca_reliability": np.float64(0.5)}))
+    as_float = simulate(_scenario(mac="csma", engine=engine, mac_params={"cca_reliability": 0.5}))
+    assert as_numpy.fingerprint() == as_float.fingerprint()
+
+
+@pytest.mark.parametrize("engine", ENGINES)
 def test_numpy_integer_mac_knobs_are_accepted(engine):
     as_numpy = simulate(_scenario(engine=engine, mac_params={"max_attempts": np.int64(2)}))
     as_int = simulate(_scenario(engine=engine, mac_params={"max_attempts": 2}))

@@ -146,15 +146,14 @@ def test_simulate_dispatches_on_scenario_engine():
     batched = simulate(FleetScenario(engine="batched", **kwargs))
     reference = simulate(FleetScenario(engine="reference", **kwargs))
     assert batched.fingerprint() == reference.fingerprint()
-    # The heap engine resolves packet fates through the PER tables only
-    # when the scenario names the fast path.
-    hits = {}
-    for engine in ("scalar", "fast_path"):
+    # Only the heap engine resolves packets on the shared medium.
+    resolutions = {}
+    for engine in ("scalar", "batched"):
         with obs.collect() as collector:
             simulate(FleetScenario(engine=engine, **kwargs))
-        hits[engine] = collector.counters.get("netsim.medium.fast_path_hits", 0)
-    assert hits["scalar"] == 0
-    assert hits["fast_path"] > 0
+        resolutions[engine] = collector.counters.get("netsim.medium.resolutions", 0)
+    assert resolutions["scalar"] > 0
+    assert resolutions["batched"] == 0
 
 
 def test_mac_scaling_payloads_identical_across_epoch_engines():

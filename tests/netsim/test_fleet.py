@@ -4,15 +4,20 @@ from __future__ import annotations
 
 import signal
 from contextlib import contextmanager
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from repro.core.downlink import InterscatterDownlink
 from repro.exceptions import ConfigurationError
 from repro.obs import metrics as obs
+from repro.netsim.fleet import fleet_links
+from repro.netsim.mac import POLL_BITS
 from repro.netsim import (
     ENGINES,
     PROFILES,
+    BatchedFleetSimulator,
     FleetScenario,
     FleetSimulator,
     ring_placement,
@@ -105,6 +110,24 @@ def test_numpy_integer_fleet_size_and_seed_are_accepted(engine):
     with obs.collect():
         fingerprint = simulate(as_numpy).fingerprint()
     assert fingerprint == simulate(as_int).fingerprint()
+
+
+def test_tdma_poll_success_prob_is_computed_once_for_both_engine_families():
+    scenario = FleetScenario(profile="contact_lens", num_devices=1000, mac="tdma", duration_s=0.01)
+    links = fleet_links(scenario)
+    downlink = InterscatterDownlink(rng=np.random.default_rng(0))
+    bers = [downlink.link_bit_error_rate(p.distance_to(links.receiver))[0] for p in links.positions]
+    expected = [(1.0 - ber) ** POLL_BITS for ber in bers]
+    assert links.poll_success_prob.tolist() == expected
+    assert min(expected) < 1.0  # the outer rings lose polls
+    assert [node.mac.poll_success_prob for node in FleetSimulator(scenario).nodes] == expected
+    epoch = BatchedFleetSimulator(replace(scenario, engine="batched"))
+    assert epoch.setup.poll_success_prob.tolist() == expected
+
+
+@pytest.mark.parametrize("mac", ("aloha", "slotted_aloha", "csma"))
+def test_only_tdma_fleets_carry_poll_probabilities(mac):
+    assert fleet_links(FleetScenario(num_devices=3, mac=mac)).poll_success_prob is None
 
 
 def test_same_seed_reproduces_bit_identical_metrics():

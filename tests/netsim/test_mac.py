@@ -16,6 +16,7 @@ from repro.netsim.mac import (
     TdmaPolling,
     finite_positive_knob,
     make_mac,
+    probability_knob,
 )
 from repro.netsim.medium import MediumOutcome, SharedMedium
 
@@ -250,6 +251,18 @@ def test_finite_positive_knob_rejects_what_no_engine_can_run(value):
 def test_finite_positive_knob_returns_a_plain_float():
     for value in (2, np.float64(1e-3), np.int64(3)):
         checked = finite_positive_knob("slot_s", value)
+        assert type(checked) is float and checked == value
+
+
+@pytest.mark.parametrize("value", [-0.1, 1.5, float("nan"), float("inf"), "0.5", True, False, None])
+def test_probability_knob_rejects_what_is_not_a_probability(value):
+    with pytest.raises(ConfigurationError, match=r"cca_reliability must be a probability in \[0, 1\]"):
+        probability_knob("cca_reliability", value)
+
+
+def test_probability_knob_returns_a_plain_float():
+    for value in (0, 1, 0.5, np.float64(0.25), np.int64(1)):
+        checked = probability_knob("cca_reliability", value)
         assert type(checked) is float and checked == value
 
 

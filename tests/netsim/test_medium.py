@@ -8,7 +8,6 @@ import pytest
 import repro.netsim.medium as medium_module
 from repro.channel.error_models import wifi_packet_error_rate
 from repro.exceptions import ConfigurationError
-from repro.mc import LinkAbstraction
 from repro.netsim.fleet import FleetScenario, FleetSimulator
 from repro.netsim.medium import SharedMedium
 from repro.obs import metrics as obs
@@ -118,15 +117,11 @@ def test_ending_unknown_transmission_raises(medium, rng):
 def _direct(medium, rssi):
     """SINR and PER of a clean packet at *rssi*, computed from scratch."""
     sinr = float(10.0 * np.log10(dbm_to_watts(rssi) / dbm_to_watts(medium.noise.noise_floor_dbm)))
-    if medium.link_abstraction is not None:
-        return sinr, LinkAbstraction().per(sinr, rate_mbps=2.0, payload_bytes=14)
     return sinr, wifi_packet_error_rate(sinr, rate_mbps=2.0, payload_bytes=14)
 
 
-@pytest.mark.parametrize("fast_path", (False, True), ids=("exact", "fast_path"))
 @pytest.mark.parametrize("rssi", (-60.0, -94.0))
-def test_repeated_clean_packets_equal_a_direct_evaluation(fast_path, rssi, rng):
-    medium = SharedMedium(link_abstraction=LinkAbstraction() if fast_path else None)
+def test_repeated_clean_packets_equal_a_direct_evaluation(medium, rssi, rng):
     sinr, per = _direct(medium, rssi)
     # At the -94 dBm sensitivity floor (SNR ≈ 0.55 dB) the PER is on the
     # curve's slope, so a stale or rounded memo entry would show.
@@ -138,9 +133,7 @@ def test_repeated_clean_packets_equal_a_direct_evaluation(fast_path, rssi, rng):
         assert out.packet_error_rate == per
 
 
-@pytest.mark.parametrize("fast_path", (False, True), ids=("exact", "fast_path"))
-def test_clean_packet_after_a_collided_one_equals_a_direct_evaluation(fast_path, rng):
-    medium = SharedMedium(link_abstraction=LinkAbstraction() if fast_path else None)
+def test_clean_packet_after_a_collided_one_equals_a_direct_evaluation(medium, rng):
     strong = _begin(medium, device_id=1, rssi=-60.0, now=0.0)
     weak = _begin(medium, device_id=2, rssi=-94.0, now=50e-6)
     captured = medium.end(strong, now=150e-6, rng=rng)
@@ -198,12 +191,9 @@ def test_scalar_fleet_calls_the_per_model_once_per_link_plus_captures(monkeypatc
     assert calls["n"] <= scenario.num_devices + captured
 
 
-@pytest.mark.parametrize("engine", ("scalar", "fast_path"))
-def test_medium_telemetry_counters_equal_the_medium_tallies(engine):
-    names = ("resolutions", "collisions", "fast_path_hits", "phy_calls")
-    scenario = FleetScenario(
-        profile="card_to_card", num_devices=12, mac="aloha", duration_s=0.3, period_s=0.02, engine=engine
-    )
+def test_medium_telemetry_counters_equal_the_medium_tallies():
+    names = ("resolutions", "collisions", "phy_calls")
+    scenario = FleetScenario(profile="card_to_card", num_devices=12, mac="aloha", duration_s=0.3, period_s=0.02)
     sim = FleetSimulator(scenario)
     with obs.collect() as collector:
         sim.run()

@@ -90,34 +90,9 @@ class TestStatsFrame:
         row = stats_frame([_result("x", 2.0, telemetry)]).rows()[0]
         assert row["events_per_s"] == 250.0
 
-    def test_fast_path_hit_rate(self):
-        telemetry = _telemetry(
-            {
-                "netsim.medium.resolutions": 10,
-                "netsim.medium.fast_path_hits": 4,
-                "netsim.medium.phy_calls": 6,
-            }
-        )
-        row = stats_frame([_result("x", 1.0, telemetry)]).rows()[0]
-        assert row["fast_path_hit_rate"] == 0.4
-
-    def test_fast_path_hit_rate_ignores_collisions_that_need_no_per(self):
-        # Two packets collided under the capture threshold: the table made
-        # every PER decision there was.
-        telemetry = _telemetry(
-            {
-                "netsim.medium.resolutions": 10,
-                "netsim.medium.fast_path_hits": 8,
-                "netsim.medium.collisions": 2,
-            }
-        )
-        row = stats_frame([_result("x", 1.0, telemetry)]).rows()[0]
-        assert row["fast_path_hit_rate"] == 1.0
-
     def test_rates_are_zero_not_nan_without_denominator(self):
         row = stats_frame([_result("x", 0.0, None)]).rows()[0]
         assert row["events_per_s"] == 0.0
-        assert row["fast_path_hit_rate"] == 0.0
 
     def test_span_totals(self):
         telemetry = _telemetry({}, spans=[_span("root", [_span("leaf")])])
