@@ -195,12 +195,19 @@ class SweepSpec:
         )
 
 
+def _plain_spec(element: Any) -> ExperimentSpec:
+    """A grid's plain spec entry, checked against the registry as sweeps are."""
+    spec = ExperimentSpec.from_dict(element)
+    spec.resolve()
+    return spec
+
+
 def _element_to_specs(element: Any, where: str) -> list[ExperimentSpec]:
     if not isinstance(element, dict):
         raise ConfigurationError(f"{where} must be an object, got {type(element).__name__}")
     if "grid" in element or "replicates" in element:
         return SweepSpec.from_dict(element).expand()
-    return [ExperimentSpec.from_dict(element)]
+    return [_plain_spec(element)]
 
 
 def load_specs(document: Any) -> list[ExperimentSpec]:
@@ -211,6 +218,10 @@ def load_specs(document: Any) -> list[ExperimentSpec]:
     * a single sweep object (has a ``grid`` key) or single spec object,
     * a list mixing sweep and spec objects,
     * ``{"sweeps": [...], "specs": [...]}`` with either key optional.
+
+    Every spec is checked against the registry here (experiment, params,
+    engine, seed), so a bad entry rejects the whole grid before any of it
+    is sliced into shards or executed.
     """
     if isinstance(document, list):
         specs: list[ExperimentSpec] = []
@@ -229,7 +240,7 @@ def load_specs(document: Any) -> list[ExperimentSpec]:
         for index, element in enumerate(document.get("sweeps") or []):
             specs.extend(_element_to_specs(element, f"sweeps[{index}]"))
         for element in document.get("specs") or []:
-            specs.append(ExperimentSpec.from_dict(element))
+            specs.append(_plain_spec(element))
         return specs
     return _element_to_specs(document, "document")
 

@@ -74,12 +74,11 @@ Subcommands
     determinism, telemetry isolation, registry completeness, exception
     hygiene, document validation) over the given paths (default
     ``src/repro``).  ``--rule ID`` restricts to specific rules,
-    ``--json`` emits the strict schema-versioned document, ``--markdown
-    PATH`` writes the CI summary table, ``--baseline FILE`` grandfathers
-    known findings, ``--write-baseline`` records the current findings as
-    that baseline, and ``--check`` is the CI gate: new findings *or*
-    stale baseline entries fail, so the baseline only ever ratchets
-    towards zero.
+    ``--json`` emits the strict schema-versioned document and
+    ``--markdown PATH`` writes the CI summary table.  Any finding fails
+    the run (exit 1); a ``# lint-ok: RLnnn -- reason`` pragma beside the
+    code is the only way to excuse one.  Paths that hold no Python file
+    are an error, not a clean run.
 """
 
 from __future__ import annotations
@@ -108,16 +107,7 @@ from repro.fabric.manifest import (
     write_manifest,
 )
 from repro.fabric.slicing import read_spec_files, shard_slice
-from repro.lint import (
-    apply_baseline,
-    build_document,
-    lint_paths,
-    load_baseline,
-    render_markdown,
-    render_text,
-    select_rules,
-    write_baseline,
-)
+from repro.lint import build_document, lint_paths, render_markdown, render_text, select_rules
 from repro.obs.metrics import Collector, format_span_tree
 from repro.obs.stats import campaign_counter_totals, counter_totals, stats_frame
 from repro.plots.gallery import check_gallery, write_gallery
@@ -128,9 +118,6 @@ __all__ = ["main"]
 #: Unquoted words that are neither JSON nor Python literals pass through as
 #: strings (`--set profile=contact_lens`); anything else must parse.
 _BARE_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_.+-]*")
-
-#: Baseline the `lint` verb picks up automatically when it exists.
-_DEFAULT_BASELINE = "lint-baseline.json"
 
 _ENGINE_HELP = f"engine to dispatch to ({'/'.join(KNOWN_ENGINES)})"
 
@@ -341,22 +328,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lint_parser.add_argument("--json", action="store_true", help="emit the strict schema-versioned JSON document")
     lint_parser.add_argument(
         "--markdown", default=None, metavar="PATH", help="also write a findings table for CI job summaries"
-    )
-    lint_parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help=f"grandfathered-findings file (default: {_DEFAULT_BASELINE} when it exists)",
-    )
-    lint_parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record the current findings as the baseline instead of failing on them",
-    )
-    lint_parser.add_argument(
-        "--check",
-        action="store_true",
-        help="CI gate: fail on new findings and on stale baseline entries",
     )
     return parser
 
@@ -747,44 +718,16 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     paths = args.paths or ["src/repro"]
     findings, files_checked = lint_paths(paths, args.rules or None)
 
-    baseline_path = args.baseline
-    if baseline_path is None and Path(_DEFAULT_BASELINE).is_file():
-        baseline_path = _DEFAULT_BASELINE
-    if args.write_baseline:
-        target = baseline_path or _DEFAULT_BASELINE
-        write_baseline(target, findings)
-        print(f"wrote {target}: {len(findings)} grandfathered finding(s) from {files_checked} file(s)")
-        return 0
-
-    suppressed: list = []
-    stale: list = []
-    if baseline_path is not None and Path(baseline_path).is_file():
-        outcome = apply_baseline(findings, load_baseline(baseline_path))
-        findings, suppressed, stale = list(outcome.new), list(outcome.suppressed), list(outcome.stale)
-
     if args.markdown:
         Path(args.markdown).write_text(render_markdown(findings))
     if args.json:
-        document = build_document(
-            findings,
-            rules=rules,
-            files_checked=files_checked,
-            suppressed=suppressed,
-            stale=stale,
-        )
-        print(json.dumps(document, indent=2))
+        print(json.dumps(build_document(findings, rules=rules, files_checked=files_checked), indent=2))
     else:
-        for line in render_text(findings, suppressed=suppressed, stale=stale):
+        for line in render_text(findings):
             print(line)
-
-    failed = bool(findings) or (args.check and bool(stale))
-    if not args.json:
-        state = "failed" if failed else "clean"
-        print(
-            f"lint: {files_checked} file(s), {len(findings)} finding(s), "
-            f"{len(suppressed)} grandfathered, {len(stale)} stale baseline entr(ies) — {state}"
-        )
-    return 1 if failed else 0
+        state = "failed" if findings else "clean"
+        print(f"lint: {files_checked} file(s), {len(findings)} finding(s) — {state}")
+    return 1 if findings else 0
 
 
 def main(argv: list[str] | None = None) -> int:

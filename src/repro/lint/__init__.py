@@ -12,23 +12,12 @@ Layout:
 * :mod:`repro.lint.engine` — :class:`Rule` registry, :class:`Finding`
   records, the pragma-aware file walker;
 * :mod:`repro.lint.rules` — the RL002–RL007 catalogue;
-* :mod:`repro.lint.baseline` — grandfathered findings, ratcheted to zero;
 * :mod:`repro.lint.reporting` — text / strict-JSON / markdown output.
 
-Shell entry point: ``python -m repro lint [PATHS] [--rule ID] [--json]
-[--baseline FILE] [--check]`` (see :mod:`repro.api.cli`).
+Shell entry point: ``python -m repro lint [PATHS] [--rule ID] [--json]``
+(see :mod:`repro.api.cli`); any finding fails the run.
 """
 
-from repro.lint.baseline import (
-    Baseline,
-    BaselineEntry,
-    BaselineResult,
-    apply_baseline,
-    baseline_from_findings,
-    fingerprint,
-    load_baseline,
-    write_baseline,
-)
 from repro.lint.engine import (
     Finding,
     Rule,
@@ -48,25 +37,17 @@ from repro.lint.reporting import (
 )
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
-    "BaselineResult",
     "Finding",
     "LINT_SCHEMA_VERSION",
     "Rule",
-    "apply_baseline",
-    "baseline_from_findings",
     "build_document",
-    "fingerprint",
     "get_rule",
     "iter_rules",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "register_rule",
     "render_markdown",
     "render_text",
     "select_rules",
     "validate_lint_document",
-    "write_baseline",
 ]

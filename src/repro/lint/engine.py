@@ -18,9 +18,8 @@ Two rule kinds exist:
 Deliberate, documented exceptions are suppressed in source with a
 pragma comment — ``# lint-ok: RL002 -- reason`` — on the finding's line
 or on any *anchor line* the rule attaches (RL007 anchors the enclosing
-``def``, so one pragma can bless a whole function).  Everything
-else an exception list would need lives in the committed baseline
-(:mod:`repro.lint.baseline`), which only ever shrinks.
+``def``, so one pragma can bless a whole function).  A pragma is the
+only way to excuse a finding; every other finding fails the run.
 """
 
 from __future__ import annotations
@@ -70,8 +69,7 @@ class Finding:
     message:
         What is wrong, specifically (names the offending symbol).
     snippet:
-        The stripped source line — also the stable part of the baseline
-        fingerprint, so findings survive unrelated line-number drift.
+        The stripped source line the finding points at.
     fix_hint:
         The rule's generic remediation hint.
     anchor_lines:
@@ -166,8 +164,7 @@ class Rule:
     Attributes
     ----------
     id:
-        Stable identifier (``RL002``); what ``--rule``, pragmas and the
-        baseline refer to.
+        Stable identifier (``RL002``); what ``--rule`` and pragmas refer to.
     category:
         Short kebab-case slug grouping related rules.
     description:
@@ -311,14 +308,17 @@ def lint_paths(
     """Lint every Python file under *paths*.
 
     Returns ``(findings, files_checked)``; findings are pragma-filtered
-    and sorted.  Baseline application is the caller's concern
-    (:func:`repro.lint.baseline.apply_baseline`).
+    and sorted.  Paths that hold no ``.py`` file raise, so a gate
+    pointed at the wrong place cannot pass by checking nothing.
     """
+    paths = list(paths)
     selected = select_rules(rules)
     contexts = [
         LintContext(str(file), file.read_text(encoding="utf-8"))
         for file in iter_python_files(paths)
     ]
+    if not contexts:
+        raise ConfigurationError(f"no Python files to lint under {[str(path) for path in paths]}")
     return _run(selected, contexts), len(contexts)
 
 

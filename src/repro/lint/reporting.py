@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Any, Iterable, Sequence
 
 from repro.exceptions import ConfigurationError
-from repro.lint.baseline import BaselineEntry
 from repro.lint.engine import Finding, Rule
 
 __all__ = [
@@ -29,15 +28,10 @@ __all__ = [
 ]
 
 #: Version stamp of the ``--json`` document layout.
-LINT_SCHEMA_VERSION = 1
+LINT_SCHEMA_VERSION = 2
 
 
-def render_text(
-    findings: Sequence[Finding],
-    *,
-    suppressed: Sequence[Finding] = (),
-    stale: Sequence[BaselineEntry] = (),
-) -> list[str]:
+def render_text(findings: Sequence[Finding]) -> list[str]:
     """Human-readable diagnostic lines, compiler style."""
     lines: list[str] = []
     for finding in findings:
@@ -46,23 +40,12 @@ def render_text(
             lines.append(f"    {finding.snippet}")
         if finding.fix_hint:
             lines.append(f"    hint: {finding.fix_hint}")
-    if suppressed:
-        lines.append(f"{len(suppressed)} grandfathered finding(s) suppressed by the baseline:")
-        for finding in suppressed:
-            lines.append(f"    {finding.path}:{finding.line}: {finding.rule} {finding.message}")
-    for entry in stale:
-        lines.append(
-            f"stale baseline entry {entry.fingerprint} ({entry.rule}, {entry.path}): "
-            "the tree no longer produces it — remove the entry (or rerun --write-baseline)"
-        )
     return lines
 
 
-def render_markdown(
-    findings: Sequence[Finding], *, title: str = "Lint contract findings"
-) -> str:
+def render_markdown(findings: Sequence[Finding]) -> str:
     """A markdown table of findings for CI job summaries."""
-    lines = [f"### {title}", ""]
+    lines = ["### Lint contract findings", ""]
     if not findings:
         lines.append("No findings — all contracts hold.")
         return "\n".join(lines) + "\n"
@@ -74,14 +57,7 @@ def render_markdown(
     return "\n".join(lines) + "\n"
 
 
-def build_document(
-    findings: Sequence[Finding],
-    *,
-    rules: Iterable[Rule],
-    files_checked: int,
-    suppressed: Sequence[Finding] = (),
-    stale: Sequence[BaselineEntry] = (),
-) -> dict[str, Any]:
+def build_document(findings: Sequence[Finding], *, rules: Iterable[Rule], files_checked: int) -> dict[str, Any]:
     """The strict-JSON lint document ``--json`` emits."""
     return {
         "lint_schema_version": LINT_SCHEMA_VERSION,
@@ -89,15 +65,8 @@ def build_document(
             {"id": rule.id, "category": rule.category, "description": rule.description}
             for rule in rules
         ],
-        "summary": {
-            "files_checked": files_checked,
-            "findings": len(findings),
-            "suppressed_by_baseline": len(suppressed),
-            "stale_baseline_entries": len(stale),
-        },
+        "summary": {"files_checked": files_checked, "findings": len(findings)},
         "findings": [finding.to_dict() for finding in findings],
-        "suppressed": [finding.to_dict() for finding in suppressed],
-        "stale_baseline_entries": [entry.to_dict() for entry in stale],
     }
 
 
@@ -134,7 +103,7 @@ def validate_lint_document(document: Any) -> None:
     summary = document.get("summary")
     if not isinstance(summary, dict):
         raise ConfigurationError("lint document field 'summary' must be an object")
-    for name in ("files_checked", "findings", "suppressed_by_baseline", "stale_baseline_entries"):
+    for name in ("files_checked", "findings"):
         value = summary.get(name)
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ConfigurationError(
@@ -150,11 +119,10 @@ def validate_lint_document(document: Any) -> None:
             raise ConfigurationError(
                 f"lint document rule {index} must have string id/category/description"
             )
-    for key in ("findings", "suppressed"):
-        items = document.get(key)
-        if not isinstance(items, list):
-            raise ConfigurationError(f"lint document field {key!r} must be a list")
-        for index, item in enumerate(items):
-            _validate_finding(item, f"{key}[{index}]")
-    if len(document["findings"]) != summary["findings"]:
+    findings = document.get("findings")
+    if not isinstance(findings, list):
+        raise ConfigurationError("lint document field 'findings' must be a list")
+    for index, item in enumerate(findings):
+        _validate_finding(item, f"findings[{index}]")
+    if len(findings) != summary["findings"]:
         raise ConfigurationError("lint summary 'findings' does not match the findings list")

@@ -200,6 +200,27 @@ class TestGridDocuments:
         with pytest.raises(ConfigurationError, match="must be an object, got str"):
             load_specs({"specs": [{"experiment": "fig17"}, "fig06"]})
 
+    @pytest.mark.parametrize(
+        "bad, match",
+        [
+            ({"experiment": "fig99"}, "unknown experiment"),
+            ({"experiment": "fig17", "params": {"bogus": 1}}, "no parameter"),
+            ({"experiment": "mac_scaling", "engine": "fast_path"}, "engine not supported"),
+            ({"experiment": "fig13", "params": {"engine": "batch"}}, "params\\['engine'\\]"),
+            ({"experiment": "fig17", "params": {"seed": 1}, "seed": 2}, "seed given both"),
+        ],
+        ids=["experiment", "parameter", "engine", "params-engine", "seed-twice"],
+    )
+    @pytest.mark.parametrize(
+        "wrap",
+        [lambda spec: {"specs": [spec]}, lambda spec: spec, lambda spec: [spec]],
+        ids=["specs-list", "bare-object", "top-level-list"],
+    )
+    def test_plain_specs_are_checked_on_load(self, bad, match, wrap):
+        """A plain spec is held to the registry at load time, as a sweep is."""
+        with pytest.raises(ConfigurationError, match=match):
+            load_specs(wrap(bad))
+
     def test_read_specs_roundtrip(self, tmp_path):
         path = tmp_path / "grid.json"
         path.write_text(json.dumps({"sweeps": [_small_sweep().to_dict()]}))

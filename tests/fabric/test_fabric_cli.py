@@ -168,3 +168,23 @@ class TestGuardRails:
     def test_out_of_range_shard_index_fails_cleanly(self, capsys):
         assert main(["run", "--specs", _PER_GRID, "--shard-index", "4", "--shard-count", "4"]) == 1
         assert "shard" in capsys.readouterr().err
+
+    def test_a_bad_spec_in_another_shard_fails_every_shard(self, tmp_path, capsys):
+        """Shard 0 must not execute a grid that shard 1 cannot complete."""
+        grid = tmp_path / "grid.json"
+        grid.write_text(
+            json.dumps(
+                {
+                    "specs": [
+                        {"experiment": "table_power"},
+                        {"experiment": "mac_scaling", "engine": "fast_path"},
+                    ]
+                }
+            )
+        )
+        manifest = tmp_path / "m0.json"
+        args = ["run", "--specs", str(grid), "--shard-index", "0", "--shard-count", "2"]
+        args += ["--store", str(tmp_path / "s0"), "--manifest", str(manifest)]
+        assert main(args) == 1
+        assert "engine not supported" in capsys.readouterr().err
+        assert not manifest.exists()
