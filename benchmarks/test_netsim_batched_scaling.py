@@ -7,11 +7,14 @@ would take extrapolated from a small probe fleet (the heap engine's event
 count grows linearly in devices × duration, so a 500-device / 2-second
 probe extrapolates by the device and duration ratios).  The run also
 re-checks packet conservation at full scale — an epoch-calendar bug that
-loses or double-counts devices would surface here first.
+loses or double-counts devices would surface here first — and pins the
+fleet's per-device counters bit for bit, so the engine's array form (its
+bulk steps here hold about 160 devices) cannot drift unseen.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 from repro.netsim.batched import BatchedFleetSimulator
@@ -34,6 +37,10 @@ PROBE_DURATION_S = 2.0
 
 WALL_CLOCK_BOUND_S = 30.0
 MIN_SPEEDUP = 20.0
+
+#: sha256 over ``repr`` of each ``FleetMetrics.fingerprint()`` row; the same
+#: digest perfbench's ``fleet_100k`` workload checks at its canonical seed.
+FLEET_DIGEST = "ddfdaeb8a89af51e295fe390d8b2cda175842e65301144e0a0fae31d562f59d4"
 
 
 def test_batched_100k_device_fleet(benchmark, paper_report):
@@ -66,6 +73,10 @@ def test_batched_100k_device_fleet(benchmark, paper_report):
     )
     assert sim.epochs_processed <= sim.setup.num_epochs
     assert sim.transmissions_resolved > FLEET  # every device got on air repeatedly
+    digest = hashlib.sha256()
+    for row in state["metrics"].fingerprint():
+        digest.update(repr(row).encode())
+    assert digest.hexdigest() == FLEET_DIGEST
 
     # The heap engine's cost is ~linear in devices x duration: extrapolate a
     # probe it can afford up to the benchmarked scale.

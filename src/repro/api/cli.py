@@ -86,6 +86,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import os
 import re
 import sys
 from pathlib import Path
@@ -734,23 +735,37 @@ def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "list":
-            return _cmd_list(args)
-        if args.command == "info":
-            return _cmd_info(args)
-        if args.command == "report":
-            return _cmd_report(args)
-        if args.command == "plot":
-            return _cmd_plot(args)
-        if args.command == "stats":
-            return _cmd_stats(args)
-        if args.command == "trace":
-            return _cmd_trace(args)
-        if args.command == "merge":
-            return _cmd_merge(args)
-        if args.command == "lint":
-            return _cmd_lint(args)
-        return _cmd_run(args)
+        code = _dispatch(args)
+        # A reader that left early (``| head``) shows here, not at exit.
+        # stdout is None when the process started with it closed.
+        if sys.stdout is not None:
+            sys.stdout.flush()
+        return code
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's flush at exit cannot
+        # raise again (the recipe of the ``signal`` module's documentation).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    if args.command == "list":
+        return _cmd_list(args)
+    if args.command == "info":
+        return _cmd_info(args)
+    if args.command == "report":
+        return _cmd_report(args)
+    if args.command == "plot":
+        return _cmd_plot(args)
+    if args.command == "stats":
+        return _cmd_stats(args)
+    if args.command == "trace":
+        return _cmd_trace(args)
+    if args.command == "merge":
+        return _cmd_merge(args)
+    if args.command == "lint":
+        return _cmd_lint(args)
+    return _cmd_run(args)

@@ -37,7 +37,8 @@ class ExperimentSpec:
         Requested engine, or ``None`` for the runner/driver default.
     seed:
         Seed override, or ``None`` to fall back to the runner's seed and
-        then the driver's own default.
+        then the driver's own default.  A deterministic experiment (no
+        ``seed`` parameter) rejects a seed here.
     """
 
     experiment: str
@@ -53,6 +54,11 @@ class ExperimentSpec:
             raise ConfigurationError("pass the engine via ExperimentSpec.engine, not params['engine']")
         if "seed" in self.params and self.seed is not None:
             raise ConfigurationError("seed given both in params and in ExperimentSpec.seed")
+        if self.seed is not None and not experiment.takes_seed:
+            raise ConfigurationError(
+                f"spec for {self.experiment!r} sets seed={self.seed} but the experiment is "
+                "deterministic (no seed parameter)"
+            )
         if self.engine is not None:
             experiment.check_engine(self.engine)
         return experiment

@@ -159,14 +159,26 @@ class InterscatterDownlink:
         budget = link_budget if link_budget is not None else DirectLinkBudget(tx_power_dbm=tx_power_dbm)
         budget.tx_power_dbm = tx_power_dbm
         rssi = budget.received_power_dbm(distance_m)
+        return self._detector_ber(rssi), float(rssi)
+
+    def link_bit_error_rates(self, distance_m: np.ndarray, *, tx_power_dbm: float = 20.0) -> list[float]:
+        """:meth:`link_bit_error_rate`'s BER at every distance of an array, bit for bit.
+
+        One batch call evaluates the link budget at every distance.  The BER
+        stays a scalar evaluation per distance: numpy's array ``power``
+        rounds differently from its scalar one.
+        """
+        rssi = DirectLinkBudget(tx_power_dbm=tx_power_dbm).received_power_dbm_batch(distance_m)
+        return [self._detector_ber(value) for value in rssi.tolist()]
+
+    def _detector_ber(self, rssi_dbm: float) -> float:
         sensitivity = self.peak_detector.sensitivity_dbm
-        if rssi <= sensitivity:
-            return 0.5, rssi
+        if rssi_dbm <= sensitivity:
+            return 0.5
         # Above the floor the comparator sees the full constant-vs-random
         # envelope contrast; the 12 dB term models that built-in AM depth.
-        margin_db = rssi - sensitivity
-        ber = ber_ook_envelope(margin_db + 12.0)
-        return float(ber), float(rssi)
+        margin_db = rssi_dbm - sensitivity
+        return float(ber_ook_envelope(margin_db + 12.0))
 
     def simulate_link(
         self,

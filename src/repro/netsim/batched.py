@@ -6,9 +6,13 @@ trades continuous time for *epochs* — fixed slices of the virtual clock, one
 packet air time wide by default — and keeps all per-device MAC state
 (queue depths, backoff counters, retry ladders, next-attempt epochs) in
 numpy arrays.  An epoch's work follows its real sizes: the few arrivals
-run device by device, the one transmitter that can be delivered is
-resolved as a scalar against a PER table (:func:`per_table`), and only
-the losers — up to hundreds in a saturated fleet — stay vectorised.
+run device by device, and the one transmitter that can be delivered is
+resolved as a scalar against a PER table (:func:`per_table`).  The
+transmitters stay in the sorted id list the calendar returns; each bulk
+step (duty-cycle gate, CSMA sensing and backoff, TDMA poll, medium, loser
+bookkeeping) walks it in plain Python up to :data:`PER_DEVICE_MAX`
+devices and hands it to numpy above that, as for the hundreds of losers
+of a saturated fleet.
 
 Two engines implement the *same* epoch contract:
 
@@ -70,7 +74,9 @@ random draw happens in ascending device id:
    carries more than 10x the power of all the others combined, so only the
    strongest can clear it.  The vectorised engine computes that one SINR
    and PER; the others are certain losses, though their draws are still
-   consumed.
+   consumed.  Its interference total is numpy's sum in either form:
+   Python's ``sum`` rounds differently from 8 terms on, and at any length
+   from Python 3.12, which compensates.
 5. **Outcomes** — the delivered head pops (latency = ``t_end - created``);
    failed heads at ``max_attempts`` drop; the rest draw their retry ladder
    (ALOHA ``integers(0, base * 2**min(attempts-1, 10))`` epochs; slotted
@@ -241,15 +247,42 @@ def resolve_epoch_mac(scenario: FleetScenario, epoch_s: float) -> EpochMacParams
     return EpochMacParams(**fields)
 
 
-def _strongest_sinr_db(signal_w: np.ndarray, noise_w: float) -> tuple[int, float]:
+#: Bulk steps of an epoch (duty-cycle gate, CSMA sensing and backoff, TDMA
+#: poll, medium, loser bookkeeping) walk up to this many devices in plain
+#: Python and hand more to numpy: below it a numpy call's fixed price, not
+#: the per-device work, sets the cost.  Measured on a 2-core VM (Python
+#: 3.11, numpy 2.4), the median time of a busy epoch's phases 3-5 ties
+#: between the two forms at 8-24 ready devices, lowest for ALOHA, highest
+#: for CSMA; ``mac_scaling``'s batched specs ran equally fast at any value
+#: from 12 to 32.  24 keeps every step of those fleets, at most 22 devices,
+#: on the list form.
+PER_DEVICE_MAX = 24
+
+#: Bounded-integer draws for up to this many devices are scalar calls,
+#: which give the same values and generator state as one array-bound call.
+#: Measured on the same VM (numpy 2.4.6), a scalar ``integers(lo, h)`` costs
+#: about 1.7 us and an array-bound call over a list about 8 us, so scalar
+#: calls were faster up to 5 bounds (12 of 15 rounds at 5, 0 of 15 at 6).
+SCALAR_DRAWS_MAX = 5
+
+
+def _per_device(count: int) -> bool:
+    """Whether a bulk step over *count* devices walks them in plain Python."""
+    return count <= PER_DEVICE_MAX
+
+
+def _strongest_sinr_db(signal_w: list[float] | np.ndarray, noise_w: float) -> tuple[int, float]:
     """Index and SINR (dB) of the strongest of concurrent transmitters.
 
-    The SINR is the value a vectorised pass over all of them gives that
-    transmitter; the others are below the capture threshold.
+    *signal_w* is a list of powers or their numpy array; numpy picks the
+    first maximum and sums the interference for both, so the SINR is the
+    value a vectorised pass over all of them gives that transmitter.  The
+    others are below the capture threshold.
     """
-    strongest = int(signal_w.argmax())
-    own = signal_w[strongest]
-    return strongest, 10.0 * np.log10(own / (noise_w + max(float(signal_w.sum()) - own, 0.0)))
+    powers = np.asarray(signal_w)
+    strongest = int(powers.argmax())
+    own = powers[strongest]
+    return strongest, 10.0 * np.log10(own / (noise_w + max(float(powers.sum()) - own, 0.0)))
 
 
 class _EpochSetup:
@@ -327,23 +360,19 @@ class BatchedFleetSimulator:
         self.lone_ct = np.zeros(n, dtype=np.int64)  # attempts made alone on the medium
         self.delivered_ct = np.zeros(n, dtype=np.int64)
         self.dropped_ct = np.zeros(n, dtype=np.int64)
-        # Element views of the state the per-device paths (arrivals and the
-        # capture winner) touch: a memoryview item is a plain Python number
-        # and costs a fraction of a numpy scalar access.
+        # Element views of the state the per-device paths touch: a
+        # memoryview item is a plain Python number and costs a fraction of
+        # a numpy scalar access.
         self._v = SimpleNamespace(
             **{
                 name: memoryview(getattr(self, name))
                 for name in (
                     "queue_len", "head", "created", "head_attempts", "be", "cca_fails", "next_arrival_s",
                     "airtime_used", "generated_ct", "queue_dropped_ct", "attempted_ct", "lone_ct", "delivered_ct",
+                    "dropped_ct",
                 )
             }
         )
-        # Per-device constants of the medium pass: the sensitivity test and
-        # the PER of a lone transmitter (no interference: SINR is the SNR).
-        setup = self.setup
-        self._audible = setup.rssi_dbm >= setup.sensitivity_dbm
-        self._lone_per = setup.per_table.lookup(10.0 * np.log10(setup.signal_w / setup.noise_w))
         # Upper bound of a retry draw by head attempt count, constant from
         # MAX_BACKOFF_EXPONENT + 1 attempts on: ALOHA's window in epochs,
         # slotted ALOHA's slots ahead (a lookup costs less than the powers).
@@ -352,6 +381,18 @@ class BatchedFleetSimulator:
             self._retry_hi = self.params.base_backoff_epochs * 2 ** np.maximum(steps - 1, 0)
         else:  # slotted ALOHA; CSMA and TDMA do not use it
             self._retry_hi = 2 ** np.minimum(steps, MAX_BACKOFF_EXPONENT) + 1
+        # Element views of the constants the per-device forms read: signal
+        # power, the sensitivity test, the PER of a lone transmitter (no
+        # interference: SINR is the SNR), the retry bounds and the TDMA
+        # poll success probability.
+        setup = self.setup
+        self._c = SimpleNamespace(
+            signal_w=memoryview(setup.signal_w),
+            audible=memoryview(setup.rssi_dbm >= setup.sensitivity_dbm),
+            lone_per=memoryview(setup.per_table.lookup(10.0 * np.log10(setup.signal_w / setup.noise_w))),
+            retry_hi=memoryview(self._retry_hi),
+            poll_success_prob=None if setup.poll_success_prob is None else memoryview(setup.poll_success_prob),
+        )
         self._lat_ids: list[int] = []
         self._lat_vals: list[float] = []
         # The calendar: one slot per epoch and queue (two pointers per epoch
@@ -411,6 +452,18 @@ class BatchedFleetSimulator:
         return None
 
     # ------------------------------------------------------------ scheduling
+    def _draw_epochs(self, base: int, lo: int, his: list[int] | np.ndarray) -> list[int]:
+        """Epoch ``base + integers(lo, h)`` for each upper bound ``h`` of *his*, in order.
+
+        Up to :data:`SCALAR_DRAWS_MAX` bounds draw as scalar calls, more as
+        one array-bound call; both give the same values and leave the
+        generator in the same state.
+        """
+        if len(his) <= SCALAR_DRAWS_MAX:
+            integers = self.rng.integers
+            return [base + int(integers(lo, h)) for h in his]
+        return (base + self.rng.integers(lo, his)).tolist()
+
     def _schedule_access(self, epoch: int, ids: list[int]) -> None:
         """Initial-access scheduling for freshly exposed queue heads (ascending ids)."""
         if not ids:
@@ -425,12 +478,22 @@ class BatchedFleetSimulator:
             slots = self.params.num_slots
             self._push_each(self._attempts, [epoch + 1 + (i % slots - epoch - 1) % slots for i in ids], ids)
 
-    def _backoff(self, epoch: int, ids: np.ndarray) -> None:
+    def _backoff(self, epoch: int, ids: list[int]) -> None:
         """CSMA: escalate the backoff exponent of each device, then draw its next attempt."""
-        be = np.minimum(self.be[ids] + 1, self.params.max_be)
-        self.be[ids] = be
-        width = self.rng.integers(0, 2**be)
-        self._push_each(self._attempts, (epoch + 1 + width).tolist(), ids.tolist())
+        max_be = self.params.max_be
+        if _per_device(len(ids)):
+            be = self._v.be
+            his = []
+            for i in ids:
+                exponent = min(be[i] + 1, max_be)
+                be[i] = exponent
+                his.append(2**exponent)
+        else:
+            index = np.array(ids, dtype=np.int64)
+            exponents = np.minimum(self.be[index] + 1, max_be)
+            self.be[index] = exponents
+            his = 2**exponents
+        self._push_each(self._attempts, self._draw_epochs(epoch + 1, 0, his), ids)
 
     def _pop_head(self, device: int) -> bool:
         """Remove the device's head packet; True when more are queued."""
@@ -443,6 +506,131 @@ class BatchedFleetSimulator:
             v.be[device] = self.params.min_be
             v.cca_fails[device] = 0
         return left > 0
+
+    # ------------------------------------------------------------ bulk steps
+    # Each walks its ascending ids in plain Python or hands them to numpy by
+    # their count (see PER_DEVICE_MAX); the losers take the medium's form.
+    def _duty_gate(self, epoch: int, t_end: float, ready: list[int]) -> list[int]:
+        """Defer, without a draw, each contender whose attempt would overrun its duty cycle."""
+        budget = self.params.duty_cycle * t_end
+        air_time_s = self.setup.air_time_s
+        if _per_device(len(ready)):
+            used = self._v.airtime_used
+            allowed, blocked = [], []
+            for i in ready:
+                (allowed if used[i] + air_time_s <= budget else blocked).append(i)
+        else:
+            index = np.array(ready, dtype=np.int64)
+            fits = self.airtime_used[index] + air_time_s <= budget
+            allowed, blocked = index[fits].tolist(), index[~fits].tolist()
+        self._push(self._attempts, epoch + 1, blocked)
+        return allowed
+
+    def _sense(self, epoch: int, ready: list[int]) -> list[int]:
+        """CSMA after a busy epoch: one carrier-sense draw per contender.
+
+        A contender that detects the carrier counts a CCA failure and backs
+        off, or drops its head above ``max_cca_attempts``; returns the ones
+        that sensed the medium clear.
+        """
+        p = self.params
+        v = self._v
+        draws = self.rng.random(len(ready))
+        if _per_device(len(ready)):
+            cca_fails, reliability, max_fails = v.cca_fails, p.cca_reliability, p.max_cca_attempts
+            clear, defer, aborts = [], [], []
+            for i, u in zip(ready, draws.tolist(), strict=True):
+                if u < reliability:
+                    fails = cca_fails[i] + 1
+                    cca_fails[i] = fails
+                    (aborts if fails > max_fails else defer).append(i)
+                else:
+                    cca_fails[i] = 0
+                    clear.append(i)
+        else:
+            index = np.array(ready, dtype=np.int64)
+            detected = draws < p.cca_reliability
+            clear = index[~detected]
+            self.cca_fails[clear] = 0
+            busy = index[detected]
+            fails = self.cca_fails[busy] + 1
+            self.cca_fails[busy] = fails
+            aborting = fails > p.max_cca_attempts
+            clear, defer, aborts = clear.tolist(), busy[~aborting].tolist(), busy[aborting].tolist()
+        if defer:
+            self._backoff(epoch, defer)
+        heads = []
+        for i in aborts:
+            v.dropped_ct[i] += 1
+            if self._pop_head(i):
+                heads.append(i)
+        self._schedule_access(epoch, heads)
+        return clear
+
+    def _poll(self, epoch: int, ready: list[int]) -> list[int]:
+        """TDMA: one poll draw per contender; a missed poll waits a superframe."""
+        draws = self.rng.random(len(ready))
+        if _per_device(len(ready)):
+            prob = self._c.poll_success_prob
+            polled, missed = [], []
+            for i, u in zip(ready, draws.tolist(), strict=True):
+                (polled if u < prob[i] else missed).append(i)
+        else:
+            index = np.array(ready, dtype=np.int64)
+            heard = draws < self.setup.poll_success_prob[index]
+            polled, missed = index[heard].tolist(), index[~heard].tolist()
+        self._push(self._attempts, epoch + self.params.num_slots, missed)
+        return polled
+
+    def _settle_losers(self, epoch: int, lost: list[int] | np.ndarray, heads: list[int]) -> None:
+        """Count each loser's attempt; heads at ``max_attempts`` drop, the rest draw a retry.
+
+        *lost* keeps the form the medium step chose for the epoch's
+        transmitters: an id list walked device by device, or their index
+        array.  A dropping device with more packets queued joins *heads*.
+        """
+        p = self.params
+        air_time_s = self.setup.air_time_s
+        if isinstance(lost, list):
+            v, retry_hi, max_attempts = self._v, self._c.retry_hi, p.max_attempts
+            attempted, airtime_used, head_attempts = v.attempted_ct, v.airtime_used, v.head_attempts
+            retry, his = [], []
+            for i in lost:
+                attempted[i] += 1
+                airtime_used[i] += air_time_s
+                attempts = head_attempts[i] + 1
+                head_attempts[i] = attempts
+                if attempts < max_attempts:
+                    retry.append(i)
+                    his.append(retry_hi[min(attempts, MAX_BACKOFF_EXPONENT + 1)])
+                else:
+                    v.dropped_ct[i] += 1
+                    if self._pop_head(i):
+                        heads.append(i)
+        else:
+            index = lost
+            self.attempted_ct[index] += 1
+            self.airtime_used[index] += air_time_s
+            attempts = self.head_attempts[index] + 1
+            self.head_attempts[index] = attempts
+            exhausted = attempts >= p.max_attempts
+            drops = index[exhausted]
+            if drops.size:
+                self.dropped_ct[drops] += 1
+                heads += [i for i in drops.tolist() if self._pop_head(i)]
+                index, attempts = index[~exhausted], attempts[~exhausted]
+            retry = index.tolist()
+            his = self._retry_hi[np.minimum(attempts, MAX_BACKOFF_EXPONENT + 1)]
+        if not retry:
+            return
+        if p.name == "aloha":
+            self._push_each(self._attempts, self._draw_epochs(epoch + 1, 0, his), retry)
+        elif p.name == "slotted_aloha":
+            self._push_each(self._attempts, self._draw_epochs(epoch, 1, his), retry)
+        elif p.name == "csma":
+            self._backoff(epoch, retry)
+        else:  # tdma: retry in the next owned slot
+            self._push(self._attempts, epoch + p.num_slots, retry)
 
     # ----------------------------------------------------------------- phases
     def _start(self) -> None:
@@ -495,58 +683,46 @@ class BatchedFleetSimulator:
         # Phase 2: initial access for queues that went empty -> non-empty.
         self._schedule_access(epoch, fresh)
 
-        # Phase 3: contention.
-        ready = np.array(self._pop(self._attempts, epoch), dtype=np.int64)
-        if p.duty_cycle < 1.0 and ready.size:
-            allowed = self.airtime_used[ready] + setup.air_time_s <= p.duty_cycle * t_end
-            self._push(self._attempts, epoch + 1, ready[~allowed].tolist())
-            ready = ready[allowed]
-        if p.name == "csma" and ready.size and self._last_tx_epoch == epoch - 1:
-            detected = self.rng.random(ready.size) < p.cca_reliability
-            clear = ready[~detected]
-            self.cca_fails[clear] = 0
-            busy = ready[detected]
-            if busy.size:
-                fails = self.cca_fails[busy] + 1
-                self.cca_fails[busy] = fails
-                aborting = fails > p.max_cca_attempts
-                defer = busy[~aborting]
-                if defer.size:
-                    self._backoff(epoch, defer)
-                aborts = busy[aborting]
-                if aborts.size:
-                    self.dropped_ct[aborts] += 1
-                    self._schedule_access(epoch, [i for i in aborts.tolist() if self._pop_head(i)])
-            ready = clear
-        elif p.name == "tdma" and ready.size:
-            polled = self.rng.random(ready.size) < setup.poll_success_prob[ready]
-            self._push(self._attempts, epoch + p.num_slots, ready[~polled].tolist())
-            ready = ready[polled]
+        # Phase 3: contention over the ascending id list the calendar holds.
+        ready = self._pop(self._attempts, epoch)
+        if p.duty_cycle < 1.0 and ready:
+            ready = self._duty_gate(epoch, t_end, ready)
+        if p.name == "csma" and ready and self._last_tx_epoch == epoch - 1:
+            ready = self._sense(epoch, ready)
+        elif p.name == "tdma" and ready:
+            ready = self._poll(epoch, ready)
 
         # Phase 4: at most one capture.  A transmitter that clears the
         # capture threshold carries over 10x the power of all the others
         # combined, so only the strongest of the k can be delivered: one
-        # SINR and one PER lookup decide it, the others are certain losses.
-        k = ready.size
+        # SINR and one PER lookup decide it, the others are certain losses
+        # whose delivery draws are still consumed.
+        k = len(ready)
         if k == 0:
             return
         self._last_tx_epoch = epoch
         self.busy_epochs += 1
         self.transmissions_resolved += k
+        c = self._c
         if k == 1:
-            strongest, per = 0, self._lone_per[ready[0]]
-            v.lone_ct[ready[0]] += 1
+            winner = ready[0]
+            per = c.lone_per[winner]
+            v.lone_ct[winner] += 1
+            draw = self.rng.random()
         else:
-            strongest, sinr_db = _strongest_sinr_db(setup.signal_w[ready], setup.noise_w)
+            if _per_device(k):
+                signal_w = [c.signal_w[i] for i in ready]
+            else:  # one index array serves the medium and the losers
+                ready = np.array(ready, dtype=np.int64)
+                signal_w = setup.signal_w[ready]
+            strongest, sinr_db = _strongest_sinr_db(signal_w, setup.noise_w)
             per = setup.per_table.lookup(sinr_db) if sinr_db >= CAPTURE_THRESHOLD_DB else 1.0
-        draw = self.rng.random(k)[strongest]
-        winner = int(ready[strongest])
+            draw = self.rng.random(k)[strongest]
+            winner = int(ready[strongest])
 
-        # Phase 5: outcomes, each transmitter's attempt counted with it: the
-        # winner's in scalars, the losers' vectorised.
+        # Phase 5: outcomes, each transmitter's attempt counted with it.
         heads = []
-        delivered = bool(self._audible[winner] and draw > per)
-        if delivered:
+        if c.audible[winner] and draw > per:
             v.attempted_ct[winner] += 1
             v.airtime_used[winner] += setup.air_time_s
             v.delivered_ct[winner] += 1
@@ -554,29 +730,13 @@ class BatchedFleetSimulator:
             self._lat_vals.append(t_end - v.created[winner, v.head[winner]])
             if self._pop_head(winner):
                 heads.append(winner)
-        if k > delivered:  # the losers retry or drop
-            lost = ready[ready != winner] if delivered else ready
-            self.attempted_ct[lost] += 1
-            self.airtime_used[lost] += setup.air_time_s
-            attempts = self.head_attempts[lost] + 1
-            self.head_attempts[lost] = attempts
-            exhausted = attempts >= p.max_attempts
-            drops = lost[exhausted]
-            if drops.size:
-                self.dropped_ct[drops] += 1
-                heads += [i for i in drops.tolist() if self._pop_head(i)]
-                lost, attempts = lost[~exhausted], attempts[~exhausted]
-            if lost.size:
-                if p.name == "aloha":
-                    width = self.rng.integers(0, self._retry_hi[np.minimum(attempts, MAX_BACKOFF_EXPONENT + 1)])
-                    self._push_each(self._attempts, (epoch + 1 + width).tolist(), lost.tolist())
-                elif p.name == "slotted_aloha":
-                    ahead = self.rng.integers(1, self._retry_hi[np.minimum(attempts, MAX_BACKOFF_EXPONENT + 1)])
-                    self._push_each(self._attempts, (epoch + ahead).tolist(), lost.tolist())
-                elif p.name == "csma":
-                    self._backoff(epoch, lost)
-                else:  # tdma: retry in the next owned slot
-                    self._push(self._attempts, epoch + p.num_slots, lost.tolist())
+            # The rest are the losers.
+            if isinstance(ready, list):
+                ready.remove(winner)
+            else:
+                ready = ready[ready != winner]
+        if len(ready):
+            self._settle_losers(epoch, ready, heads)
         heads.sort()
         self._schedule_access(epoch, heads)
 

@@ -279,14 +279,11 @@ def fleet_links(scenario: FleetScenario) -> FleetLinks:
         inner_radius_m=profile.inner_radius_m,
         ring_spacing_m=profile.ring_spacing_m,
     )
-    links = link_budget.evaluate_batch(
-        np.array([p.distance_to(origin) for p in positions]),
-        np.array([p.distance_to(receiver) for p in positions]),
-    )
+    receiver_distance_m = np.array([p.distance_to(receiver) for p in positions])
+    links = link_budget.evaluate_batch(np.array([p.distance_to(origin) for p in positions]), receiver_distance_m)
     poll_success_prob = None
     if scenario.mac == TdmaPolling.name:
-        downlink = InterscatterDownlink(rng=np.random.default_rng(scenario.seed))
-        bers = [downlink.link_bit_error_rate(p.distance_to(receiver))[0] for p in positions]
+        bers = InterscatterDownlink().link_bit_error_rates(receiver_distance_m)
         poll_success_prob = np.array([(1.0 - ber) ** POLL_BITS for ber in bers])
     return FleetLinks(
         psdu_bytes=psdu_bytes,

@@ -208,8 +208,9 @@ class TestGridDocuments:
             ({"experiment": "mac_scaling", "engine": "fast_path"}, "engine not supported"),
             ({"experiment": "fig13", "params": {"engine": "batch"}}, "params\\['engine'\\]"),
             ({"experiment": "fig17", "params": {"seed": 1}, "seed": 2}, "seed given both"),
+            ({"experiment": "table_power", "seed": 3}, "deterministic"),
         ],
-        ids=["experiment", "parameter", "engine", "params-engine", "seed-twice"],
+        ids=["experiment", "parameter", "engine", "params-engine", "seed-twice", "deterministic-seed"],
     )
     @pytest.mark.parametrize(
         "wrap",
@@ -220,6 +221,12 @@ class TestGridDocuments:
         """A plain spec is held to the registry at load time, as a sweep is."""
         with pytest.raises(ConfigurationError, match=match):
             load_specs(wrap(bad))
+
+    def test_seeded_copies_of_a_deterministic_spec_are_rejected(self):
+        # Both would run and store one result under one key: a wasted execution.
+        grid = {"specs": [{"experiment": "table_power", "seed": 3}, {"experiment": "table_power", "seed": 4}]}
+        with pytest.raises(ConfigurationError, match="'table_power' sets seed=3 but the experiment is deterministic"):
+            load_specs(grid)
 
     def test_read_specs_roundtrip(self, tmp_path):
         path = tmp_path / "grid.json"

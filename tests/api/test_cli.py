@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.api import Result, ResultStore, payload_equal
 from repro.api.cli import main
 from repro.api.registry import KNOWN_ENGINES
@@ -262,6 +267,45 @@ class TestErrors:
             main(argv + ["--backend", "numpy"])
         assert exit_info.value.code == 2
         assert "unrecognized arguments: --backend numpy" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("verb", ["list", "lint"])
+    def test_closed_stdout_pipe_exits_1_without_a_traceback(self, verb, tmp_path):
+        # ``lint --json`` over 3,001 findings is the reported case; ``list``
+        # would exit 0 with a reader, so its 1 comes from the broken pipe.
+        (tmp_path / "seeds.py").write_text("import numpy as np\n" + "np.random.seed(0)\n" * 3001)
+        argv = ["lint", "--json", str(tmp_path)] if verb == "lint" else ["list"]
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # no reader: the first write meets a broken pipe
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", *argv],
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                env=env,
+                text=True,
+                timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr, proc.stderr
+        assert "BrokenPipeError" not in proc.stderr, proc.stderr
+
+    def test_stdout_closed_from_the_start_is_not_an_error(self):
+        # Python sets sys.stdout to None then, and print writes nothing.
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "list"],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            env=env,
+            text=True,
+            timeout=120,
+            preexec_fn=lambda: os.close(1),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
 
 
 class TestObservability:

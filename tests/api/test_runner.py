@@ -111,6 +111,14 @@ class TestSpecs:
         with pytest.raises(ConfigurationError, match="seed given both"):
             Runner().run(spec)
 
+    def test_spec_seed_on_a_deterministic_experiment_rejected(self):
+        with pytest.raises(ConfigurationError, match="deterministic"):
+            ExperimentSpec("table_power", seed=3).resolve()
+        with pytest.raises(ConfigurationError, match="deterministic"):
+            Runner().run("table_power", seed=3)
+        # A runner-wide seed stays a default that deterministic experiments ignore.
+        assert Runner(seed=3).run("table_power").seed is None
+
     def test_unknown_param_rejected(self):
         with pytest.raises(ConfigurationError, match="no parameter"):
             Runner().run("fig11", params={"bogus": 1})

@@ -10,18 +10,25 @@ processed epochs and the busy-epoch and transmission counts — across a
 seed × MAC × density matrix (up to fleets with devices below receiver
 sensitivity), MAC-knob presets (imperfect CCA, abort ladders, duty
 cycles), the bursty card-to-card profile and saturated fleets at coarse
-epochs.  Any divergence is a bug in one of the engines, never tolerance
-noise.
+epochs.  Every case runs the vectorised engine three times: at its default
+``PER_DEVICE_MAX``, with its bulk steps on numpy arrays (a lone
+transmitter's loss aside, which skips the medium step whose form the
+losers keep) and with every bulk step walked in plain Python.  Any
+divergence is a bug in one of the engines, never tolerance noise.
 """
 
 from __future__ import annotations
+
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.api import Runner
 from repro.api.store import invocation_key
+from repro.netsim import batched as epoch_engines
 from repro.netsim.batched import (
+    PER_DEVICE_MAX,
     BatchedFleetSimulator,
     EpochReferenceSimulator,
     simulate,
@@ -39,15 +46,22 @@ MACS = ("aloha", "slotted_aloha", "csma", "tdma")
 FLEETS = ((4, 0.004), (8, 0.02), (16, 0.05), (32, 0.02), (64, 0.1), (256, 0.2))
 
 
-def _fingerprints(scenario: FleetScenario, epoch_s: float | None = None):
-    batched = BatchedFleetSimulator(scenario, epoch_s=epoch_s, record_epochs=True)
+#: ``PER_DEVICE_MAX`` settings the vectorised engine runs every case under:
+#: the default, numpy arrays, plain Python for every bulk step.
+FORMS = {"default": PER_DEVICE_MAX, "array": 0, "list": 10**9}
+
+
+def _assert_bit_identical(scenario: FleetScenario, epoch_s: float | None = None) -> None:
     reference = EpochReferenceSimulator(scenario, epoch_s=epoch_s, record_epochs=True)
-    fingerprints = batched.run().fingerprint(), reference.run().fingerprint()
-    # The schedule too, not just the counters it produced: an engine that
-    # visits an extra empty epoch changes no fingerprint.
-    for attribute in ("epoch_trace", "epochs_processed", "busy_epochs", "transmissions_resolved"):
-        assert getattr(batched, attribute) == getattr(reference, attribute), attribute
-    return fingerprints
+    expected = reference.run().fingerprint()
+    for form, limit in FORMS.items():
+        with mock.patch.object(epoch_engines, "PER_DEVICE_MAX", limit):
+            batched = BatchedFleetSimulator(scenario, epoch_s=epoch_s, record_epochs=True)
+            assert batched.run().fingerprint() == expected, form
+        # The schedule too, not just the counters it produced: an engine that
+        # visits an extra empty epoch changes no fingerprint.
+        for attribute in ("epoch_trace", "epochs_processed", "busy_epochs", "transmissions_resolved"):
+            assert getattr(batched, attribute) == getattr(reference, attribute), (form, attribute)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -63,8 +77,7 @@ def test_engines_bit_identical_across_matrix(seed, mac, fleet):
         period_s=period_s,
         seed=seed,
     )
-    batched, reference = _fingerprints(scenario)
-    assert batched == reference
+    _assert_bit_identical(scenario)
 
 
 #: Contention-realism presets: every knob of EpochMacParams is exercised.
@@ -95,8 +108,7 @@ def test_engines_bit_identical_with_contention_knobs(seed, case):
         seed=seed,
         mac_params=dict(mac_params),
     )
-    batched, reference = _fingerprints(scenario)
-    assert batched == reference
+    _assert_bit_identical(scenario)
 
 
 @pytest.mark.parametrize("seed", (5, 23))
@@ -110,8 +122,7 @@ def test_engines_bit_identical_on_bursty_profile(seed, mac):
         period_s=0.05,
         seed=seed,
     )
-    batched, reference = _fingerprints(scenario)
-    assert batched == reference
+    _assert_bit_identical(scenario)
 
 
 #: Saturated-fleet MACs; 4 TDMA slots put 500 devices on each owned epoch.
@@ -134,9 +145,39 @@ def test_engines_bit_identical_on_saturated_coarse_epochs(seed, case):
         mac_params={"queue_limit": 8, **mac_params},
     )
     with obs.collect() as collector:
-        batched, reference = _fingerprints(scenario, epoch_s=2e-3)
-    assert batched == reference
+        _assert_bit_identical(scenario, epoch_s=2e-3)
     assert collector.gauges["netsim.batched.mean_tx_per_busy_epoch"] > 50
+
+
+def _form_decisions(monkeypatch, scenario: FleetScenario, epoch_s: float | None = None) -> list[bool]:
+    """Each bulk step's choice in one run: True walks the ids in Python, False uses numpy."""
+    decisions = []
+    choose = epoch_engines._per_device
+
+    def spy(count):
+        decisions.append(choose(count))
+        return decisions[-1]
+
+    monkeypatch.setattr(epoch_engines, "_per_device", spy)
+    BatchedFleetSimulator(scenario, epoch_s=epoch_s).run()
+    monkeypatch.undo()
+    return decisions
+
+
+@pytest.mark.parametrize("mac", MACS)
+def test_default_crossover_walks_small_fleets_and_vectorises_saturated_ones(monkeypatch, mac):
+    # The mac_scaling density spec's largest fleet, the size the documents run.
+    density = FleetScenario(
+        profile="contact_lens", num_devices=100, mac=mac, duration_s=1.0, period_s=0.005, seed=2016
+    )
+    decisions = _form_decisions(monkeypatch, density)
+    assert decisions and all(decisions)
+    mac_params = {"queue_limit": 8, **({"num_slots": 4} if mac == "tdma" else {})}
+    saturated = FleetScenario(
+        profile="contact_lens", num_devices=2000, mac=mac, duration_s=0.3, period_s=0.05, seed=1, mac_params=mac_params
+    )
+    decisions = _form_decisions(monkeypatch, saturated, epoch_s=2e-3)
+    assert decisions.count(False) > 0.9 * len(decisions)
 
 
 def test_simulate_dispatches_on_scenario_engine():

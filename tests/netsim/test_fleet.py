@@ -112,12 +112,30 @@ def test_numpy_integer_fleet_size_and_seed_are_accepted(engine):
     assert fingerprint == simulate(as_int).fingerprint()
 
 
+def _per_device_poll_success_prob(links) -> list[float]:
+    """The reference: one scalar downlink BER evaluation per device."""
+    downlink = InterscatterDownlink(rng=np.random.default_rng(0))
+    bers = [downlink.link_bit_error_rate(p.distance_to(links.receiver))[0] for p in links.positions]
+    return [(1.0 - ber) ** POLL_BITS for ber in bers]
+
+
+@pytest.mark.parametrize("num_devices", (1, 5, 30, 200, 400, 3000))
+@pytest.mark.parametrize("profile", sorted(PROFILES))
+def test_batched_poll_success_prob_equals_the_per_device_loop(profile, num_devices):
+    # Up to 400 devices every fleet polls with certainty; 3,000 reaches the
+    # rings where the downlink BER, and numpy's array rounding, show.
+    links = fleet_links(FleetScenario(profile=profile, num_devices=num_devices, mac="tdma", duration_s=0.01))
+    assert links.poll_success_prob.tolist() == _per_device_poll_success_prob(links)
+    with obs.collect() as collector:
+        fleet_links(FleetScenario(profile=profile, num_devices=num_devices, mac="tdma", duration_s=0.01))
+    # One backscatter and one downlink realisation per device, as before batching.
+    assert collector.counters["channel.link_realisations"] == 2 * num_devices
+
+
 def test_tdma_poll_success_prob_is_computed_once_for_both_engine_families():
     scenario = FleetScenario(profile="contact_lens", num_devices=1000, mac="tdma", duration_s=0.01)
     links = fleet_links(scenario)
-    downlink = InterscatterDownlink(rng=np.random.default_rng(0))
-    bers = [downlink.link_bit_error_rate(p.distance_to(links.receiver))[0] for p in links.positions]
-    expected = [(1.0 - ber) ** POLL_BITS for ber in bers]
+    expected = _per_device_poll_success_prob(links)
     assert links.poll_success_prob.tolist() == expected
     assert min(expected) < 1.0  # the outer rings lose polls
     assert [node.mac.poll_success_prob for node in FleetSimulator(scenario).nodes] == expected
