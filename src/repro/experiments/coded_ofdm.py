@@ -25,6 +25,7 @@ from repro.api.registry import register, resolve_engine
 from repro.exceptions import ConfigurationError
 from repro.mc.sweep import CodedOfdmPipeline, run_sweep
 from repro.plots.figure import Figure, Series
+from repro.utils.knobs import finite_knob, finite_positive_knob, integer_knob, probability_knob
 from repro.wifi.ofdm.rates import OfdmRate
 
 __all__ = ["CodedOfdmSweepResult", "run", "summarize"]
@@ -116,13 +117,21 @@ def run(
     same channel realisation decoded twice, and the soft curve sits at or
     below the hard curve point by point up to Monte-Carlo noise.
     ``engine="batch"`` is the only engine (the chain *is* the batched
-    kernels).
+    kernels).  A non-finite SNR grid, a ``target_error_rate`` outside
+    (0, 1), a ``seed`` that is not an integer ≥ 0, and ``trials`` or
+    ``num_symbols`` that are not integers ≥ 1 raise
+    :class:`~repro.exceptions.ConfigurationError`.
     """
     sweep = resolve_engine("coded_ofdm", engine, _ENGINES)
+    snr_start_db = finite_knob("snr_start_db", snr_start_db)
+    snr_stop_db = finite_knob("snr_stop_db", snr_stop_db)
+    snr_step_db = finite_positive_knob("snr_step_db", snr_step_db)
     if snr_stop_db < snr_start_db:
         raise ConfigurationError("snr_stop_db must be >= snr_start_db")
-    if snr_step_db <= 0:
-        raise ConfigurationError("snr_step_db must be positive")
+    if not 0.0 < probability_knob("target_error_rate", target_error_rate) < 1.0:
+        raise ConfigurationError(f"target_error_rate must lie strictly between 0 and 1, got {target_error_rate!r}")
+    if integer_knob("seed", seed) < 0:
+        raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
     rate = OfdmRate.from_mbps(float(rate_mbps))
     points = np.arange(snr_start_db, snr_stop_db + snr_step_db / 2.0, snr_step_db)
     hard = sweep(rate, points, trials, num_symbols, statistic, "hard", seed)

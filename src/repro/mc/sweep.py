@@ -36,6 +36,7 @@ from repro.mc.kernels import (
 )
 from repro.mc.viterbi import BatchViterbiDecoder, encode_batch
 from repro.obs import metrics as obs
+from repro.utils.knobs import integer_knob
 from repro.wifi.ofdm.rates import OfdmRate
 
 __all__ = [
@@ -97,12 +98,17 @@ def run_sweep(
     the realisations evaluated per vectorised call so arbitrarily large
     trial counts stay within memory (the batched Viterbi's survivor
     history is the dominant allocation: ``steps × N × 64`` bytes).
+    ``trials`` and ``max_batch`` are integers of at least 1
+    (:func:`~repro.utils.knobs.integer_knob`).
     """
+    trials = integer_knob("trials", trials)
     if trials < 1:
         raise ConfigurationError("trials must be at least 1")
+    chunk = integer_knob("max_batch", max_batch)
+    if chunk < 1:
+        raise ConfigurationError("max_batch must be at least 1")
     points = np.atleast_1d(np.asarray(snr_points_db, dtype=float))
     generator = rng if rng is not None else np.random.default_rng(seed)
-    chunk = max(1, int(max_batch))
 
     error_rate = np.empty(points.size)
     std_error = np.empty(points.size)
@@ -155,9 +161,9 @@ class CodedOfdmPipeline:
         if decision not in ("hard", "soft"):
             raise ConfigurationError(f"unknown decision {decision!r}")
         self.rate = rate if isinstance(rate, OfdmRate) else OfdmRate.from_mbps(float(rate))
-        if num_symbols < 1:
+        self.num_symbols = integer_knob("num_symbols", num_symbols)
+        if self.num_symbols < 1:
             raise ConfigurationError("num_symbols must be at least 1")
-        self.num_symbols = num_symbols
         self.statistic = statistic
         self.decision = decision
         self._viterbi = BatchViterbiDecoder()

@@ -3,9 +3,20 @@
 The scalar implementations in :mod:`repro.wifi.ofdm.convolutional` walk the
 trellis one state and one bit at a time; decoding N codewords costs
 ``N × L × 64 × 2`` Python-level iterations.  The batched versions here keep
-the *entire* batch's state metrics in one ``[N, 64]`` array and advance all
-N trellises per step with a handful of array operations, which is what makes
-Monte-Carlo PER sweeps over thousands of codewords tractable.
+the *entire* batch's path metrics in one state-major ``[64, N]`` array and
+advance all N trellises per step with a handful of array operations, which
+is what makes Monte-Carlo PER sweeps over thousands of codewords tractable.
+
+Each step is one add-compare-select over the code's 32 butterflies: next
+states ``2j`` and ``2j + 1`` share the predecessors ``j`` and ``j + 32``,
+which in the state-major layout are the row blocks ``metrics[:32]`` and
+``metrics[32:]``, so no per-step gather is needed.  A step's branch costs
+form one ``[4, N]`` table, one row per expected output pair ``c1 c2``.
+Both 802.11 generators tap ``b[k]`` and ``b[k-6]``, so a butterfly's four
+branches carry one pair and its complement, and one take of 64 table rows
+serves both predecessors.  The tables are built a block of steps at a time,
+with the same expressions per element as a per-branch cost would use, so
+every candidate metric is the same float.
 
 Both functions are bit-exact with their scalar counterparts (including
 tie-breaking): the scalar decoder's strict ``<`` update keeps the first
@@ -14,6 +25,10 @@ ascending state order, so choosing the higher one only when it is strictly
 smaller reproduces the identical survivor choice.  The equivalence tests in
 ``tests/mc`` assert this across random codewords, erasure masks and start
 states.
+
+Memory: the survivor history takes one byte per step, state and codeword
+(``steps × 64 × N``); everything else that grows with N is a few
+``[64, N]`` float arrays plus the cost tables of one block of steps.
 
 ``decode_batch`` also accepts demapper log-likelihood ratios
 (``soft=True``): the trellis already carries float path metrics, so the
@@ -37,12 +52,19 @@ from repro.wifi.ofdm.convolutional import (
     CONSTRAINT_LENGTH,
     _G1_TAPS,
     _G2_TAPS,
+    _NUM_STATES,
+    check_initial_state,
 )
 
 __all__ = ["encode_batch", "BatchViterbiDecoder"]
 
-_NUM_STATES = 1 << (CONSTRAINT_LENGTH - 1)
 _HISTORY_BITS = CONSTRAINT_LENGTH - 1
+#: Butterflies per trellis step: next states 2j and 2j + 1 share predecessors j and j + 32.
+_HALF = _NUM_STATES // 2
+#: Trellis steps whose branch-cost tables are built in one vectorised pass.
+#: The tables (``steps × 4 × N`` floats) and their temporaries exist one
+#: block at a time, so no float array ever spans every step.
+_BLOCK_STEPS = 16
 
 
 def _as_bit_matrix(bits):
@@ -84,11 +106,16 @@ def encode_batch(bits, *, initial_history=None):
 class BatchViterbiDecoder:
     """Batched Viterbi over many codewords at once (hard or soft decision).
 
-    ``decode_batch(coded[N, L])`` advances all N trellises together: the
-    branch metrics for every (predecessor state, input bit) pair are computed
-    as one ``[N, 64, 2]`` array per step and the survivor selection is one
-    elementwise compare-and-``minimum`` over each next state's two ordered
-    predecessors.
+    ``decode_batch(coded[N, L])`` advances all N trellises together, one
+    add-compare-select per step over the 32 butterflies.  Path metrics are
+    state-major (``[64, N]``), so the predecessors of every butterfly are
+    the two row blocks ``metrics[:32]`` and ``metrics[32:]``, and each
+    step's branch costs are one ``[4, N]`` table, one row per expected
+    output pair.  A next state keeps its higher predecessor only when that
+    candidate is strictly smaller, the scalar decoder's tie rule.
+    Survivors take one byte per step, state and codeword; the rest of the
+    working set is a few ``[64, N]`` float arrays plus the cost tables of
+    one block of ``_BLOCK_STEPS`` steps.
     """
 
     def __init__(self) -> None:
@@ -109,19 +136,48 @@ class BatchViterbiDecoder:
                 c2 ^= window[:, tap].astype(np.uint8)
             outputs[:, bit, 0] = c1
             outputs[:, bit, 1] = c2
-        self._outputs = outputs
-        # Next state of (state, bit) is bit | ((state & 0x1F) << 1), so the
-        # two predecessors of next-state s are (s >> 1) and (s >> 1) | 32 —
-        # in that (ascending) order, both consuming input bit s & 1.
-        next_states = np.arange(_NUM_STATES)
-        self._entry_bit = (next_states & 1).astype(np.int64)  # [64]
-        self._pred = np.stack(
-            [next_states >> 1, (next_states >> 1) | (1 << (_HISTORY_BITS - 1))], axis=1
-        )  # [64, 2]
-        # Expected output pair of each next state's two incoming branches.
-        self._branch_outputs = outputs[self._pred, self._entry_bit[:, None], :]  # [64, 2, 2]
-        # ±1 branch symbols for the soft (correlation) metric.
-        self._branch_signs = 2.0 * self._branch_outputs.astype(np.float64) - 1.0
+        # Next state of (state, bit) is bit | ((state & 0x1F) << 1), so
+        # butterfly j joins predecessors j and j + 32 (in that ascending
+        # order) to next states 2j (input bit 0) and 2j + 1 (input bit 1).
+        # Cost-table row of each branch out of the low predecessor j:
+        # [j -> 2j for every j, then j -> 2j + 1].  Both generators tap
+        # b[k] and b[k-6], so the branch out of j + 32 on a bit emits the
+        # complement of the branch out of j on that bit, which is the
+        # branch out of j on the other bit: the high predecessor's rows
+        # are the same two halves swapped.
+        pair_row = 2 * outputs[:, :, 0] + outputs[:, :, 1]  # [64, 2]
+        self._low_rows = np.concatenate([pair_row[:_HALF, 0], pair_row[:_HALF, 1]]).astype(np.intp)
+        # Expected C1 and C2 of cost-table row 2·c1 + c2, as bits for the
+        # hard metric and as ±1 symbols for the soft one.
+        self._pair_bits = np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8)
+        self._pair_signs = 2.0 * self._pair_bits.astype(np.float64) - 1.0
+
+    def _branch_costs(self, coded, known, start: int, stop: int, soft: bool):
+        """Cost of each expected output pair at steps ``start..stop``: ``[steps, 4, N]``.
+
+        Row ``2·c1 + c2`` of a step holds, per codeword, the masked Hamming
+        distance (hard) or negative LLR correlation (soft) between ``c1 c2``
+        and the received pair.
+        """
+        first = coded[:, 2 * start : 2 * stop : 2].T[:, None, :]  # [steps, 1, N]
+        second = coded[:, 2 * start + 1 : 2 * stop : 2].T[:, None, :]
+        first_known = known[:, 2 * start : 2 * stop : 2].T[:, None, :]
+        second_known = known[:, 2 * start + 1 : 2 * stop : 2].T[:, None, :]
+        if soft:
+            # Masked LLRs: an erased position carries zero evidence.  The
+            # negative correlation between the pair's ±1 symbols and the
+            # LLRs makes agreeing evidence lower the path metric.
+            signs = self._pair_signs[:, :, None]  # [4, 2, 1]
+            cost = signs[:, 0] * (first * np.astype(first_known, np.float64))
+            cost += signs[:, 1] * (second * np.astype(second_known, np.float64))
+            return np.negative(cost, out=cost)
+        # The boolean mismatch terms must be cast *before* summing: booleans
+        # add as logical OR, which would collapse a two-bit mismatch into a
+        # cost of 1.
+        bits = self._pair_bits[:, :, None]  # [4, 2, 1]
+        cost = np.astype((bits[:, 0] != first) & first_known, np.float64)
+        cost += np.astype((bits[:, 1] != second) & second_known, np.float64)
+        return cost
 
     def decode_batch(
         self,
@@ -138,8 +194,11 @@ class BatchViterbiDecoder:
         negative LLR correlation.  ``known_mask`` marks real (non-erasure)
         positions exactly as in the scalar decoder and may be ``[L]``
         (shared) or ``[N, L]`` (per row); for LLR input an erased position
-        simply contributes 0 either way.
+        simply contributes 0 either way.  ``initial_state`` passes
+        :func:`~repro.wifi.ofdm.convolutional.check_initial_state`, as in
+        the scalar decoder.
         """
+        initial_state = check_initial_state(initial_state)
         if soft:
             coded = _as_matrix(coded_bits, dtype=np.float64, keep_floating=True)
         else:
@@ -148,7 +207,7 @@ class BatchViterbiDecoder:
         if length % 2 != 0:
             raise ValueError("coded bit count must be even")
         if known_mask is None:
-            known = np.ones((n, length), dtype=np.bool)
+            known = np.broadcast_to(np.True_, (n, length))
         else:
             known = np.astype(np.asarray(known_mask), np.bool)
             if known.ndim == 1:
@@ -159,60 +218,44 @@ class BatchViterbiDecoder:
 
         with obs.span("mc.viterbi.decode_batch", codewords=int(n), coded_bits=int(length)):
             obs.count("mc.viterbi.codewords_decoded", n)
-            start = np.where(
-                np.arange(_NUM_STATES) == initial_state,
-                np.zeros(_NUM_STATES, dtype=np.float64),
-                np.full(_NUM_STATES, np.inf, dtype=np.float64),
-            )
-            metrics = np.broadcast_to(start[None, :], (n, _NUM_STATES))
-            # Survivor choice per step: which of the two ordered predecessors won.
-            choices: list = [None] * num_steps
+            decoded = np.zeros((n, num_steps), dtype=np.uint8)
+            if num_steps == 0:
+                return decoded
+            metrics = np.full((_NUM_STATES, n), np.inf)
+            metrics[initial_state] = 0.0
+            spare = np.empty_like(metrics)
+            # survivors[step, s, i] is 1 when next state s of codeword i kept
+            # its higher predecessor.  A step's [2, 32, N] butterfly view puts
+            # next state 2j + b at [b, j], the layout of low and high below.
+            survivors = np.empty((num_steps, _NUM_STATES, n), dtype=np.bool)
+            butterfly_survivors = survivors.reshape(num_steps, _HALF, 2, n).transpose(0, 2, 1, 3)
+            pair_costs = np.empty((_NUM_STATES, n))
+            low_costs = pair_costs.reshape(2, _HALF, n)  # branches out of j, by input bit
+            high_costs = low_costs[::-1]  # branches out of j + 32, by input bit
+            low = np.empty((2, _HALF, n))
+            high = np.empty((2, _HALF, n))
+            step = 0
+            for start in range(0, num_steps, _BLOCK_STEPS):
+                block = self._branch_costs(coded, known, start, min(start + _BLOCK_STEPS, num_steps), soft)
+                for table in block:
+                    # The rows are in range; mode="clip" lets take write into
+                    # out directly instead of through a buffer.
+                    np.take(table, self._low_rows, axis=0, out=pair_costs, mode="clip")
+                    np.add(metrics[:_HALF], low_costs, out=low)
+                    np.add(metrics[_HALF:], high_costs, out=high)
+                    # Strict < keeps the lower predecessor on a tie, as the
+                    # scalar decoder keeps its first candidate.
+                    np.less(high, low, out=butterfly_survivors[step])
+                    np.minimum(low, high, out=spare.reshape(_HALF, 2, n).transpose(1, 0, 2))
+                    metrics, spare = spare, metrics
+                    step += 1
 
-            branch = self._branch_outputs  # [64, 2, 2]
-            signs = self._branch_signs  # [64, 2, 2]
-            pred_flat = self._pred.reshape(-1)  # [128]
-            if soft:
-                # Masked LLRs: an erased position carries zero evidence.
-                llrs = coded * np.astype(known, np.float64)
-            for step in range(num_steps):
-                if soft:
-                    lam = llrs[:, 2 * step : 2 * step + 2]  # [N, 2]
-                    # Negative correlation between the branch's ±1 coded
-                    # symbols and the received LLRs: agreeing evidence
-                    # lowers the path metric.
-                    cost = -(
-                        signs[None, :, :, 0] * lam[:, None, None, 0]
-                        + signs[None, :, :, 1] * lam[:, None, None, 1]
-                    )  # [N, 64, 2]
-                else:
-                    r = coded[:, 2 * step : 2 * step + 2]  # [N, 2]
-                    m = known[:, 2 * step : 2 * step + 2]  # [N, 2]
-                    # Branch cost of each next state's two incoming transitions.
-                    # The boolean mismatch terms must be cast *before* summing:
-                    # booleans add as logical OR, which would collapse a two-bit
-                    # mismatch into a cost of 1.
-                    cost = np.astype(
-                        (branch[None, :, :, 0] != r[:, None, None, 0]) & m[:, None, None, 0],
-                        np.float64,
-                    ) + np.astype(
-                        (branch[None, :, :, 1] != r[:, None, None, 1]) & m[:, None, None, 1],
-                        np.float64,
-                    )  # [N, 64, 2]
-                # metrics[:, pred] as one flat take over the predecessor table.
-                prev = np.reshape(np.take(metrics, pred_flat, axis=1), (n, _NUM_STATES, 2))
-                candidates = prev + cost  # [N, 64, 2]
-                low = candidates[:, :, 0]
-                high = candidates[:, :, 1]
-                # Strict < keeps the lower predecessor on a tie.
-                choices[step] = np.astype(high < low, np.uint8)
-                metrics = np.minimum(low, high)
-
-            state = np.argmin(metrics, axis=1)  # [N]; first occurrence, as scalar
-            row_offsets = np.arange(n) * _NUM_STATES
-            columns: list = [None] * num_steps
+            state = np.argmin(metrics, axis=0)  # [N]; first occurrence, as scalar
+            flat_survivors = survivors.reshape(num_steps, -1)
+            columns = np.arange(n)
             for step in range(num_steps - 1, -1, -1):
-                columns[step] = np.astype(state & 1, np.uint8)
-                # choices[step][rows, state] as one flat take.
-                winner = np.take(np.reshape(choices[step], (-1,)), row_offsets + state)
+                decoded[:, step] = state & 1
+                # survivors[step, state, columns] as one flat take.
+                winner = np.take(flat_survivors[step], state * n + columns)
                 state = (state >> 1) | (np.astype(winner, np.int64) << (_HISTORY_BITS - 1))
-            return np.stack(columns, axis=1)
+            return decoded

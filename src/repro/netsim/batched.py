@@ -105,10 +105,11 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.channel.error_models import wifi_packet_error_rate
 from repro.netsim.fleet import FleetScenario, FleetSimulator, fleet_links
-from repro.netsim.mac import MAX_BACKOFF_EXPONENT, finite_positive_knob, integer_knob, probability_knob
+from repro.netsim.mac import MAX_BACKOFF_EXPONENT
 from repro.netsim.metrics import FleetMetrics
 from repro.obs import metrics as obs
 from repro.utils.dsp import dbm_to_watts, scalar_or_array
+from repro.utils.knobs import finite_positive_knob, integer_knob, probability_knob
 
 __all__ = [
     "PER_TABLE_SINR_DB",
@@ -196,10 +197,10 @@ def resolve_epoch_mac(scenario: FleetScenario, epoch_s: float) -> EpochMacParams
     ``base_backoff_s`` quantises to epochs; ``slot_s`` / ``backoff_slot_s``
     are checked and ignored (the epoch *is* the slot / backoff unit);
     unknown keys, integer knobs that are not integers (see
-    :func:`~repro.netsim.mac.integer_knob`), widths that are not finite
-    positive numbers (see :func:`~repro.netsim.mac.finite_positive_knob`)
+    :func:`~repro.utils.knobs.integer_knob`), widths that are not finite
+    positive numbers (see :func:`~repro.utils.knobs.finite_positive_knob`)
     and probabilities outside [0, 1] (see
-    :func:`~repro.netsim.mac.probability_knob`) raise
+    :func:`~repro.utils.knobs.probability_knob`) raise
     :class:`~repro.exceptions.ConfigurationError`, as on the heap engine.
     """
     name = scenario.mac

@@ -51,11 +51,11 @@ from repro.netsim.mac import (
     SlottedAloha,
     TdmaPolling,
     POLL_BITS,
-    integer_knob,
     make_mac,
 )
 from repro.netsim.medium import SharedMedium
 from repro.netsim.metrics import DeviceStats, FleetMetrics
+from repro.utils.knobs import integer_knob
 
 __all__ = [
     "TrafficProfile",

@@ -25,13 +25,12 @@ from __future__ import annotations
 import abc
 import functools
 import inspect
-import math
-import numbers
 from collections import deque
 from dataclasses import dataclass
 
 from repro.exceptions import ConfigurationError
 from repro.netsim.medium import MediumOutcome
+from repro.utils.knobs import finite_positive_knob, integer_knob, probability_knob
 
 __all__ = [
     "Packet",
@@ -42,9 +41,6 @@ __all__ = [
     "TdmaPolling",
     "MAC_POLICIES",
     "make_mac",
-    "integer_knob",
-    "finite_positive_knob",
-    "probability_knob",
 ]
 
 #: Cap on the binary-exponential window growth of the ALOHA policies.  Deep
@@ -55,44 +51,6 @@ MAX_BACKOFF_EXPONENT = 10
 #: Address bits in one TDMA poll (sets how many downlink bit errors it takes
 #: to lose a poll).
 POLL_BITS = 16
-
-
-def integer_knob(name: str, value) -> int:
-    """*value* of the integer knob *name*, checked the same way by every engine.
-
-    The MAC knobs and :class:`~repro.netsim.fleet.FleetScenario`'s
-    ``num_devices`` and ``seed`` pass through it.
-
-    Only :class:`numbers.Integral` values other than ``bool`` pass; anything
-    else (``2.5``, ``"3"``, ``nan``) raises
-    :class:`~repro.exceptions.ConfigurationError` naming the knob, so no
-    engine truncates a value that another compares raw.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
-def finite_positive_knob(name: str, value) -> float:
-    """*value* of the MAC width *name*, checked the same way by every engine: a finite real above zero.
-
-    Anything else (``0``, ``nan``, ``inf``, ``"1e-3"``, ``True``) raises
-    :class:`~repro.exceptions.ConfigurationError` naming the knob.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
-        raise ConfigurationError(f"{name} must be a finite positive number, got {value!r}")
-    return float(value)
-
-
-def probability_knob(name: str, value) -> float:
-    """*value* of the probability knob *name*, checked the same way by every engine: a real in [0, 1].
-
-    Anything else (``1.5``, ``nan``, ``"0.5"``, ``True``) raises
-    :class:`~repro.exceptions.ConfigurationError` naming the knob.
-    """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 <= value <= 1.0:
-        raise ConfigurationError(f"{name} must be a probability in [0, 1], got {value!r}")
-    return float(value)
 
 
 @dataclass

@@ -21,11 +21,13 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.utils.bits import as_bit_array
+from repro.utils.knobs import integer_knob
 
 __all__ = [
     "CONSTRAINT_LENGTH",
     "ConvolutionalEncoder",
     "ViterbiDecoder",
+    "check_initial_state",
     "puncture",
     "depuncture",
     "PUNCTURE_PATTERNS",
@@ -39,6 +41,9 @@ CONSTRAINT_LENGTH = 7
 _G1_TAPS = (0, 2, 3, 5, 6)
 _G2_TAPS = (0, 1, 2, 3, 6)
 
+#: Encoder states: the six history bits, b[k-1] in bit 0.
+_NUM_STATES = 1 << (CONSTRAINT_LENGTH - 1)
+
 #: Puncturing patterns for the higher coding rates (IEEE 802.11-2012 18.3.5.6).
 #: Each entry lists, per block of rate-1/2 output pairs, which bits are kept.
 PUNCTURE_PATTERNS: dict[str, np.ndarray] = {
@@ -46,6 +51,21 @@ PUNCTURE_PATTERNS: dict[str, np.ndarray] = {
     "2/3": np.array([1, 1, 1, 0], dtype=np.uint8),
     "3/4": np.array([1, 1, 1, 0, 0, 1], dtype=np.uint8),
 }
+
+
+def check_initial_state(initial_state) -> int:
+    """The Viterbi start state *initial_state*, checked the same way by both decoders.
+
+    An encoder state is an integer in 0..63; anything else (``64``, ``-1``,
+    ``True``, ``2.0``, ``"1"``) raises
+    :class:`~repro.exceptions.ConfigurationError` naming ``initial_state``.
+    """
+    state = integer_knob("initial_state", initial_state)
+    if not 0 <= state < _NUM_STATES:
+        raise ConfigurationError(
+            f"initial_state must be an encoder state in 0..{_NUM_STATES - 1}, got {initial_state!r}"
+        )
+    return state
 
 
 class ConvolutionalEncoder:
@@ -140,7 +160,7 @@ class ViterbiDecoder:
     """Hard-decision Viterbi decoder for the 802.11 K=7 code."""
 
     def __init__(self) -> None:
-        num_states = 1 << (CONSTRAINT_LENGTH - 1)
+        num_states = _NUM_STATES
         self._num_states = num_states
         # Pre-compute per-state, per-input expected output pairs and next states.
         self._next_state = np.zeros((num_states, 2), dtype=np.int32)
@@ -180,8 +200,10 @@ class ViterbiDecoder:
             Optional boolean mask (same length) marking which received bits
             are real (False = erasure from depuncturing).
         initial_state:
-            Encoder start state (0 for 802.11 frames).
+            Encoder start state in 0..63 (0 for 802.11 frames); see
+            :func:`check_initial_state`.
         """
+        initial_state = check_initial_state(initial_state)
         coded = as_bit_array(coded_bits)
         if coded.size % 2 != 0:
             raise ValueError("coded bit count must be even")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api.registry import get_experiment
 from repro.experiments.coded_ofdm import _crossing_snr_db, run, summarize
 from repro.exceptions import ConfigurationError
 
@@ -32,6 +33,72 @@ class TestSoftGainAcceptance:
             run(snr_stop_db=-1.0)
         with pytest.raises(ConfigurationError, match="snr_step_db"):
             run(snr_step_db=0.0)
+
+
+#: A two-point grid at four codewords: a run that is wrongly accepted ends fast.
+SMALL = {"snr_start_db": 0.0, "snr_stop_db": 2.0, "snr_step_db": 2.0, "trials": 4}
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        ("knob", "value"),
+        [
+            ("trials", 2.5),
+            ("trials", "3"),
+            ("trials", True),
+            ("num_symbols", 1.5),
+            ("snr_start_db", float("nan")),
+            ("snr_start_db", float("-inf")),
+            ("snr_stop_db", float("nan")),
+            ("snr_stop_db", float("inf")),
+            ("snr_step_db", float("nan")),
+            ("snr_step_db", float("inf")),
+            ("seed", -1),
+            ("seed", 1.5),
+            ("target_error_rate", 0.0),
+            ("target_error_rate", 1.0),
+            ("target_error_rate", 1.5),
+            ("target_error_rate", float("nan")),
+        ],
+    )
+    def test_bad_knob_raises_configuration_error_naming_it(self, knob, value):
+        with pytest.raises(ConfigurationError, match=knob):
+            run(**{**SMALL, knob: value})
+
+
+#: Exact error-rate arrays of ``run`` recorded before the butterfly decoder
+#: replaced the gather-based one; any change to a decision shows here.
+PINS = {
+    "fast-12mbps-rate-1/2": (
+        # The registry's fast params: no erasures.
+        {"snr_step_db": 2.0, "snr_stop_db": 8.0, "trials": 400},
+        [1.0, 0.885, 0.3, 0.0375, 0.0],
+        [0.915, 0.2125, 0.0375, 0.005, 0.0],
+    ),
+    "48mbps-rate-2/3": (
+        dict(rate_mbps=48.0, snr_start_db=12.0, snr_stop_db=20.0, snr_step_db=2.0, trials=40, statistic="ber"),
+        [0.4072591145833334, 0.2387369791666667, 0.05638020833333333, 0.0027669270833333335, 0.0001953125],
+        [0.21744791666666666, 0.023470052083333335, 0.00078125, 0.00016276041666666666, 3.255208333333333e-05],
+    ),
+    "54mbps-rate-3/4": (
+        dict(rate_mbps=54.0, snr_start_db=14.0, snr_stop_db=22.0, snr_step_db=2.0, trials=40, statistic="ber"),
+        [0.37080439814814814, 0.18269675925925927, 0.024594907407407406, 0.001244212962962963, 0.0],
+        [0.1580439814814815, 0.013512731481481483, 0.0004340277777777778, 2.8935185185185183e-05, 0.0],
+    ),
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("params,hard,soft", list(PINS.values()), ids=list(PINS))
+    def test_error_rates_are_pinned(self, params, hard, soft):
+        # The punctured rates send depunctured erasures through both
+        # decisions; the fast params decode every coded bit.
+        result = run(**params)
+        assert result.hard_error_rate.tolist() == hard
+        assert result.soft_error_rate.tolist() == soft
+
+    def test_fast_pin_uses_the_registry_fast_params(self):
+        assert get_experiment("coded_ofdm").fast_params == PINS["fast-12mbps-rate-1/2"][0]
 
 
 class TestCrossingInterpolation:

@@ -20,7 +20,7 @@ from repro.mc import (
     puncture_batch,
     scramble_batch,
 )
-from repro.wifi.ofdm.convolutional import puncture
+from repro.wifi.ofdm.convolutional import ViterbiDecoder, puncture
 from repro.wifi.ofdm.mapping import Modulation
 
 ROW_KERNELS = {
@@ -100,3 +100,35 @@ class TestShapeValidation:
         coded = np.zeros((2, 20), dtype=np.uint8)
         with pytest.raises(ValueError, match="known_mask shape mismatch"):
             BatchViterbiDecoder().decode_batch(coded, known_mask=np.ones((3, 20), dtype=bool))
+
+
+DECODERS = {
+    "scalar": lambda coded, state: ViterbiDecoder().decode(coded[0], initial_state=state),
+    "batched": lambda coded, state: BatchViterbiDecoder().decode_batch(coded, initial_state=state),
+}
+
+
+class TestViterbiStartState:
+    @pytest.mark.parametrize("decode", list(DECODERS.values()), ids=list(DECODERS))
+    @pytest.mark.parametrize("state", [64, -1, True, 2.0, "1"])
+    def test_both_decoders_reject_what_is_not_an_encoder_state(self, decode, state):
+        coded = np.zeros((1, 12), dtype=np.uint8)
+        with pytest.raises(ConfigurationError, match="initial_state"):
+            decode(coded, state)
+
+    @pytest.mark.parametrize("decode", list(DECODERS.values()), ids=list(DECODERS))
+    def test_numpy_integer_states_are_accepted(self, decode):
+        coded = np.zeros((1, 12), dtype=np.uint8)
+        np.testing.assert_array_equal(np.ravel(decode(coded, np.int64(0))), np.zeros(6, dtype=np.uint8))
+
+
+class TestEmptyCodeword:
+    @pytest.mark.parametrize("rows", [0, 3])
+    @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+    def test_empty_codewords_decode_to_nothing(self, rows, soft):
+        decoded = BatchViterbiDecoder().decode_batch(np.zeros((rows, 0), dtype=np.uint8), soft=soft)
+        assert decoded.shape == (rows, 0)
+        assert decoded.dtype == np.uint8
+
+    def test_scalar_decoder_agrees(self):
+        assert ViterbiDecoder().decode(np.zeros(0, dtype=np.uint8)).size == 0

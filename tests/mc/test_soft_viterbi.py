@@ -13,8 +13,8 @@ from repro.wifi.ofdm.mapping import Modulation
 from repro.wifi.ofdm.rates import OfdmRate
 
 
-def _reference_soft_viterbi(llrs):
-    """Plain soft Viterbi over masked ``llrs[N, L]``, survivors by ``np.argmin``.
+def _reference_soft_viterbi(llrs, initial_state=0):
+    """Plain soft Viterbi over masked ``llrs[N, L]`` from *initial_state*, survivors by ``np.argmin``.
 
     Returns the decoded bits and the number of finite candidate ties met.
     """
@@ -29,7 +29,7 @@ def _reference_soft_viterbi(llrs):
             bit = np.array([[state & 1]], dtype=np.uint8)
             signs[state, j] = 2.0 * encode_batch(bit, initial_history=history)[0] - 1.0
     metrics = np.full((n, 64), np.inf)
-    metrics[:, 0] = 0.0
+    metrics[:, initial_state] = 0.0
     choices, ties = [], 0
     for step in range(length // 2):
         lam = llrs[:, 2 * step : 2 * step + 2]
@@ -116,6 +116,23 @@ class TestSoftDecoder:
         decoded = BatchViterbiDecoder().decode_batch(llrs, known_mask=known, soft=True)
         reference, ties = _reference_soft_viterbi(llrs * known)
         assert ties > 1000
+        np.testing.assert_array_equal(decoded, reference)
+
+    @pytest.mark.parametrize("initial_state", [0, 17, 63])
+    @pytest.mark.parametrize("steps", [1, 31, 32, 33, 97])
+    def test_soft_matches_reference_from_any_start_state(self, initial_state, steps):
+        # Noisy Gaussian LLRs of codewords that start in *initial_state*,
+        # with about a fifth of the positions erased; the step counts
+        # straddle the decoder's cost-table blocks.
+        rng = np.random.default_rng(1000 * initial_state + steps)
+        history = np.array([(initial_state >> d) & 1 for d in range(6)], dtype=np.uint8)
+        bits = rng.integers(0, 2, size=(24, steps), dtype=np.uint8)
+        symbols = 2.0 * encode_batch(bits, initial_history=history).astype(np.float64) - 1.0
+        sigma = 0.9
+        llrs = 2.0 * (symbols + sigma * rng.standard_normal(symbols.shape)) / sigma**2
+        known = rng.random(llrs.shape) >= 0.2
+        decoded = BatchViterbiDecoder().decode_batch(llrs, known_mask=known, soft=True, initial_state=initial_state)
+        reference, _ = _reference_soft_viterbi(llrs * known, initial_state)
         np.testing.assert_array_equal(decoded, reference)
 
     def test_confident_llrs_decode_noiselessly(self):

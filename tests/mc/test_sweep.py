@@ -66,6 +66,19 @@ class TestRunSweep:
         with pytest.raises(ConfigurationError):
             run_sweep(np.array([0.0]), 0, AnalyticWifiPerPipeline(2.0, 31))
 
+    @pytest.mark.parametrize("trials", [2.5, "3", True])
+    def test_rejects_non_integer_trials(self, trials):
+        with pytest.raises(ConfigurationError, match="trials must be an integer"):
+            run_sweep(np.array([0.0]), trials, AnalyticWifiPerPipeline(2.0, 31))
+
+    @pytest.mark.parametrize(
+        ("max_batch", "message"),
+        [(0, "at least 1"), (-4, "at least 1"), (2.5, "an integer"), (True, "an integer")],
+    )
+    def test_rejects_max_batch_that_is_not_a_positive_integer(self, max_batch, message):
+        with pytest.raises(ConfigurationError, match=f"max_batch must be {message}"):
+            run_sweep(np.array([0.0]), 10, AnalyticWifiPerPipeline(2.0, 31), max_batch=max_batch)
+
     def test_scalar_operating_point_accepted(self):
         sweep = run_sweep(3.0, 10, AnalyticWifiPerPipeline(2.0, 31), seed=1)
         assert sweep.snr_db.tolist() == [3.0]
@@ -119,6 +132,11 @@ class TestCodedOfdmPipeline:
             CodedOfdmPipeline(OfdmRate.RATE_12, num_symbols=0)
         with pytest.raises(ConfigurationError):
             CodedOfdmPipeline(OfdmRate.RATE_12, decision="nope")
+
+    @pytest.mark.parametrize("num_symbols", [1.5, "2", True])
+    def test_num_symbols_must_be_an_integer(self, num_symbols):
+        with pytest.raises(ConfigurationError, match="num_symbols must be an integer"):
+            CodedOfdmPipeline(OfdmRate.RATE_12, num_symbols=num_symbols)
 
     def test_ber_statistic_is_a_bit_fraction(self):
         pipeline = CodedOfdmPipeline(OfdmRate.RATE_12, num_symbols=2, statistic="ber")

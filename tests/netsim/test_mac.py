@@ -14,11 +14,10 @@ from repro.netsim.mac import (
     PureAloha,
     SlottedAloha,
     TdmaPolling,
-    finite_positive_knob,
     make_mac,
-    probability_knob,
 )
 from repro.netsim.medium import MediumOutcome, SharedMedium
+from repro.utils.knobs import finite_positive_knob, probability_knob
 
 
 class FakeSim:
