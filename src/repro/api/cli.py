@@ -438,7 +438,7 @@ def _run_campaign(
         store.append_campaign_telemetry(collector.to_dict())
     summary = f"{counts['ran']} executed, {counts['cached']} reused"
     if store is not None:
-        summary += f"; store {store.root} now holds {len(store)} result(s)"
+        summary += f"; store {store.root} now holds {len(store)} result(s), {store.envelope_count()} envelope(s)"
     print(f"campaign: {total} spec(s), {summary}")
     if args.manifest:
         batch = full_batch if full_batch is not None else specs
@@ -581,12 +581,8 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     if args.experiments:
         for name in args.experiments:
             get_experiment(name)  # unknown names fail before any file is written
-        wanted = set(args.experiments)
-        by_experiment: dict[str, list[Result]] = {}
-        for result in store.iter_results():  # one decode pass for any number of names
-            if result.experiment in wanted:
-                by_experiment.setdefault(result.experiment, []).append(result)
-        missing = [name for name in args.experiments if name not in by_experiment]
+        by_experiment = {name: store.query(name) for name in args.experiments}
+        missing = [name for name in args.experiments if not by_experiment[name]]
         if missing:
             print(f"error: store {args.store} holds no results for {missing}", file=sys.stderr)
             return 1
@@ -609,10 +605,11 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     store = ResultStore(args.store)
-    results = list(store.iter_results())
     if args.experiment is not None:
         get_experiment(args.experiment)  # unknown names fail loudly
-        results = [result for result in results if result.experiment == args.experiment]
+        results = store.query(args.experiment)
+    else:
+        results = list(store.iter_results())
     if not results:
         print(f"error: store {args.store} holds no matching results", file=sys.stderr)
         return 1
@@ -703,7 +700,10 @@ def _cmd_merge(args: argparse.Namespace) -> int:
             document["manifest"] = combined.to_dict()
         print(json.dumps(document, indent=2))
         return 0
-    print(f"store {args.into} now holds {len(destination)} result(s) (+{ingested})")
+    print(
+        f"store {args.into} now holds {len(destination)} result(s) (+{ingested}), "
+        f"{destination.envelope_count()} envelope(s)"
+    )
     return 0
 
 

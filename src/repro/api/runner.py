@@ -46,7 +46,7 @@ from typing import Any
 from repro.api.registry import Experiment, iter_experiments, load_registry
 from repro.api.result import Result
 from repro.api.spec import ExperimentSpec
-from repro.api.store import ResultStore, invocation_key
+from repro.api.store import EnvelopeHeader, ResultStore, invocation_key
 from repro.exceptions import ConfigurationError, ReproError
 
 # Module (not name) import: attribute lookup at call time lets tracing
@@ -183,15 +183,17 @@ class Runner:
         cached: dict[int, Result] = {}
         pending: list[int] = list(range(len(specs)))
         if store is not None and resume:
-            # One pass over the raw shard lines: keys come from the cheap
-            # params-only hash, and only envelopes this batch actually wants
-            # pay for a full payload decode.
+            # Select on the store index's headers: only the envelopes this
+            # batch wants, written by the current code, are parsed and
+            # decoded, the first one per invocation.
             by_key = self._cache_index(identities)
-            for key, document in store.iter_keyed_documents():
-                index, source_hash = by_key.get(key, (None, None))
-                if index is None or index in cached or document.get("source_hash") != source_hash:
-                    continue
-                cached[index] = Result.from_dict(document)
+
+            def current(header: EnvelopeHeader) -> bool:
+                wanted = by_key.get(header.key)
+                return wanted is not None and header.source_hash == wanted[1]
+
+            for header, document in store.iter_documents(current, distinct=True):
+                cached[by_key[header.key][0]] = Result.from_dict(document)
             pending = [index for index in range(len(specs)) if index not in cached]
             # Zero-valued counters would clutter every observed batch's
             # document; record only what actually happened.

@@ -14,6 +14,31 @@ reads idempotent: duplicate envelopes from a rerun collapse to one, and
 store already holds.  :meth:`ResultStore.query` filters the decoded
 results by experiment, engine, seed or any recorded parameter value.
 
+**The line index.**  A store instance reads each shard line once.  For
+every shard it keeps the inode, the byte length indexed so far and, per
+envelope line, the line's byte offset and length and its
+:class:`EnvelopeHeader`: the invocation key, ``experiment``, ``engine``,
+``seed`` and ``source_hash``.  That first read validates the line with
+:func:`~repro.api.result.validate_result_dict` before keying it, so a
+malformed envelope raises :class:`~repro.exceptions.ConfigurationError`
+naming the shard file and line, on every read until it is mended.  Every
+keyed read goes through one selecting read,
+:meth:`ResultStore.iter_documents`: it re-globs the shards, indexes only
+the bytes past each shard's indexed length, and parses only the lines
+whose header the caller selects, in shard-name-then-file order, first
+envelope per key.  ``len()`` and :meth:`ResultStore.existing_keys` parse
+nothing the index already holds.
+
+The index rests on shards being append-only, as every writer here keeps
+them.  A shard is indexed again from byte 0 when its inode changed, when
+it shrank below its indexed length, when its last indexed line no longer
+reads the same bytes, or when a line a read selects no longer parses to
+the header it was indexed under.  The unterminated tail of a shard (a
+writer mid-line, or one killed there) is read again by every read and
+indexed once its newline lands.  The index holds offsets and headers
+only: no parsed document or decoded :class:`~repro.api.result.Result`
+outlives the read that asked for it.
+
 :meth:`ResultStore.merge` is the distributed fan-in point: alongside
 local store directories it ingests ``file://`` and ``http(s)://`` shard
 URIs (:mod:`repro.fabric.remote`), so N machines can execute disjoint
@@ -28,18 +53,19 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from collections.abc import Iterator, Mapping
-from dataclasses import dataclass
+from collections.abc import Callable, Iterator, Mapping
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import IO, Any, NamedTuple
 
 from repro.api.registry import get_experiment
-from repro.api.result import Result
+from repro.api.result import Result, validate_result_dict
 from repro.api.serialization import canonical_json, decode, payload_equal
 from repro.exceptions import ConfigurationError
 from repro.obs import metrics as obs
 
 __all__ = [
+    "EnvelopeHeader",
     "MergeStats",
     "ResultStore",
     "result_key",
@@ -120,8 +146,98 @@ def _document_key(document: dict[str, Any]) -> str:
     return invocation_key(document["experiment"], document["engine"], document["seed"], decode(document["params"]))
 
 
+class EnvelopeHeader(NamedTuple):
+    """What the line index keeps of one envelope: its key and the fields reads select on."""
+
+    key: str
+    experiment: str
+    engine: str
+    seed: int | None
+    source_hash: str | None
+
+
+def _header(document: dict[str, Any], where: str) -> EnvelopeHeader:
+    """Validate one parsed envelope and key it; *where* names it in the error."""
+    try:
+        validate_result_dict(document)
+        key = _document_key(document)
+    # A params tree can pass the structural check and still not decode.
+    except (ConfigurationError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(f"malformed result envelope at {where}: {exc}") from exc
+    return EnvelopeHeader(
+        key, document["experiment"], document["engine"], document["seed"], document.get("source_hash")
+    )
+
+
+def _parse_line(line: bytes, where: str) -> tuple[EnvelopeHeader | None, dict[str, Any] | None] | None:
+    """One shard line as ``(header, document)``.
+
+    ``(None, None)`` is a torn line (it does not parse as JSON); ``None``
+    is a line reads pass over without a count (blank, or JSON that is not
+    an object).
+    """
+    text = line.strip()
+    if not text:
+        return None
+    try:
+        document = json.loads(text)
+    except ValueError:
+        return None, None
+    if not isinstance(document, dict):
+        return None
+    return _header(document, where), document
+
+
+def _reread(handle: IO[bytes], offset: int, length: int, header: EnvelopeHeader) -> dict[str, Any] | None:
+    """The envelope of an indexed line, or ``None`` when it no longer parses to *header*."""
+    handle.seek(offset)
+    try:
+        document = json.loads(handle.read(length))
+    except ValueError:
+        return None
+    if not isinstance(document, dict):
+        return None
+    fields = tuple(document.get(name) for name in EnvelopeHeader._fields[1:])
+    return document if fields == header[1:] else None
+
+
+@dataclass
+class _ShardIndex:
+    """The line index of one shard file (see the module docstring)."""
+
+    inode: int
+    #: Bytes indexed: the end of the last newline-terminated line read.
+    size: int = 0
+    #: Newline-terminated lines indexed, blank and non-object lines included.
+    lines: int = 0
+    #: Start offset and ``hash()`` of the last indexed line, checked by every read.
+    last_line: tuple[int, int] = (0, hash(b""))
+    #: ``(offset, length, header)`` per indexed envelope line; ``header`` is
+    #: ``None`` for a torn line, which every read counts again.
+    entries: list[tuple[int, int, EnvelopeHeader | None]] = field(default_factory=list)
+
+    def still_indexes(self, handle: IO[bytes]) -> bool:
+        """Whether the open shard *handle* still starts with the bytes indexed."""
+        stat = os.fstat(handle.fileno())
+        if stat.st_ino != self.inode or stat.st_size < self.size:
+            return False
+        start, digest = self.last_line
+        handle.seek(start)
+        return hash(handle.read(self.size - start)) == digest
+
+
 class ResultStore:
     """A directory of JSONL shards holding result envelopes.
+
+    Each instance keeps a line index of the shards it has read: per shard
+    the inode, the length indexed and one ``(offset, length,``
+    :class:`EnvelopeHeader` ``)`` entry per envelope line, built when a
+    line is first read and validated.  A later read indexes only the bytes
+    appended since, so every reader selects on headers and parses only the
+    lines it returns.  The index assumes shards are only appended to; a
+    shard whose inode changed, that shrank, or whose indexed lines no
+    longer read as indexed is indexed again from byte 0.  No parsed
+    document is kept.
 
     Parameters
     ----------
@@ -142,6 +258,7 @@ class ResultStore:
             raise ConfigurationError(f"shard name {self._shard!r} must not contain path separators")
         #: Torn (unparseable) lines skipped across this instance's reads.
         self.torn_lines_skipped = 0
+        self._index: dict[Path, _ShardIndex] = {}
 
     @property
     def shard_path(self) -> Path:
@@ -211,7 +328,10 @@ class ResultStore:
 
             fetched = fetch_shard(other)
             obs.count("store.merge.remote_documents", len(fetched.documents))
-            pairs = ((_document_key(document), document) for document in fetched.documents)
+            pairs = (
+                (_header(document, f"{other} document {number}").key, document)
+                for number, document in enumerate(fetched.documents, 1)
+            )
             return pairs, lambda: fetched.torn_lines_skipped
         source = other if isinstance(other, ResultStore) else ResultStore(other)
         torn_before = source.torn_lines_skipped
@@ -262,55 +382,139 @@ class ResultStore:
         """Every shard file in the store, in deterministic (sorted) order."""
         return sorted(self.root.glob("*.jsonl"))
 
-    def iter_documents(self) -> Iterator[dict[str, Any]]:
-        """Yield raw envelope dicts from every shard, duplicates included.
+    def iter_documents(
+        self,
+        select: Callable[[EnvelopeHeader], bool] | None = None,
+        *,
+        distinct: bool = False,
+    ) -> Iterator[tuple[EnvelopeHeader, dict[str, Any]]]:
+        """The one selecting read: ``(header, envelope dict)`` per envelope *select* accepts.
+
+        Envelopes come in shard-name-then-file order, duplicates included,
+        and only the accepted ones are parsed (a line read for the first
+        time is parsed once anyway, to index it).  *select* defaults to
+        every envelope.  With ``distinct=True`` only the first accepted
+        envelope per invocation key is yielded: the pick every result read
+        makes.
 
         A line that does not parse as JSON (the tail of a killed writer) is
-        skipped — counted in :attr:`torn_lines_skipped` — rather than
-        poisoning the whole store.
+        skipped — counted in :attr:`torn_lines_skipped` on every read —
+        rather than poisoning the whole store, and a line that is not a
+        JSON object is passed over.  A malformed envelope raises
+        :class:`~repro.exceptions.ConfigurationError` naming its shard and
+        line.
         """
-        for path in self.shard_paths():
-            with open(path, encoding="utf-8") as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    try:
-                        document = json.loads(line)
-                    except json.JSONDecodeError:
-                        self.torn_lines_skipped += 1
-                        obs.count("store.torn_lines_skipped")
-                        continue
-                    if isinstance(document, dict):
-                        yield document
+        seen: set[str] = set()
+
+        def wanted(header: EnvelopeHeader) -> bool:
+            return not (distinct and header.key in seen) and (select is None or select(header))
+
+        for header, document in self._read(wanted):
+            if document is not None:
+                seen.add(header.key)
+                yield header, document
 
     def iter_keyed_documents(self) -> Iterator[tuple[str, dict[str, Any]]]:
-        """Yield ``(invocation key, raw envelope dict)`` pairs, duplicates included.
-
-        The key is computed from the envelope's params alone — no payload
-        decode — so callers can filter cheaply and decode only what they want.
-        """
-        for document in self.iter_documents():
-            yield _document_key(document), document
+        """Yield ``(invocation key, raw envelope dict)`` pairs, duplicates included."""
+        for header, document in self.iter_documents():
+            yield header.key, document
 
     def iter_results(self) -> Iterator[Result]:
         """Yield decoded results, one per distinct invocation (first wins)."""
-        seen: set[str] = set()
-        for key, document in self.iter_keyed_documents():
-            if key in seen:
-                continue
-            seen.add(key)
+        for _, document in self.iter_documents(distinct=True):
             yield Result.from_dict(document)
 
     def existing_keys(self) -> set[str]:
-        """Keys of every distinct invocation the store holds."""
-        return {key for key, _ in self.iter_keyed_documents()}
+        """Keys of every distinct invocation the store holds, read from the index."""
+        return {header.key for header, _ in self._read(None)}
+
+    def envelope_count(self) -> int:
+        """Envelopes the store holds, duplicates included, read from the index."""
+        return sum(1 for _ in self._read(None))
 
     def __len__(self) -> int:
         return len(self.existing_keys())
 
     def __iter__(self) -> Iterator[Result]:
         return self.iter_results()
+
+    def _read(
+        self, select: Callable[[EnvelopeHeader], bool] | None
+    ) -> Iterator[tuple[EnvelopeHeader, dict[str, Any] | None]]:
+        """``(header, document)`` for every envelope line, in shard-name-then-file order.
+
+        ``document`` is the parsed envelope when ``select(header)`` holds,
+        else ``None``; with ``select=None`` no indexed line is parsed.
+        """
+        paths = self.shard_paths()
+        self._index = {path: self._index[path] for path in paths if path in self._index}
+        for path in paths:
+            with open(path, "rb") as handle:
+                shard = self._index.get(path)
+                if shard is None or not shard.still_indexes(handle):
+                    shard = self._index[path] = _ShardIndex(os.fstat(handle.fileno()).st_ino)
+                yield from self._read_shard(path, handle, shard, select)
+
+    def _read_shard(
+        self,
+        path: Path,
+        handle: IO[bytes],
+        shard: _ShardIndex,
+        select: Callable[[EnvelopeHeader], bool] | None,
+    ) -> Iterator[tuple[EnvelopeHeader, dict[str, Any] | None]]:
+        for offset, length, header in shard.entries:
+            if header is None:
+                self._count_torn()
+                continue
+            document = None
+            if select is not None and select(header):
+                document = _reread(handle, offset, length, header)
+                if document is None:
+                    # Rewritten in place: index the shard again, and go on
+                    # from this line.
+                    shard = self._index[path] = _ShardIndex(shard.inode)
+                    yield from self._index_lines(path, handle, shard, select, start=offset)
+                    return
+            yield header, document
+        yield from self._index_lines(path, handle, shard, select)
+
+    def _index_lines(
+        self,
+        path: Path,
+        handle: IO[bytes],
+        shard: _ShardIndex,
+        select: Callable[[EnvelopeHeader], bool] | None,
+        *,
+        start: int = 0,
+    ) -> Iterator[tuple[EnvelopeHeader, dict[str, Any] | None]]:
+        """Index the lines past ``shard.size``, yielding those from byte *start* on as :meth:`_read` does.
+
+        The unterminated tail is parsed but never indexed.  The index only
+        grows where it ends, so a read of this instance nested inside
+        another's cannot index a line twice.
+        """
+        offset = shard.size
+        number = shard.lines
+        handle.seek(offset)
+        for line in handle:
+            number += 1
+            parsed = _parse_line(line, f"{path}:{number}")
+            end = offset + len(line)
+            if line.endswith(b"\n") and shard.size == offset:
+                shard.size, shard.lines, shard.last_line = end, number, (offset, hash(line))
+                if parsed is not None:
+                    shard.entries.append((offset, len(line), parsed[0]))
+            if parsed is not None and offset >= start:
+                header, document = parsed
+                if header is None:
+                    self._count_torn()
+                else:
+                    yield header, (document if select is not None and select(header) else None)
+            offset = end
+
+    def _count_torn(self) -> None:
+        self.torn_lines_skipped += 1
+        obs.count("store.torn_lines_skipped")
 
     def query(
         self,
@@ -343,14 +547,17 @@ class ResultStore:
         to check the keys against), and an envelope whose experiment has
         left the registry is checked against its recorded keys instead.
         """
+
+        def wanted(header: EnvelopeHeader) -> bool:
+            return (
+                (experiment is None or header.experiment == experiment)
+                and (engine is None or header.engine == engine)
+                and (seed is _UNSET or header.seed == seed)
+            )
+
         matches = []
-        for result in self.iter_results():
-            if experiment is not None and result.experiment != experiment:
-                continue
-            if engine is not None and result.engine != engine:
-                continue
-            if seed is not _UNSET and result.seed != seed:
-                continue
+        for _, document in self.iter_documents(wanted, distinct=True):
+            result = Result.from_dict(document)
             unknown = sorted(set(param_filters) - set(result.params))
             if unknown and strict:
                 self._check_filter_keys(result, unknown)

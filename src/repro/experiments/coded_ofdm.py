@@ -117,9 +117,10 @@ def run(
     same channel realisation decoded twice, and the soft curve sits at or
     below the hard curve point by point up to Monte-Carlo noise.
     ``engine="batch"`` is the only engine (the chain *is* the batched
-    kernels).  A non-finite SNR grid, a ``target_error_rate`` outside
-    (0, 1), a ``seed`` that is not an integer ≥ 0, and ``trials`` or
-    ``num_symbols`` that are not integers ≥ 1 raise
+    kernels).  A ``rate_mbps`` that is not a finite positive number or
+    not an 802.11a/g rate, a non-finite SNR grid, a ``target_error_rate``
+    outside (0, 1), a ``seed`` that is not an integer ≥ 0, and ``trials``
+    or ``num_symbols`` that are not integers ≥ 1 raise
     :class:`~repro.exceptions.ConfigurationError`.
     """
     sweep = resolve_engine("coded_ofdm", engine, _ENGINES)
@@ -132,7 +133,8 @@ def run(
         raise ConfigurationError(f"target_error_rate must lie strictly between 0 and 1, got {target_error_rate!r}")
     if integer_knob("seed", seed) < 0:
         raise ConfigurationError(f"seed must be a non-negative integer, got {seed!r}")
-    rate = OfdmRate.from_mbps(float(rate_mbps))
+    rate_mbps = finite_positive_knob("rate_mbps", rate_mbps)
+    rate = OfdmRate.from_mbps(rate_mbps)
     points = np.arange(snr_start_db, snr_stop_db + snr_step_db / 2.0, snr_step_db)
     hard = sweep(rate, points, trials, num_symbols, statistic, "hard", seed)
     soft = sweep(rate, points, trials, num_symbols, statistic, "soft", seed)
@@ -141,7 +143,7 @@ def run(
     soft_crossing = _crossing_snr_db(points, soft.error_rate, target_error_rate, floor=floor)
     return CodedOfdmSweepResult(
         snr_db=points,
-        rate_mbps=float(rate_mbps),
+        rate_mbps=rate_mbps,
         statistic=statistic,
         trials=trials,
         hard_error_rate=hard.error_rate,

@@ -36,7 +36,7 @@ from repro.mc.kernels import (
 )
 from repro.mc.viterbi import BatchViterbiDecoder, encode_batch
 from repro.obs import metrics as obs
-from repro.utils.knobs import integer_knob
+from repro.utils.knobs import finite_positive_knob, integer_knob
 from repro.wifi.ofdm.rates import OfdmRate
 
 __all__ = [
@@ -160,7 +160,9 @@ class CodedOfdmPipeline:
             raise ConfigurationError(f"unknown statistic {statistic!r}")
         if decision not in ("hard", "soft"):
             raise ConfigurationError(f"unknown decision {decision!r}")
-        self.rate = rate if isinstance(rate, OfdmRate) else OfdmRate.from_mbps(float(rate))
+        if not isinstance(rate, OfdmRate):
+            rate = OfdmRate.from_mbps(finite_positive_knob("rate_mbps", rate))
+        self.rate = rate
         self.num_symbols = integer_knob("num_symbols", num_symbols)
         if self.num_symbols < 1:
             raise ConfigurationError("num_symbols must be at least 1")

@@ -210,7 +210,7 @@ class BatchViterbiDecoder:
             known = np.broadcast_to(np.True_, (n, length))
         else:
             known = np.astype(np.asarray(known_mask), np.bool)
-            if known.ndim == 1:
+            if known.shape == (length,):
                 known = np.broadcast_to(known[None, :], (n, length))
             if known.shape != (n, length):
                 raise ValueError("known_mask shape mismatch")

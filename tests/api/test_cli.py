@@ -125,6 +125,20 @@ class TestCampaigns:
         assert "0 executed, 2 reused" in capsys.readouterr().out
         assert len(ResultStore(store_dir)) == 2
 
+    def test_summaries_count_envelopes_beside_results(self, tmp_path, capsys):
+        # A forced rerun stores each invocation twice: two results, four envelopes.
+        grid = _write_grid(tmp_path)
+        store_dir = tmp_path / "store"
+        assert main(["run", "--specs", str(grid), "--store", str(store_dir), "--quiet"]) == 0
+        assert "2 executed, 0 reused; store" in capsys.readouterr().out
+        assert main(["run", "--specs", str(grid), "--store", str(store_dir), "--no-resume", "--quiet"]) == 0
+        assert "now holds 2 result(s), 4 envelope(s)" in capsys.readouterr().out
+        other = tmp_path / "other"
+        assert main(["run", "table_power", "--store", str(other), "--quiet"]) == 0
+        capsys.readouterr()
+        assert main(["merge", str(other), "--into", str(store_dir)]) == 0
+        assert "now holds 3 result(s) (+1), 5 envelope(s)" in capsys.readouterr().out
+
     def test_specs_run_without_store_prints_progress(self, tmp_path, capsys):
         grid = _write_grid(tmp_path)
         assert main(["run", "--specs", str(grid), "--validate"]) == 0

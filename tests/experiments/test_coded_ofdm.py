@@ -8,6 +8,8 @@ import pytest
 from repro.api.registry import get_experiment
 from repro.experiments.coded_ofdm import _crossing_snr_db, run, summarize
 from repro.exceptions import ConfigurationError
+from repro.mc import CodedOfdmPipeline
+from repro.wifi.ofdm.rates import OfdmRate
 
 
 class TestSoftGainAcceptance:
@@ -64,6 +66,24 @@ class TestInputValidation:
     def test_bad_knob_raises_configuration_error_naming_it(self, knob, value):
         with pytest.raises(ConfigurationError, match=knob):
             run(**{**SMALL, knob: value})
+
+    @pytest.mark.parametrize("value", ["x", "12", float("nan"), float("inf"), 0.0, -12.0, True])
+    @pytest.mark.parametrize(
+        "entry",
+        [lambda rate: run(**{**SMALL, "rate_mbps": rate}), CodedOfdmPipeline],
+        ids=["run", "pipeline"],
+    )
+    def test_rate_that_is_not_a_finite_positive_number_is_rejected(self, entry, value):
+        # A string used to reach float(): "x" raised a bare ValueError and
+        # "12" ran at 12 Mbps.
+        with pytest.raises(ConfigurationError, match="rate_mbps must be a finite positive number"):
+            entry(value)
+
+    def test_rate_given_as_a_number(self):
+        assert run(**{**SMALL, "rate_mbps": 12}).rate_mbps == 12.0
+        assert CodedOfdmPipeline(np.float64(24.0)).rate is OfdmRate.RATE_24
+        with pytest.raises(ConfigurationError, match="unsupported OFDM rate"):
+            CodedOfdmPipeline(13.0)
 
 
 #: Exact error-rate arrays of ``run`` recorded before the butterfly decoder

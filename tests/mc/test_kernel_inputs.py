@@ -101,6 +101,14 @@ class TestShapeValidation:
         with pytest.raises(ValueError, match="known_mask shape mismatch"):
             BatchViterbiDecoder().decode_batch(coded, known_mask=np.ones((3, 20), dtype=bool))
 
+    @pytest.mark.parametrize("length", [10, 19, 21])
+    def test_decoder_shared_known_mask_length_checked(self, length):
+        # A shared mask covers every coded bit; a wrong length used to fail
+        # inside np.broadcast_to with numpy's own message.
+        coded = np.zeros((2, 20), dtype=np.uint8)
+        with pytest.raises(ValueError, match="known_mask shape mismatch"):
+            BatchViterbiDecoder().decode_batch(coded, known_mask=np.ones(length, dtype=bool))
+
 
 DECODERS = {
     "scalar": lambda coded, state: ViterbiDecoder().decode(coded[0], initial_state=state),
