@@ -64,21 +64,10 @@ Subcommands
 ``merge --into DIR SOURCE [SOURCE ...]``
     Fold source stores into a destination store, logging each source's
     :class:`~repro.api.store.MergeStats` (ingested / deduplicated /
-    torn lines skipped).  Sources may be local directories or
-    ``file://``/``http(s)://`` shard URIs; ``--manifest PATH``
-    (repeatable) validates and combines campaign manifests first and
-    merges every shard URI they list, and ``--json`` emits the
-    per-source stats machine-readably.
-``lint [PATHS ...]``
-    Run the :mod:`repro.lint` contract checker (RNG discipline,
-    determinism, telemetry isolation, registry completeness, exception
-    hygiene, document validation) over the given paths (default
-    ``src/repro``).  ``--rule ID`` restricts to specific rules,
-    ``--json`` emits the strict schema-versioned document and
-    ``--markdown PATH`` writes the CI summary table.  Any finding fails
-    the run (exit 1); a ``# lint-ok: RLnnn -- reason`` pragma beside the
-    code is the only way to excuse one.  Paths that hold no Python file
-    are an error, not a clean run.
+    torn lines skipped).  Sources may be local directories or ``file://``
+    shard URIs; ``--manifest PATH`` (repeatable) validates and combines
+    campaign manifests first and merges every shard URI they list, and
+    ``--json`` emits the per-source stats machine-readably.
 """
 
 from __future__ import annotations
@@ -108,7 +97,6 @@ from repro.fabric.manifest import (
     write_manifest,
 )
 from repro.fabric.slicing import read_spec_files, shard_slice
-from repro.lint import build_document, lint_paths, render_markdown, render_text, select_rules
 from repro.obs.metrics import Collector, format_span_tree
 from repro.obs.stats import campaign_counter_totals, counter_totals, stats_frame
 from repro.plots.gallery import check_gallery, write_gallery
@@ -297,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "sources",
         nargs="*",
         metavar="SOURCE",
-        help="store directories or file://|http(s):// shard URIs to merge from",
+        help="store directories or file:// shard URIs to merge from",
     )
     merge_parser.add_argument("--into", required=True, metavar="DIR", help="destination store directory")
     merge_parser.add_argument(
@@ -311,24 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     merge_parser.add_argument(
         "--json", action="store_true", help="emit machine-readable per-source MergeStats JSON"
-    )
-
-    lint_parser = sub.add_parser("lint", help="check the repo's static contracts (repro.lint)")
-    lint_parser.add_argument(
-        "paths", nargs="*", default=None, metavar="PATH", help="files or directories to lint (default: src/repro)"
-    )
-    lint_parser.add_argument(
-        "--rule",
-        dest="rules",
-        metavar="ID",
-        action="append",
-        default=[],
-        help="run only this rule (repeatable; see --list-rules)",
-    )
-    lint_parser.add_argument("--list-rules", action="store_true", help="list the rule catalogue and exit")
-    lint_parser.add_argument("--json", action="store_true", help="emit the strict schema-versioned JSON document")
-    lint_parser.add_argument(
-        "--markdown", default=None, metavar="PATH", help="also write a findings table for CI job summaries"
     )
     return parser
 
@@ -707,30 +677,6 @@ def _cmd_merge(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_lint(args: argparse.Namespace) -> int:
-    rules = select_rules(args.rules or None)
-    if args.list_rules:
-        width = max(len(rule.id) for rule in rules)
-        category_width = max(len(rule.category) for rule in rules)
-        for rule in rules:
-            print(f"{rule.id.ljust(width)}  {rule.category.ljust(category_width)}  {rule.description}")
-        return 0
-
-    paths = args.paths or ["src/repro"]
-    findings, files_checked = lint_paths(paths, args.rules or None)
-
-    if args.markdown:
-        Path(args.markdown).write_text(render_markdown(findings))
-    if args.json:
-        print(json.dumps(build_document(findings, rules=rules, files_checked=files_checked), indent=2))
-    else:
-        for line in render_text(findings):
-            print(line)
-        state = "failed" if findings else "clean"
-        print(f"lint: {files_checked} file(s), {len(findings)} finding(s) — {state}")
-    return 1 if findings else 0
-
-
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = _build_parser().parse_args(argv)
@@ -766,6 +712,4 @@ def _dispatch(args: argparse.Namespace) -> int:
         return _cmd_trace(args)
     if args.command == "merge":
         return _cmd_merge(args)
-    if args.command == "lint":
-        return _cmd_lint(args)
     return _cmd_run(args)

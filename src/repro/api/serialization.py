@@ -23,6 +23,7 @@ from __future__ import annotations
 import dataclasses
 import importlib
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -46,9 +47,13 @@ def _encode_float(value: float) -> Any:
 
 
 def _sanitize_numbers(values: list) -> list:
-    """Replace non-finite floats in a flat list with their string names."""
+    """Replace non-finite floats in a flat list with their string names.
+
+    The lists come from ``ndarray.tolist()``, so their floats are Python
+    floats: ``math`` tests one without numpy's per-call cost.
+    """
     return [
-        v if not isinstance(v, float) or np.isfinite(v) else ("nan" if np.isnan(v) else ("inf" if v > 0 else "-inf"))
+        v if not isinstance(v, float) or math.isfinite(v) else "nan" if math.isnan(v) else "inf" if v > 0 else "-inf"
         for v in values
     ]
 

@@ -40,9 +40,9 @@ only: no parsed document or decoded :class:`~repro.api.result.Result`
 outlives the read that asked for it.
 
 :meth:`ResultStore.merge` is the distributed fan-in point: alongside
-local store directories it ingests ``file://`` and ``http(s)://`` shard
-URIs (:mod:`repro.fabric.remote`), so N machines can execute disjoint
-slices of one grid and merge at report time.  Campaign-level telemetry
+local store directories it ingests ``file://`` shard URIs
+(:mod:`repro.fabric.remote`), so N machines can execute disjoint slices
+of one grid and merge at report time.  Campaign-level telemetry
 (resume hit/miss counters, merge spans) rides in a ``campaign-telemetry/``
 sidecar directory inside the store — outside the ``*.jsonl`` shard
 namespace, so it never masquerades as a result envelope.
@@ -188,6 +188,26 @@ def _parse_line(line: bytes, where: str) -> tuple[EnvelopeHeader | None, dict[st
     return _header(document, where), document
 
 
+def _shard_file_documents(path: Path, uri: str) -> tuple[Iterator[tuple[str, dict[str, Any]]], Callable[[], int]]:
+    """The ``(key, envelope)`` pairs and torn count of the one shard file *uri* names."""
+    try:
+        lines = path.read_bytes().split(b"\n")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot read shard {uri!r}: {exc}") from exc
+    pairs = []
+    torn = 0
+    for number, line in enumerate(lines, 1):
+        parsed = _parse_line(line, f"{path}:{number}")
+        if parsed is None:
+            continue
+        header, document = parsed
+        if header is None:
+            torn += 1
+        else:
+            pairs.append((header.key, document))
+    return iter(pairs), lambda: torn
+
+
 def _reread(handle: IO[bytes], offset: int, length: int, header: EnvelopeHeader) -> dict[str, Any] | None:
     """The envelope of an indexed line, or ``None`` when it no longer parses to *header*."""
     handle.seek(offset)
@@ -283,9 +303,9 @@ class ResultStore:
         """Copy envelopes from *other* that this store does not hold yet.
 
         *other* may be another :class:`ResultStore`, a local store
-        directory, or a shard **URI** — ``file://`` (shard file or store
-        directory) or ``http(s)://`` (a JSONL resource), fetched via
-        :mod:`repro.fabric.remote` with torn-line tolerance.
+        directory, or a ``file://`` shard **URI** naming a shard file or a
+        store directory (resolved by :mod:`repro.fabric.remote`), read by
+        the same line rule as a local store.
 
         Duplicates (by :func:`result_key`) are skipped, so merging is
         idempotent.  Returns a :class:`MergeStats` accounting for every
@@ -316,23 +336,22 @@ class ResultStore:
     @staticmethod
     def _source_documents(
         other: "ResultStore | str | Path",
-    ) -> tuple[Iterator[tuple[str, dict[str, Any]]], Any]:
+    ) -> tuple[Iterator[tuple[str, dict[str, Any]]], Callable[[], int]]:
         """A merge source as ``(keyed-document iterator, torn-count callable)``.
 
-        The torn count is a callable because a local store only knows how
-        many lines tore *after* iteration finishes, while a remote fetch
-        knows up front.
+        A ``file://`` URI naming a directory is read as a local store; one
+        naming a shard file is read line by line by :func:`_parse_line`.
+        The torn count is a callable because a store only knows how many
+        lines tore *after* iteration finishes.
         """
-        if isinstance(other, str) and "://" in other:
-            from repro.fabric.remote import fetch_shard
+        if isinstance(other, str):
+            from repro.fabric.remote import is_uri, uri_path
 
-            fetched = fetch_shard(other)
-            obs.count("store.merge.remote_documents", len(fetched.documents))
-            pairs = (
-                (_header(document, f"{other} document {number}").key, document)
-                for number, document in enumerate(fetched.documents, 1)
-            )
-            return pairs, lambda: fetched.torn_lines_skipped
+            if is_uri(other):
+                path = uri_path(other)
+                if not path.is_dir():
+                    return _shard_file_documents(path, other)
+                other = path
         source = other if isinstance(other, ResultStore) else ResultStore(other)
         torn_before = source.torn_lines_skipped
         return source.iter_keyed_documents(), lambda: source.torn_lines_skipped - torn_before

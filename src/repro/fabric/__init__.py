@@ -17,9 +17,9 @@ three pieces that compose through the existing store format:
   --shard-index I --shard-count N`` is the CLI surface.
 * **Remote fan-in** (:mod:`repro.fabric.remote` +
   :mod:`repro.fabric.manifest`): ``ResultStore.merge`` ingests
-  ``file://`` and ``http(s)://`` shard URIs (stdlib only, torn-line
-  tolerant, deduplicated by result key), and the strict-JSON campaign
-  manifest proves at merge time that N shards reassemble one grid.
+  ``file://`` shard URIs (torn-line tolerant, deduplicated by result
+  key), and the strict-JSON campaign manifest proves at merge time that
+  N shards reassemble one grid.
 
 The nightly full-fidelity workflow is the capstone consumer: an N-job
 matrix each executing one slice, a fan-in job combining manifests,
@@ -38,7 +38,7 @@ from repro.fabric.manifest import (
     validate_manifest,
     write_manifest,
 )
-from repro.fabric.remote import ShardFetch, fetch_shard, is_uri, parse_shard_lines
+from repro.fabric.remote import is_uri, uri_path
 from repro.fabric.slicing import read_spec_files, shard_slice, spec_identity
 
 __all__ = [
@@ -51,10 +51,8 @@ __all__ = [
     "read_manifest",
     "validate_manifest",
     "write_manifest",
-    "ShardFetch",
-    "fetch_shard",
     "is_uri",
-    "parse_shard_lines",
+    "uri_path",
     "read_spec_files",
     "shard_slice",
     "spec_identity",

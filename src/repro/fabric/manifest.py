@@ -21,7 +21,7 @@ cover every index exactly once with status ``complete``.
 Like every other generated document in the repo, manifests are strict
 JSON with a schema version and a validator (:func:`validate_manifest`);
 writers round-trip through the validator before any bytes hit disk
-(enforced statically by lint rule RL007).
+(a contract that ``tests/test_contracts.py`` checks on the source, RL007).
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ class ShardEntry:
     status:
         One of :data:`SHARD_STATUSES`.
     uri:
-        Where the shard's results live (``file://`` or ``http(s)://``),
-        or ``None`` when not yet published.
+        Where the shard's results live (a ``file://`` URI), or ``None``
+        when not yet published.
     result_count:
         Envelopes the shard holds, or ``None`` when unknown.
     """

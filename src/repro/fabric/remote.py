@@ -1,61 +1,27 @@
-"""Remote shard ingestion: ``file://`` and ``http(s)://`` fan-in sources.
+"""Shard fan-in from ``file://`` URIs.
 
 A distributed campaign leaves its shards wherever the machines that ran
-them put them — a mounted volume, a CI artifact served over HTTP.  The
-fan-in step (:meth:`repro.api.store.ResultStore.merge`) accepts shard
-*URIs* alongside local store paths; this module does the fetching with
-nothing beyond the stdlib ``urllib``.
-
-A shard resource is JSON lines, exactly as on disk: one result envelope
-per line.  Parsing is torn-line tolerant — a line that does not parse as
-JSON (the truncated tail of a killed writer, or a partial download) is
-counted and skipped, never fatal — and non-object lines are ignored, so
-merging a half-written remote shard degrades to merging what survived.
-``file://`` URIs may also name a store *directory*, in which case every
-``*.jsonl`` shard inside it is read in sorted order, mirroring
-:meth:`~repro.api.store.ResultStore.shard_paths`.
+them put them: a mounted volume, or a CI artifact downloaded next to the
+fan-in job.  The fan-in step (:meth:`repro.api.store.ResultStore.merge`)
+accepts ``file://`` shard *URIs* alongside local store paths; this module
+tells a URI from a path and turns a URI into the local path it names.
+A URI may name one shard file or a store *directory*; the store reads
+either by its own line rule, so a torn or non-UTF-8 line counts as torn
+exactly as it does by path.
 """
 
 from __future__ import annotations
 
-import json
 import re
-import urllib.error
 import urllib.parse
-import urllib.request
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["ShardFetch", "fetch_shard", "is_uri", "parse_shard_lines"]
+__all__ = ["is_uri", "uri_path"]
 
 #: RFC 3986 scheme prefix — what distinguishes a URI source from a path.
 _SCHEME = re.compile(r"^[A-Za-z][A-Za-z0-9+.-]*://")
-
-#: Schemes the fabric knows how to fetch.
-_SUPPORTED_SCHEMES = ("file", "http", "https")
-
-#: Default socket timeout for HTTP shard fetches, seconds.
-_HTTP_TIMEOUT_S = 30.0
-
-
-@dataclass(frozen=True)
-class ShardFetch:
-    """One fetched shard resource: its parsed envelopes and the damage count.
-
-    Attributes
-    ----------
-    documents:
-        Every line that parsed as a JSON object, in resource order.
-    torn_lines_skipped:
-        Lines that did not parse as JSON — truncated writes or partial
-        transfers — skipped rather than failing the whole fan-in.
-    """
-
-    documents: tuple[dict[str, Any], ...]
-    torn_lines_skipped: int
 
 
 def is_uri(source: str) -> bool:
@@ -63,57 +29,20 @@ def is_uri(source: str) -> bool:
     return bool(_SCHEME.match(source))
 
 
-def parse_shard_lines(text: str) -> ShardFetch:
-    """Parse JSONL *text* tolerantly into a :class:`ShardFetch`."""
-    documents: list[dict[str, Any]] = []
-    torn = 0
-    for line in text.splitlines():
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            document = json.loads(line)
-        except json.JSONDecodeError:
-            torn += 1
-            continue
-        if isinstance(document, dict):
-            documents.append(document)
-    return ShardFetch(documents=tuple(documents), torn_lines_skipped=torn)
+def uri_path(uri: str) -> Path:
+    """The local path a ``file://`` shard URI names.
 
-
-def _fetch_file(uri: str) -> ShardFetch:
-    path = Path(urllib.request.url2pathname(urllib.parse.urlparse(uri).path))
-    if path.is_dir():
-        documents: list[dict[str, Any]] = []
-        torn = 0
-        for shard in sorted(path.glob("*.jsonl")):
-            fetched = parse_shard_lines(shard.read_text(encoding="utf-8"))
-            documents.extend(fetched.documents)
-            torn += fetched.torn_lines_skipped
-        return ShardFetch(documents=tuple(documents), torn_lines_skipped=torn)
-    try:
-        return parse_shard_lines(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ConfigurationError(f"cannot read shard {uri!r}: {exc}") from exc
-
-
-def _fetch_http(uri: str, timeout_s: float) -> ShardFetch:
-    try:
-        with urllib.request.urlopen(uri, timeout=timeout_s) as response:
-            body = response.read()
-    except (urllib.error.URLError, OSError) as exc:
-        raise ConfigurationError(f"cannot fetch shard {uri!r}: {exc}") from exc
-    return parse_shard_lines(body.decode("utf-8", errors="replace"))
-
-
-def fetch_shard(uri: str, *, timeout_s: float = _HTTP_TIMEOUT_S) -> ShardFetch:
-    """Fetch and parse one shard URI (``file://`` path/dir or ``http(s)://``)."""
-    scheme = urllib.parse.urlparse(uri).scheme.lower()
-    if scheme not in _SUPPORTED_SCHEMES:
+    Another scheme is a :class:`~repro.exceptions.ConfigurationError`, and
+    so is a host other than none or ``localhost``: ``file://out/store``
+    names the host ``out`` and the path ``/store``, not ``out/store``.
+    """
+    parsed = urllib.parse.urlparse(uri)
+    scheme = parsed.scheme.lower()
+    if scheme != "file":
+        raise ConfigurationError(f"unsupported shard URI scheme {scheme!r} in {uri!r}; supported: ['file']")
+    if parsed.netloc.lower() not in ("", "localhost"):
         raise ConfigurationError(
-            f"unsupported shard URI scheme {scheme!r} in {uri!r}; "
-            f"supported: {list(_SUPPORTED_SCHEMES)}"
+            f"shard URI {uri!r} names the host {parsed.netloc!r}; a file:// URI must name a local "
+            "absolute path, as file:///abs/path or file://localhost/abs/path"
         )
-    if scheme == "file":
-        return _fetch_file(uri)
-    return _fetch_http(uri, timeout_s)
+    return Path(urllib.parse.unquote(parsed.path))

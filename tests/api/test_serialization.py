@@ -50,6 +50,15 @@ class TestArrays:
         restored = roundtrip(array)
         assert np.array_equal(restored, array, equal_nan=True)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_non_finite_elements_are_strings_on_the_wire(self, dtype):
+        node = encode(np.array([1.5, np.nan, np.inf, -np.inf, -0.0], dtype=dtype))
+        assert json.dumps(node["data"]) == '[1.5, "nan", "inf", "-inf", -0.0]'
+
+    def test_complex_parts_carry_non_finite_strings_on_the_wire(self):
+        node = encode(np.array([complex(np.nan, np.inf), complex(-np.inf, 2.0)]))
+        assert json.dumps([node["real"], node["imag"]]) == '[["nan", "-inf"], ["inf", 2.0]]'
+
     def test_int_and_bool_dtypes_preserved(self):
         for array in (np.arange(5, dtype=np.int64), np.array([True, False]), np.arange(4, dtype=np.uint8)):
             restored = roundtrip(array)

@@ -511,5 +511,5 @@ class TestMalformedEnvelopes:
     def test_a_merged_remote_envelope_is_validated(self, tmp_path, results):
         shard = tmp_path / "remote.jsonl"
         shard.write_text(json.dumps({"schema_version": 1, "engine": "scalar"}) + "\n")
-        with pytest.raises(ConfigurationError, match=r"remote\.jsonl document 1: .*'experiment'"):
+        with pytest.raises(ConfigurationError, match=r"malformed result envelope at .*remote\.jsonl:1: .*'experiment'"):
             ResultStore(tmp_path / "into").merge(shard.as_uri())

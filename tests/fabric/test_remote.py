@@ -1,23 +1,18 @@
-"""Remote shard fan-in: URI fetching and ``ResultStore.merge`` ingestion.
+"""Shard fan-in from ``file://`` URIs: URI resolution and ``ResultStore.merge`` ingestion.
 
-The fan-in contract: ``file://`` and ``http(s)://`` shard URIs merge
-exactly like local store directories — torn lines are counted and
-skipped, duplicates deduplicate by result key — so a CI artifact served
-over HTTP is as good a merge source as a mounted volume.  The HTTP tests
-run a real stdlib server on the loopback interface.
+The fan-in contract: a ``file://`` shard URI merges exactly like a local
+store directory — lines read by the store's own rule, torn lines counted
+and skipped, duplicates deduplicated by result key.
 """
 
 from __future__ import annotations
 
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
 import pytest
 
-from repro.api import ResultStore, Runner
+from repro.api import MergeStats, ResultStore, Runner
 from repro.api.spec import ExperimentSpec
 from repro.exceptions import ConfigurationError
-from repro.fabric.remote import fetch_shard, is_uri, parse_shard_lines
+from repro.fabric.remote import is_uri, uri_path
 
 
 def _two_specs():
@@ -36,77 +31,22 @@ class TestUriDetection:
         assert not is_uri("C:\\store")  # a drive letter is not a scheme
 
 
-class TestParseShardLines:
-    def test_torn_and_blank_lines_are_tolerated(self):
-        text = '{"a": 1}\n\n{"b": 2}\n{"torn": \n[1, 2, 3]\n'
-        fetched = parse_shard_lines(text)
-        assert fetched.documents == ({"a": 1}, {"b": 2})  # the list line is ignored
-        assert fetched.torn_lines_skipped == 1
+class TestUriPath:
+    def test_a_file_uri_names_its_local_path(self, tmp_path):
+        shard = tmp_path / "a shard.jsonl"
+        assert uri_path(shard.resolve().as_uri()) == shard.resolve()  # percent-encoded space decoded
+        assert uri_path(f"file://localhost{shard.resolve()}") == shard.resolve()
 
+    @pytest.mark.parametrize("scheme", ["ftp", "http", "https"])
+    def test_unsupported_scheme_raises(self, scheme):
+        with pytest.raises(ConfigurationError, match=f"unsupported shard URI scheme '{scheme}'"):
+            uri_path(f"{scheme}://127.0.0.1:1/shard.jsonl")
 
-class TestFetchFile:
-    def test_fetches_a_single_shard_file(self, tmp_path):
-        shard = tmp_path / "shard.jsonl"
-        shard.write_text('{"a": 1}\n{"b": 2}\n')
-        fetched = fetch_shard(shard.resolve().as_uri())
-        assert fetched.documents == ({"a": 1}, {"b": 2})
-
-    def test_fetches_a_store_directory_in_sorted_shard_order(self, tmp_path):
-        (tmp_path / "shard-2.jsonl").write_text('{"b": 2}\n')
-        (tmp_path / "shard-1.jsonl").write_text('{"a": 1}\ntorn\n')
-        (tmp_path / "notes.txt").write_text("not a shard")
-        fetched = fetch_shard(tmp_path.resolve().as_uri())
-        assert fetched.documents == ({"a": 1}, {"b": 2})
-        assert fetched.torn_lines_skipped == 1
-
-    def test_missing_file_raises(self, tmp_path):
-        with pytest.raises(ConfigurationError, match="cannot read shard"):
-            fetch_shard((tmp_path / "absent.jsonl").resolve().as_uri())
-
-    def test_unsupported_scheme_raises(self):
-        with pytest.raises(ConfigurationError, match="unsupported shard URI scheme"):
-            fetch_shard("ftp://host/shard.jsonl")
-
-
-@pytest.fixture
-def http_server(tmp_path):
-    """Serve ``tmp_path`` over real loopback HTTP; yields the base URL."""
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_GET(self):  # noqa: N802 — http.server's required spelling
-            target = tmp_path / self.path.lstrip("/")
-            if not target.is_file():
-                self.send_error(404)
-                return
-            body = target.read_bytes()
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):
-            pass  # keep pytest output clean
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield f"http://127.0.0.1:{server.server_address[1]}"
-    finally:
-        server.shutdown()
-        thread.join()
-
-
-class TestFetchHttp:
-    def test_fetches_over_http(self, tmp_path, http_server):
-        (tmp_path / "shard.jsonl").write_text('{"a": 1}\ntorn\n')
-        fetched = fetch_shard(f"{http_server}/shard.jsonl")
-        assert fetched.documents == ({"a": 1},)
-        assert fetched.torn_lines_skipped == 1
-
-    def test_http_error_raises(self, http_server):
-        with pytest.raises(ConfigurationError, match="cannot fetch shard"):
-            fetch_shard(f"{http_server}/absent.jsonl")
+    def test_a_host_other_than_localhost_raises(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="names the host 'out'"):
+            uri_path("file://out/store")
+        with pytest.raises(ConfigurationError, match="names the host 'out'"):
+            ResultStore(tmp_path / "into").merge("file://out/store")  # not the relative out/store
 
 
 class TestMergeFromUris:
@@ -120,14 +60,27 @@ class TestMergeFromUris:
         assert (again.ingested, again.deduped) == (0, 2)
         assert len(destination) == 2
 
-    def test_http_uri_merges_with_dedup_and_torn_tolerance(self, tmp_path, http_server):
+    def test_shard_file_uri_merges_with_dedup_and_torn_tolerance(self, tmp_path):
         source = ResultStore(tmp_path / "source")
         Runner(telemetry=False).run_batch(_two_specs(), store=source)
         [shard] = source.shard_paths()
-        served = tmp_path / "served.jsonl"
-        served.write_text(shard.read_text() + shard.read_text() + "{torn\n")
+        copied = tmp_path / "copied.jsonl"
+        # A blank line and JSON that is not an object are passed over, uncounted.
+        copied.write_text(shard.read_text() + "\n[1, 2, 3]\n" + shard.read_text() + "{torn\n")
         destination = ResultStore(tmp_path / "destination")
-        stats = destination.merge(f"{http_server}/served.jsonl")
-        assert stats.ingested == 2
-        assert stats.deduped == 2  # the doubled lines deduplicate by result key
-        assert stats.torn_lines_skipped == 1
+        stats = destination.merge(copied.resolve().as_uri())
+        assert stats == MergeStats(ingested=2, deduped=2, torn_lines_skipped=1)  # doubled lines deduplicate
+
+    def test_a_missing_shard_file_raises(self, tmp_path):
+        with pytest.raises(ConfigurationError, match="cannot read shard"):
+            ResultStore(tmp_path / "into").merge((tmp_path / "absent.jsonl").resolve().as_uri())
+
+    def test_a_line_that_is_not_utf8_is_torn_by_path_and_by_uri(self, tmp_path):
+        source = ResultStore(tmp_path / "source")
+        Runner(telemetry=False).run_batch([ExperimentSpec(experiment="table_power")], store=source)
+        [shard] = source.shard_paths()
+        with open(shard, "ab") as handle:
+            handle.write(b'{"bad": "\xff\xfe"}\n')
+        sources = [str(source.root), source.root.resolve().as_uri(), shard.resolve().as_uri()]
+        stats = [ResultStore(tmp_path / f"into-{number}").merge(uri) for number, uri in enumerate(sources)]
+        assert stats == [MergeStats(ingested=1, deduped=0, torn_lines_skipped=1)] * 3

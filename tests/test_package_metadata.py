@@ -72,7 +72,6 @@ class TestPublicImports:
             "repro.api",
             "repro.obs",
             "repro.fabric",
-            "repro.lint",
             "repro.plots",
         ],
     )
@@ -105,12 +104,9 @@ TEST_ONLY_KEEPS = {
     "OfdmReceiver": "reference oracle: loopback check of OfdmTransmitter and of the mc bit-exactness tests",
     "GfskDemodulator": "reference oracle: roundtrip check of GfskModulator",
     "InterscatterLink": "documented entry point of the examples and the README",
-    "lint_source": "repro.lint's in-memory entry point, the seam its rule tests drive",
-    "validate_lint_document": "schema check of the `repro lint --json` document",
     "runtime_entry": "called by benchmarks/compare_benchmarks.py",
     "active_collector": "repro.obs's query for the collector a block runs under",
     "matplotlib_available": "probe for the optional matplotlib backend",
-    "is_uri": "repro.fabric's URI-versus-path test for shard sources",
 }
 
 
