@@ -21,14 +21,12 @@ both files come from the same machine).
 Refreshing the baseline after an intentional performance change::
 
     PYTHONPATH=src python -m pytest benchmarks --benchmark-json=benchmarks/baseline.json
-    python benchmarks/compare_benchmarks.py --slim benchmarks/baseline.json \
-        --append-trend benchmarks/trends/runtime.json --pr N
+    python benchmarks/compare_benchmarks.py --slim benchmarks/baseline.json
 
-then commit the regenerated files together with the change that explains
-them.  The ``--slim`` pass strips pytest-benchmark's raw per-round samples
+then commit the regenerated baseline together with the change that explains
+it.  The ``--slim`` pass strips pytest-benchmark's raw per-round samples
 (several MB) down to the per-benchmark medians/minimums the gate actually
-reads; ``--append-trend`` records the refreshed medians as PR *N*'s entry
-in the observatory's runtime trend (re-appending a PR replaces its entry).
+reads.
 
 ``--json OUT`` writes the comparison as machine-readable JSON next to the
 human table: normalisation factors, per-benchmark ratios and the
@@ -39,8 +37,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import sys
-from pathlib import Path
 
 
 def load_stats(path: str) -> dict[str, tuple[float, float]]:
@@ -145,20 +141,6 @@ def compare(
     return regressions
 
 
-def append_trend(trend_path: str, benchmark_json: str, pr: int) -> None:
-    """Record *benchmark_json*'s medians as PR *pr*'s runtime trend entry."""
-    try:
-        from repro.obs import trends
-    except ImportError:  # running without PYTHONPATH=src
-        sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-        from repro.obs import trends
-
-    document = trends.append_entry(
-        trend_path, kind="runtime", entry=trends.runtime_entry(benchmark_json, pr=pr)
-    )
-    print(f"appended PR {pr} to {trend_path} ({len(document['entries'])} entr(y/ies))")
-
-
 def slim(path: str) -> None:
     """Rewrite *path* keeping only the stats the regression gate reads."""
     with open(path) as handle:
@@ -211,24 +193,10 @@ def main(argv: list[str] | None = None) -> int:
         metavar="OUT",
         help="also write the comparison as machine-readable JSON to this file",
     )
-    parser.add_argument(
-        "--append-trend",
-        default=None,
-        metavar="TREND.json",
-        help="append the run's medians to this observatory runtime trend (needs --pr)",
-    )
-    parser.add_argument(
-        "--pr", type=int, default=None, help="PR number the trend entry is recorded under"
-    )
     args = parser.parse_args(argv)
-
-    if args.append_trend is not None and args.pr is None:
-        parser.error("--append-trend requires --pr")
 
     if args.slim:
         slim(args.baseline)
-        if args.append_trend is not None:
-            append_trend(args.append_trend, args.baseline, args.pr)
         return 0
     if args.current is None:
         parser.error("CURRENT is required unless --slim is given")
@@ -240,8 +208,6 @@ def main(argv: list[str] | None = None) -> int:
         absolute=args.absolute,
         json_out=args.json_out,
     )
-    if args.append_trend is not None:
-        append_trend(args.append_trend, args.current, args.pr)
     if regressions:
         print(f"\nFAIL: {regressions} benchmark(s) regressed beyond {args.threshold:.2f}x")
         return 1

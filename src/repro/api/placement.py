@@ -17,12 +17,23 @@ import numpy as np
 from repro.channel.link_budget import BackscatterLinkBudget
 from repro.channel.noise import NoiseModel
 from repro.channel.propagation import PathLossModel
+from repro.exceptions import ConfigurationError
+from repro.utils.knobs import finite_knob, finite_positive_knob
 
 __all__ = ["distance_grid", "empirical_cdf", "furthest_reach", "shadowed_backscatter_budget"]
 
 
 def distance_grid(start: float, stop: float, step: float) -> np.ndarray:
-    """Inclusive sweep grid: ``start, start+step, ..., stop`` (the figures' x-axes)."""
+    """Inclusive sweep grid: ``start, start+step, ..., stop`` (the figures' x-axes).
+
+    A step that is not a finite positive number, a stop that is not
+    finite, or a stop below *start* raises
+    :class:`~repro.exceptions.ConfigurationError`: no sweep can use the
+    grid it would give.
+    """
+    finite_positive_knob("distance grid step", step)
+    if finite_knob("distance grid stop", stop) < start:
+        raise ConfigurationError(f"distance grid stop {stop!r} lies below its start {start!r}")
     return np.arange(start, stop + step, step)
 
 

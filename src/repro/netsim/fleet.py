@@ -25,7 +25,6 @@ Runs are fully deterministic in the scenario seed.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -55,7 +54,7 @@ from repro.netsim.mac import (
 )
 from repro.netsim.medium import SharedMedium
 from repro.netsim.metrics import DeviceStats, FleetMetrics
-from repro.utils.knobs import integer_knob
+from repro.utils.knobs import finite_knob, finite_positive_knob, integer_knob
 
 __all__ = [
     "TrafficProfile",
@@ -298,11 +297,6 @@ def fleet_links(scenario: FleetScenario) -> FleetLinks:
     )
 
 
-def _finite(value) -> bool:
-    """Whether *value* is a real number other than ±inf and NaN."""
-    return isinstance(value, numbers.Real) and math.isfinite(value)
-
-
 @dataclass(frozen=True)
 class FleetScenario:
     """One reproducible multi-device experiment configuration.
@@ -365,12 +359,12 @@ class FleetScenario:
             raise ConfigurationError("num_devices must be at least 1")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
-        if not (_finite(self.duration_s) and self.duration_s > 0):
-            raise ConfigurationError(f"duration_s must be finite and positive, got {self.duration_s!r}")
-        if self.period_s is not None and not (_finite(self.period_s) and self.period_s > 0):
-            raise ConfigurationError(f"period_s must be None or finite and positive, got {self.period_s!r}")
-        if not _finite(self.source_power_dbm):
-            raise ConfigurationError(f"source_power_dbm must be finite, got {self.source_power_dbm!r}")
+        # Checked only: the stored values stay as given, so a run's
+        # aggregate and its draws do not move.
+        finite_positive_knob("duration_s", self.duration_s)
+        if self.period_s is not None:
+            finite_positive_knob("period_s", self.period_s)
+        finite_knob("source_power_dbm", self.source_power_dbm)
         if self.engine not in ENGINES:
             raise ConfigurationError(f"unknown netsim engine {self.engine!r}; available: {list(ENGINES)}")
 

@@ -1,15 +1,11 @@
-"""``repro.obs`` — runtime telemetry, tracing and the trend observatory.
+"""``repro.obs`` — runtime telemetry and tracing.
 
 The platform's execution layers (runner, netsim, mc, store) emit
 process-local counters, gauges and timed spans through
 :mod:`repro.obs.metrics`; the :class:`~repro.api.runner.Runner` collects
 them per run into a strict-JSON telemetry document riding on every
 :class:`~repro.api.result.Result` envelope.  :mod:`repro.obs.stats`
-aggregates those documents across a store (``python -m repro stats``),
-and :mod:`repro.obs.trends` persists per-PR benchmark medians and
-paper-vs-measured deltas as small committed trend files rendered into
-the figure gallery — the repo observing its own performance and
-fidelity trajectory.
+aggregates those documents across a store (``python -m repro stats``).
 
 Everything here is observability-only by contract: telemetry never
 enters result identity (:func:`repro.api.store.result_key`), report

@@ -24,7 +24,6 @@ from repro.api.report import format_param, replicate_metrics_rows
 from repro.api.result import Result
 from repro.api.store import ResultStore, representative
 from repro.exceptions import ReproError
-from repro.obs import trends as obs_trends
 from repro.plots.render import figure_filename, render_figure
 
 __all__ = ["generate_gallery", "write_gallery", "check_gallery"]
@@ -83,57 +82,19 @@ def _metrics_table(experiment: Experiment, group: ReplicateGroup) -> list[str]:
     ]
 
 
-def _observatory_sections(
-    trends_dir: str | Path, link_prefix: str, format: str, images: dict[str, bytes]
-) -> list[str]:
-    """Render the cross-PR trend figures into gallery sections + *images*.
-
-    The observatory draws from the committed ``benchmarks/trends/*.json``
-    documents, not from the store, so its images sit under the same
-    byte-determinism drift gate as every experiment figure.
-    """
-    figures = obs_trends.trend_figures(trends_dir)
-    if not figures:
-        return []
-    lines = [
-        "## Observatory — cross-PR trends",
-        "",
-        f"*Self-observing history from the committed `{Path(trends_dir).as_posix()}/*.json` "
-        "documents (one entry per PR, appended alongside each baseline refresh).*",
-        "",
-    ]
-    for name, figure in figures.items():
-        document = obs_trends.load_trend(Path(trends_dir) / f"{name.removeprefix('trend_')}.json")
-        file_name = figure_filename(name, format=format)
-        images[file_name] = render_figure(figure, format=format)
-        lines.append(f"![{name}]({link_prefix}/{file_name})")
-        lines.append("")
-        if figure.caption:
-            lines.append(f"*{figure.caption}*")
-            lines.append("")
-        prs = [entry["pr"] for entry in document["entries"]]
-        span = f"PR {prs[0]}" if len(prs) == 1 else f"PRs {prs[0]}–{prs[-1]}"
-        lines.append(f"- {len(prs)} committed entr{'y' if len(prs) == 1 else 'ies'} ({span})")
-        lines.append("")
-    return lines
-
-
 def generate_gallery(
     store: ResultStore,
     *,
     output: str | Path = "FIGURES.md",
     figures_dir: str | Path = "figures",
     format: str = "svg",
-    trends_dir: str | Path = obs_trends.TRENDS_DIR,
 ) -> tuple[str, dict[str, bytes]]:
     """Render the gallery document and every figure's image bytes.
 
     Returns ``(markdown, images)`` where ``images`` maps the file name
     inside *figures_dir* to rendered bytes.  *output* is only used to
     compute the relative image links, nothing is written — see
-    :func:`write_gallery`.  When *trends_dir* holds committed trend
-    documents, an Observatory section with the cross-PR trend figures is
-    appended after the experiment sections.
+    :func:`write_gallery`.
     """
     by_experiment: dict[str, list[Result]] = {}
     for result in store.iter_results():
@@ -180,7 +141,6 @@ def generate_gallery(
         lines.append(_coverage_line(groups))
         lines.append("")
         lines.extend(_metrics_table(experiment, _group_of(groups, picked)))
-    lines.extend(_observatory_sections(trends_dir, link_prefix, format, images))
     return "\n".join(lines), images
 
 
@@ -190,12 +150,9 @@ def write_gallery(
     output: str | Path = "FIGURES.md",
     figures_dir: str | Path = "figures",
     format: str = "svg",
-    trends_dir: str | Path = obs_trends.TRENDS_DIR,
 ) -> tuple[str, dict[str, bytes]]:
     """Render the gallery and write the document plus every image file."""
-    text, images = generate_gallery(
-        store, output=output, figures_dir=figures_dir, format=format, trends_dir=trends_dir
-    )
+    text, images = generate_gallery(store, output=output, figures_dir=figures_dir, format=format)
     directory = Path(figures_dir)
     directory.mkdir(parents=True, exist_ok=True)
     for file_name, data in images.items():
@@ -213,16 +170,13 @@ def check_gallery(
     output: str | Path = "FIGURES.md",
     figures_dir: str | Path = "figures",
     format: str = "svg",
-    trends_dir: str | Path = obs_trends.TRENDS_DIR,
 ) -> tuple[bool, list[str]]:
     """Whether the committed gallery matches a fresh render of *store*.
 
     Returns ``(up_to_date, problems)`` where ``problems`` names every
     stale, missing or byte-different artefact.  Nothing is written.
     """
-    text, images = generate_gallery(
-        store, output=output, figures_dir=figures_dir, format=format, trends_dir=trends_dir
-    )
+    text, images = generate_gallery(store, output=output, figures_dir=figures_dir, format=format)
     problems = []
     document = Path(output)
     if not document.exists():

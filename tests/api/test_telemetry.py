@@ -95,8 +95,8 @@ class TestByteIdentityOnOff:
         on = self._store(tmp_path / "on", telemetry=True)
         off = self._store(tmp_path / "off", telemetry=False)
         assert generate_report(on) == generate_report(off)
-        text_on, images_on = generate_gallery(on, trends_dir=tmp_path / "no-trends")
-        text_off, images_off = generate_gallery(off, trends_dir=tmp_path / "no-trends")
+        text_on, images_on = generate_gallery(on)
+        text_off, images_off = generate_gallery(off)
         assert text_on == text_off
         assert images_on.keys() == images_off.keys()
         for name in images_on:
@@ -104,8 +104,8 @@ class TestByteIdentityOnOff:
 
     def test_double_render_identity_with_telemetry_on(self, tmp_path):
         store = self._store(tmp_path / "on", telemetry=True)
-        first = generate_gallery(store, trends_dir=tmp_path / "no-trends")
-        second = generate_gallery(store, trends_dir=tmp_path / "no-trends")
+        first = generate_gallery(store)
+        second = generate_gallery(store)
         assert first[0] == second[0]
         assert first[1] == second[1]
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import Runner
+from repro.exceptions import ConfigurationError
 from repro.experiments import (
     fig06_sideband,
     fig09_single_tone,
@@ -207,7 +209,27 @@ class TestMacScalingEpochEngine:
         assert sweep(duty_cycle=0.05).utilization["aloha"][0] < lax.utilization["aloha"][0]
 
     def test_duty_cycle_is_rejected_on_the_heap_engine(self):
-        from repro.exceptions import ConfigurationError
-
         with pytest.raises(ConfigurationError, match="duty_cycle"):
             mac_scaling.run(fleet_sizes=(5,), macs=("aloha",), duration_s=0.2, duty_cycle=0.5, engine="scalar")
+
+
+#: Each distance-sweep driver's (step, stop) parameters; every grid starts at or above 1.
+_GRID_KNOBS = {
+    "fig10": ("step_feet", "max_distance_feet"),
+    "fig13": ("step_feet", "max_distance_feet"),
+    "fig15": ("step_inches", "max_distance_inches"),
+    "fig16": ("step_inches", "max_distance_inches"),
+    "fig17": ("step_inches", "max_separation_inches"),
+}
+
+
+@pytest.mark.parametrize(
+    ("knob", "value"),
+    (("step", 0.0), ("step", -1.0), ("step", float("nan")), ("step", float("inf")), ("step", True), ("stop", 0.5)),
+    ids=("step=0", "step=-1", "step=nan", "step=inf", "step=True", "stop-below-start"),
+)
+@pytest.mark.parametrize("experiment", sorted(_GRID_KNOBS))
+def test_a_distance_grid_no_sweep_can_use_is_rejected(experiment, knob, value):
+    step, stop = _GRID_KNOBS[experiment]
+    with pytest.raises(ConfigurationError):
+        Runner().run(experiment, params={step if knob == "step" else stop: value})

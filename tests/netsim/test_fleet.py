@@ -77,11 +77,15 @@ def _wall_clock_bound(seconds: float):
         {"duration_s": 0.0},
         {"duration_s": float("nan")},  # unchecked, hangs the heap engine
         {"duration_s": float("inf")},
+        {"duration_s": True},  # accepted, ran a 1-s fleet that reported duration_s=True
+        {"duration_s": "5"},
         {"period_s": 0.0},  # unchecked, hangs every engine
         {"period_s": -0.01},
         {"period_s": float("nan")},
+        {"period_s": True},  # accepted as a 1-s packet interval
         {"source_power_dbm": float("inf")},  # unchecked, the engines disagree on delivery
         {"source_power_dbm": float("nan")},
+        {"source_power_dbm": True},  # accepted as a 1-dBm carrier
         {"engine": "warp_drive"},
         {"num_devices": float("nan")},  # unchecked, the heap engine ran 0 devices
         {"num_devices": True},  # unchecked, the heap engine ran 1 device

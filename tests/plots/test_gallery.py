@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.api import ResultStore, Runner, SweepSpec, iter_experiments
 from repro.api.cli import main
 from repro.plots import check_gallery, generate_gallery, write_gallery
@@ -50,23 +53,22 @@ class TestGenerateGallery:
     def test_absent_experiment_listed_with_run_hint(self, tmp_path):
         store = ResultStore(tmp_path)
         store.append(Runner().run("table_power"))
-        text, images = generate_gallery(store, trends_dir=tmp_path / "no-trends")
+        text, images = generate_gallery(store)
         assert list(images) == ["table_power.svg"]
         assert "Not in this store — run `python -m repro run fig06" in text
 
-    def test_committed_trends_render_observatory_section(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.append(Runner().run("table_power"))
-        text, images = generate_gallery(store)  # default trends_dir: benchmarks/trends
-        assert "## Observatory — cross-PR trends" in text
-        assert "trend_parity.svg" in images
-        assert "trend_runtime.svg" in images
-
-    def test_absent_trends_dir_omits_observatory_section(self, tmp_path):
-        store = ResultStore(tmp_path)
-        store.append(Runner().run("table_power"))
-        text, images = generate_gallery(store, trends_dir=tmp_path / "no-trends")
-        assert "Observatory" not in text
+    def test_gallery_does_not_depend_on_the_working_directory(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "store")
+        runner = Runner()
+        store.append(runner.run("table_power"))
+        store.append(runner.run("fig06"))
+        monkeypatch.chdir(Path(repro.__file__).resolve().parents[2])
+        from_checkout = generate_gallery(store)
+        monkeypatch.chdir(tmp_path)
+        from_elsewhere = generate_gallery(store)
+        assert from_checkout[0] == from_elsewhere[0]
+        assert from_checkout[1] == from_elsewhere[1]
+        assert sorted(from_elsewhere[1]) == ["fig06.svg", "table_power.svg"]
 
     def test_image_links_are_relative_to_the_document(self, fast_store):
         text, _ = generate_gallery(fast_store, output="docs/FIGURES.md", figures_dir="docs/img")
@@ -137,10 +139,7 @@ class TestPlotCli:
         )
         assert gallery.exists()
         rendered = sorted(path.name for path in figures.glob("*.svg"))
-        # every registered experiment plus the two committed observatory trends
-        assert len(rendered) == len(iter_experiments()) + 2
-        assert "trend_parity.svg" in rendered
-        assert "trend_runtime.svg" in rendered
+        assert rendered == sorted(f"{experiment.name}.svg" for experiment in iter_experiments())
         assert "wrote" in capsys.readouterr().out
 
     def test_plot_twice_is_byte_identical(self, fast_store, tmp_path):

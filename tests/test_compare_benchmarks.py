@@ -111,25 +111,7 @@ def test_per_backend_key_gated_exactly_when_baseline_has_it(tmp_path):
     assert "v[strict]" in result.stdout and "REGRESSION" in result.stdout
 
 
-def test_append_trend_requires_pr(tmp_path):
-    payload = _payload({"a": (1.0, 0.9)})
-    result = _run(tmp_path, payload, payload, "--append-trend", str(tmp_path / "runtime.json"))
-    assert result.returncode == 2
-    assert "--append-trend requires --pr" in result.stderr
-
-
-def test_append_trend_records_current_medians(tmp_path):
-    payload = _payload({"a": (1.0, 0.9), "b": (2.0, 1.8)})
-    trend = tmp_path / "runtime.json"
-    result = _run(tmp_path, payload, payload, "--append-trend", str(trend), "--pr", "7")
-    assert result.returncode == 0
-    document = json.loads(trend.read_text())
-    assert document["kind"] == "runtime"
-    assert [entry["pr"] for entry in document["entries"]] == [7]
-    assert document["entries"][0]["median_s"] == {"a": 1.0, "b": 2.0}
-
-
-def test_slim_with_append_trend(tmp_path):
+def test_slim_keeps_only_the_gated_stats(tmp_path):
     baseline_path = tmp_path / "baseline.json"
     baseline_path.write_text(
         json.dumps(
@@ -145,23 +127,12 @@ def test_slim_with_append_trend(tmp_path):
             }
         )
     )
-    trend = tmp_path / "runtime.json"
     result = subprocess.run(
-        [
-            sys.executable,
-            str(SCRIPT),
-            "--slim",
-            str(baseline_path),
-            "--append-trend",
-            str(trend),
-            "--pr",
-            "6",
-        ],
+        [sys.executable, str(SCRIPT), "--slim", str(baseline_path)],
         capture_output=True,
         text=True,
     )
     assert result.returncode == 0, result.stderr
     slimmed = json.loads(baseline_path.read_text())
     assert "data" not in slimmed["benchmarks"][0]["stats"]
-    document = json.loads(trend.read_text())
-    assert document["entries"][0]["median_s"] == {"a": 1.0}
+    assert slimmed["benchmarks"][0]["stats"] == {"median": 1.0, "min": 0.9, "rounds": 5}

@@ -104,7 +104,6 @@ TEST_ONLY_KEEPS = {
     "OfdmReceiver": "reference oracle: loopback check of OfdmTransmitter and of the mc bit-exactness tests",
     "GfskDemodulator": "reference oracle: roundtrip check of GfskModulator",
     "InterscatterLink": "documented entry point of the examples and the README",
-    "runtime_entry": "called by benchmarks/compare_benchmarks.py",
     "active_collector": "repro.obs's query for the collector a block runs under",
     "matplotlib_available": "probe for the optional matplotlib backend",
 }
