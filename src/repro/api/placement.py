@@ -20,20 +20,33 @@ from repro.channel.propagation import PathLossModel
 from repro.exceptions import ConfigurationError
 from repro.utils.knobs import finite_knob, finite_positive_knob
 
-__all__ = ["distance_grid", "empirical_cdf", "furthest_reach", "shadowed_backscatter_budget"]
+__all__ = ["MAX_GRID_POINTS", "distance_grid", "empirical_cdf", "furthest_reach", "shadowed_backscatter_budget"]
+
+
+#: Most points a sweep grid may hold: a sweep evaluates its whole grid as
+#: one array.  The largest registered default grid, fig10's, has 46.
+MAX_GRID_POINTS = 10_000
 
 
 def distance_grid(start: float, stop: float, step: float) -> np.ndarray:
     """Inclusive sweep grid: ``start, start+step, ..., stop`` (the figures' x-axes).
 
     A step that is not a finite positive number, a stop that is not
-    finite, or a stop below *start* raises
+    finite, a stop below *start*, or a grid of more than
+    :data:`MAX_GRID_POINTS` points raises
     :class:`~repro.exceptions.ConfigurationError`: no sweep can use the
     grid it would give.
     """
     finite_positive_knob("distance grid step", step)
     if finite_knob("distance grid stop", stop) < start:
         raise ConfigurationError(f"distance grid stop {stop!r} lies below its start {start!r}")
+    # np.arange's own length, counted before it allocates anything.
+    points = np.ceil((stop + step - start) / step)
+    if points > MAX_GRID_POINTS:
+        raise ConfigurationError(
+            f"distance grid {start!r}..{stop!r} in steps of {step!r} has {points:.6g} points; "
+            f"at most {MAX_GRID_POINTS} are allowed"
+        )
     return np.arange(start, stop + step, step)
 
 

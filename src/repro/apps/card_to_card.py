@@ -28,6 +28,7 @@ from repro.channel.propagation import PathLossModel
 from repro.channel.error_models import ber_ook_envelope
 from repro.obs import metrics as obs
 from repro.utils.bits import as_bit_array
+from repro.utils.dsp import scalar_or_array as _scalar_or_array
 
 __all__ = ["BackscatterCard", "CardToCardLink", "CardMessageResult"]
 
@@ -127,11 +128,15 @@ class CardToCardLink:
         self._noise = NoiseModel(bandwidth_hz=2e6, noise_figure_db=12.0)
 
     # -------------------------------------------------------------- physics
-    def receiver_power_dbm(self, card_separation_inches: float) -> float:
-        """Power of the modulated reflection arriving at the receiving card."""
-        if card_separation_inches <= 0:
+    def receiver_power_dbm(self, card_separation_inches: float | np.ndarray) -> float | np.ndarray:
+        """Power of the modulated reflection arriving at the receiving card.
+
+        Broadcasts over an array of separations, each element bit for bit
+        the scalar call's.
+        """
+        if np.any(np.asarray(card_separation_inches) <= 0):
             raise ConfigurationError("card_separation_inches must be positive")
-        obs.count("channel.link_realisations")
+        obs.count("channel.link_realisations", int(np.size(card_separation_inches)))
         incident = (
             self.phone_power_dbm
             + 2.0  # phone antenna
@@ -139,26 +144,28 @@ class CardToCardLink:
             + self.transmitter.antenna_gain_dbi
         )
         reflected = incident - DEFAULT_CONVERSION_LOSS_DB
-        return float(
+        power = (
             reflected
             + self.transmitter.antenna_gain_dbi
-            - self._path_loss.loss_db(inches_to_meters(card_separation_inches))
+            - self._path_loss.loss_db(inches_to_meters(np.asarray(card_separation_inches, dtype=float)))
             + self.receiver.antenna_gain_dbi
         )
+        return _scalar_or_array(power, card_separation_inches)
 
-    def bit_error_rate(self, card_separation_inches: float) -> float:
+    def bit_error_rate(self, card_separation_inches: float | np.ndarray) -> float | np.ndarray:
         """Analytic BER of the card-to-card link at a given separation.
 
         The receiving card also hears the phone's tone directly, which acts
         as (strong) self-interference the envelope detector must distinguish
         the modulated reflection on top of; the margin above the detector's
-        sensitivity sets the error rate.
+        sensitivity sets the error rate.  Broadcasts over an array of
+        separations (the Fig. 17 x-axis) like :meth:`receiver_power_dbm`.
         """
-        power = self.receiver_power_dbm(card_separation_inches)
-        margin_db = power - self.receiver.detector_sensitivity_dbm
-        if margin_db <= 0:
-            return 0.5
-        return ber_ook_envelope(margin_db)
+        return self._ber_at_power(self.receiver_power_dbm(card_separation_inches))
+
+    def _ber_at_power(self, power_dbm: float | np.ndarray) -> float | np.ndarray:
+        margin_db = power_dbm - self.receiver.detector_sensitivity_dbm
+        return _scalar_or_array(np.where(margin_db <= 0, 0.5, ber_ook_envelope(margin_db)), power_dbm)
 
     # ------------------------------------------------------------------ API
     def send_message(
@@ -176,8 +183,7 @@ class CardToCardLink:
 
         power = self.receiver_power_dbm(card_separation_inches)
         synchronized = power >= self.receiver.detector_sensitivity_dbm - 10.0
-        ber = self.bit_error_rate(card_separation_inches)
-        flips = generator.random(sent.size) < ber
+        flips = generator.random(sent.size) < self._ber_at_power(power)
         received = np.bitwise_xor(sent, flips.astype(np.uint8))
         errors = int(np.count_nonzero(flips))
         return CardMessageResult(
@@ -189,14 +195,10 @@ class CardToCardLink:
             synchronized=synchronized,
         )
 
-    def ber_sweep(self, separations_inches: np.ndarray) -> np.ndarray:
-        """Analytic BER across card separations (the Fig. 17 x-axis)."""
-        return np.array([self.bit_error_rate(float(d)) for d in separations_inches])
-
     def max_range_inches(self, *, ber_threshold: float = 0.1, limit_inches: float = 60.0) -> float:
         """Furthest separation at which the BER stays below *ber_threshold*."""
         distances = np.arange(1.0, limit_inches, 1.0)
-        bers = self.ber_sweep(distances)
+        bers = self.bit_error_rate(distances)
         below = np.where(bers <= ber_threshold)[0]
         if below.size == 0:
             return 0.0

@@ -76,8 +76,13 @@ def ber_oqpsk_dsss(
 
 
 def ber_ook_envelope(snr_db: float | np.ndarray) -> float | np.ndarray:
-    """Non-coherent on-off-keying BER for the peak-detector downlink."""
-    snr = 10.0 ** (np.asarray(snr_db, dtype=float) / 10.0)
+    """Non-coherent on-off-keying BER for the peak-detector downlink.
+
+    Each element of an array is bit for bit the scalar call's value:
+    ``np.float_power`` rounds like Python's ``**`` on arrays too, where
+    numpy's array ``**`` does not.
+    """
+    snr = np.float_power(10.0, np.asarray(snr_db, dtype=float) / 10.0)
     return _scalar_or_array(np.clip(0.5 * np.exp(-snr / 4.0), 0.0, 0.5), snr_db)
 
 

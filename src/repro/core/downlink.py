@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.utils.bits import as_bit_array
-from repro.utils.dsp import add_awgn
+from repro.utils.dsp import add_awgn, scalar_or_array as _scalar_or_array
 from repro.backscatter.detector import PeakDetectorReceiver
 from repro.channel.error_models import ber_ook_envelope
 from repro.channel.link_budget import DirectLinkBudget
@@ -141,44 +141,31 @@ class InterscatterDownlink:
 
     def link_bit_error_rate(
         self,
-        distance_m: float,
+        distance_m: float | np.ndarray,
         *,
         tx_power_dbm: float = 20.0,
         link_budget: DirectLinkBudget | None = None,
-    ) -> tuple[float, float]:
+    ) -> tuple[float, float] | tuple[np.ndarray, np.ndarray]:
         """Analytic downlink BER at a given Wi-Fi-transmitter → tag distance.
 
-        Returns ``(ber, rssi_dbm)``.  The tag's peak detector is an envelope
-        (OOK-like) receiver whose sensitivity floor is −32 dBm for the
-        off-the-shelf prototype (§4.4).  The AM depth of a constant-vs-random
-        OFDM symbol is large, so the link behaves like a cliff: while the
-        input stays above the detector's sensitivity the comparator margin
-        keeps the BER very low, and below the floor the output is noise —
-        exactly the shape of Fig. 13.
+        Returns ``(ber, rssi_dbm)``: floats for a scalar distance, arrays
+        for an array of distances, each element bit for bit the scalar
+        call's.  The tag's peak detector is an envelope (OOK-like) receiver
+        whose sensitivity floor is −32 dBm for the off-the-shelf prototype
+        (§4.4).  The AM depth of a constant-vs-random OFDM symbol is large,
+        so the link behaves like a cliff: while the input stays above the
+        detector's sensitivity the comparator margin keeps the BER very low,
+        and below the floor the output is noise — exactly the shape of
+        Fig. 13.
         """
         budget = link_budget if link_budget is not None else DirectLinkBudget(tx_power_dbm=tx_power_dbm)
         budget.tx_power_dbm = tx_power_dbm
-        rssi = budget.received_power_dbm(distance_m)
-        return self._detector_ber(rssi), float(rssi)
-
-    def link_bit_error_rates(self, distance_m: np.ndarray, *, tx_power_dbm: float = 20.0) -> list[float]:
-        """:meth:`link_bit_error_rate`'s BER at every distance of an array, bit for bit.
-
-        One batch call evaluates the link budget at every distance.  The BER
-        stays a scalar evaluation per distance: numpy's array ``power``
-        rounds differently from its scalar one.
-        """
-        rssi = DirectLinkBudget(tx_power_dbm=tx_power_dbm).received_power_dbm_batch(distance_m)
-        return [self._detector_ber(value) for value in rssi.tolist()]
-
-    def _detector_ber(self, rssi_dbm: float) -> float:
+        rssi = budget.received_power_dbm_batch(distance_m)
         sensitivity = self.peak_detector.sensitivity_dbm
-        if rssi_dbm <= sensitivity:
-            return 0.5
         # Above the floor the comparator sees the full constant-vs-random
         # envelope contrast; the 12 dB term models that built-in AM depth.
-        margin_db = rssi_dbm - sensitivity
-        return float(ber_ook_envelope(margin_db + 12.0))
+        ber = np.where(rssi <= sensitivity, 0.5, ber_ook_envelope(rssi - sensitivity + 12.0))
+        return _scalar_or_array(ber, distance_m), _scalar_or_array(rssi, distance_m)
 
     def simulate_link(
         self,

@@ -62,12 +62,7 @@ def _ber_scalar(downlink, distances, tx_power_dbm, message_bits, rng):
 def _ber_batch(downlink, distances, tx_power_dbm, message_bits, rng):
     """One vectorised binomial draw over the analytic BER curve."""
     rng.integers(0, 2, message_bits)  # consume the message draw like scalar
-    analytic = np.empty(distances.size)
-    rssi = np.empty(distances.size)
-    for index, distance in enumerate(distances):
-        analytic[index], rssi[index] = downlink.link_bit_error_rate(
-            feet_to_meters(float(distance)), tx_power_dbm=tx_power_dbm
-        )
+    analytic, rssi = downlink.link_bit_error_rate(feet_to_meters(distances), tx_power_dbm=tx_power_dbm)
     ber = rng.binomial(message_bits, analytic, size=distances.size) / message_bits
     return ber, rssi
 

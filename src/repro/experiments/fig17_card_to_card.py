@@ -92,7 +92,7 @@ def run(
         rng=rng,
     )
     separations = distance_grid(2.0, max_separation_inches, step_inches)
-    analytic = link.ber_sweep(separations)
+    analytic = link.bit_error_rate(separations)
     measured = measure(link, separations, analytic, messages_per_point, rng)
     return CardToCardBerResult(
         separations_inches=separations,

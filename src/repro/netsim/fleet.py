@@ -282,8 +282,9 @@ def fleet_links(scenario: FleetScenario) -> FleetLinks:
     links = link_budget.evaluate_batch(np.array([p.distance_to(origin) for p in positions]), receiver_distance_m)
     poll_success_prob = None
     if scenario.mac == TdmaPolling.name:
-        bers = InterscatterDownlink().link_bit_error_rates(receiver_distance_m)
-        poll_success_prob = np.array([(1.0 - ber) ** POLL_BITS for ber in bers])
+        bers, _ = InterscatterDownlink().link_bit_error_rate(receiver_distance_m)
+        # A Python power per element: numpy's array ``**`` rounds differently.
+        poll_success_prob = np.array([(1.0 - ber) ** POLL_BITS for ber in bers.tolist()])
     return FleetLinks(
         psdu_bytes=psdu_bytes,
         air_time_s=timing.wifi_air_time_s(psdu_bytes),

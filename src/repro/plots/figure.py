@@ -20,13 +20,10 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 
-__all__ = ["Figure", "Series", "KINDS", "YSCALES"]
+__all__ = ["Figure", "Series", "KINDS"]
 
 #: Figure kinds the backends know how to draw.
 KINDS = ("line", "cdf", "bar")
-
-#: Supported y-axis scales.
-YSCALES = ("linear", "log")
 
 
 def _as_float_array(name: str, values: Any) -> np.ndarray:
@@ -84,9 +81,6 @@ class Figure:
         carry one ``y`` value per entry of ``categories``.
     categories:
         Category labels for ``bar`` figures (x-axis groups).
-    yscale:
-        ``linear`` (default) or ``log`` (non-positive values are clipped
-        to the axis floor at render time).
     caption:
         One-line description shown under the figure in the gallery.
     """
@@ -97,7 +91,6 @@ class Figure:
     series: tuple[Series, ...]
     kind: str = "line"
     categories: tuple[str, ...] = field(default_factory=tuple)
-    yscale: str = "linear"
     caption: str = ""
 
     def __post_init__(self):
@@ -105,8 +98,6 @@ class Figure:
         object.__setattr__(self, "categories", tuple(str(c) for c in self.categories))
         if self.kind not in KINDS:
             raise ConfigurationError(f"unknown figure kind {self.kind!r}; known: {KINDS}")
-        if self.yscale not in YSCALES:
-            raise ConfigurationError(f"unknown yscale {self.yscale!r}; known: {YSCALES}")
         if not self.series:
             raise ConfigurationError(f"figure {self.title!r} has no series")
         if self.kind == "bar":

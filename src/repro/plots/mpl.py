@@ -87,8 +87,6 @@ def render_matplotlib(figure: Figure, *, format: str = "png") -> bytes:
                         )
                     else:
                         axes.plot(series.x, series.y, label=series.label or None)
-            if figure.yscale == "log":
-                axes.set_yscale("log")
             axes.set_title(figure.title)
             axes.set_xlabel(figure.xlabel)
             axes.set_ylabel(figure.ylabel)

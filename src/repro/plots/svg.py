@@ -99,7 +99,7 @@ def _step_points(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Scale:
-    """Affine map from data space to pixel space (log handled upstream)."""
+    """Affine map from data space to pixel space."""
 
     def __init__(self, low: float, high: float, pixel_low: float, pixel_high: float):
         if not (math.isfinite(low) and math.isfinite(high)):
@@ -128,35 +128,23 @@ def _series_points(figure: Figure) -> list[tuple[Series, np.ndarray, np.ndarray]
 
 def _data_limits(
     figure: Figure, prepared: list[tuple[Series, np.ndarray, np.ndarray]]
-) -> tuple[float, float, float, float, float]:
-    xs, ys, positive = [], [], []
+) -> tuple[float, float, float, float]:
+    xs, ys = [], []
     for _, x, y in prepared:
         finite = np.isfinite(x) & np.isfinite(y)
         xs.append(x[finite])
         ys.append(y[finite])
-        positive.append(y[finite & (y > 0)])
     all_x = np.concatenate(xs) if xs else np.array([])
     all_y = np.concatenate(ys) if ys else np.array([])
     if all_x.size == 0 or all_y.size == 0:
         raise ConfigurationError(f"figure {figure.title!r} has no finite data points")
-    floor = 0.0
-    if figure.yscale == "log":
-        all_positive = np.concatenate(positive)
-        if all_positive.size == 0:
-            raise ConfigurationError(f"log-scale figure {figure.title!r} has no positive values")
-        floor = float(all_positive.min())
-        y_low = math.floor(math.log10(floor))
-        y_high = math.ceil(math.log10(float(all_positive.max())))
-        if y_high == y_low:
-            y_high += 1
-        return float(all_x.min()), float(all_x.max()), float(y_low), float(y_high), floor
     y_low, y_high = float(all_y.min()), float(all_y.max())
     if figure.kind == "bar":
         y_low = min(y_low, 0.0)
     pad = (y_high - y_low) * 0.05
     if pad == 0.0:
         pad = abs(y_high) * 0.1 or 1.0
-    return float(all_x.min()), float(all_x.max()), y_low - pad, y_high + pad, floor
+    return float(all_x.min()), float(all_x.max()), y_low - pad, y_high + pad
 
 
 def _axes_elements(figure: Figure, x_scale: _Scale, y_scale: _Scale) -> list[str]:
@@ -169,19 +157,15 @@ def _axes_elements(figure: Figure, x_scale: _Scale, y_scale: _Scale) -> list[str
         'fill="white" stroke="#444444" stroke-width="1"/>'
     )
     # Y ticks, labels and grid lines.
-    if figure.yscale == "log":
-        y_ticks = [float(d) for d in range(int(y_scale.low), int(y_scale.high) + 1)]
-        y_labels = [f"{10.0 ** d:g}" for d in y_ticks]
-    else:
-        y_ticks = [t for t in _nice_ticks(y_scale.low, y_scale.high) if y_scale.low <= t <= y_scale.high]
-        y_labels = [_tick_label(t) for t in y_ticks]
-    for tick, label in zip(y_ticks, y_labels, strict=True):
+    for tick in _nice_ticks(y_scale.low, y_scale.high):
+        if not (y_scale.low <= tick <= y_scale.high):
+            continue
         py = _fmt(y_scale(tick))
         parts.append(f'<line x1="{_LEFT}" y1="{py}" x2="{right}" y2="{py}" stroke="#e0e0e0" stroke-width="1"/>')
         parts.append(f'<line x1="{_LEFT - 4}" y1="{py}" x2="{_LEFT}" y2="{py}" stroke="#444444" stroke-width="1"/>')
         parts.append(
             f'<text x="{_LEFT - 8}" y="{py}" font-family="{_FONT}" font-size="11" '
-            f'fill="#222222" text-anchor="end" dominant-baseline="middle">{escape(label)}</text>'
+            f'fill="#222222" text-anchor="end" dominant-baseline="middle">{escape(_tick_label(tick))}</text>'
         )
     # X ticks: category centers for bars, nice numbers otherwise.
     if figure.kind == "bar":
@@ -225,13 +209,11 @@ def _axes_elements(figure: Figure, x_scale: _Scale, y_scale: _Scale) -> list[str
 
 
 def _polyline_elements(
-    figure: Figure, prepared: list[tuple[Series, np.ndarray, np.ndarray]], x_scale: _Scale, y_scale: _Scale, floor: float
+    prepared: list[tuple[Series, np.ndarray, np.ndarray]], x_scale: _Scale, y_scale: _Scale
 ) -> list[str]:
     parts = []
     for index, (_, x, y) in enumerate(prepared):
         color = PALETTE[index % len(PALETTE)]
-        if figure.yscale == "log":
-            y = np.log10(np.clip(y, floor, None))
         segments: list[list[str]] = [[]]
         for px, py in zip(x, y, strict=True):
             if math.isfinite(px) and math.isfinite(py):
@@ -251,25 +233,17 @@ def _polyline_elements(
 
 
 def _bar_elements(
-    figure: Figure,
-    prepared: list[tuple[Series, np.ndarray, np.ndarray]],
-    x_scale: _Scale,
-    y_scale: _Scale,
-    floor: float,
+    prepared: list[tuple[Series, np.ndarray, np.ndarray]], x_scale: _Scale, y_scale: _Scale
 ) -> list[str]:
     parts = []
     groups = len(prepared)
     bar_width = 0.8 / groups
-    log = figure.yscale == "log"
-    # Log axes have no zero: bars rise from the bottom decade instead.
-    base_py = y_scale(y_scale.low if log else max(y_scale.low, 0.0))
+    base_py = y_scale(max(y_scale.low, 0.0))
     for series_index, (_, _, y) in enumerate(prepared):
         color = PALETTE[series_index % len(PALETTE)]
         for category_index, value in enumerate(y):
             if not math.isfinite(value):
                 continue
-            if log:
-                value = math.log10(max(value, floor))
             left = category_index + 0.1 + series_index * bar_width
             x0 = x_scale(left)
             x1 = x_scale(left + bar_width)
@@ -318,9 +292,9 @@ def render_svg(figure: Figure) -> bytes:
     prepared = _series_points(figure)
     if figure.kind == "bar":
         x_low, x_high = 0.0, float(len(figure.categories))
-        _, _, y_low, y_high, floor = _data_limits(figure, prepared)
+        _, _, y_low, y_high = _data_limits(figure, prepared)
     else:
-        x_low, x_high, y_low, y_high, floor = _data_limits(figure, prepared)
+        x_low, x_high, y_low, y_high = _data_limits(figure, prepared)
     x_scale = _Scale(x_low, x_high, _LEFT, _LEFT + _PLOT_W)
     y_scale = _Scale(y_low, y_high, _TOP + _PLOT_H, _TOP)
 
@@ -332,9 +306,9 @@ def render_svg(figure: Figure) -> bytes:
     ]
     parts.extend(_axes_elements(figure, x_scale, y_scale))
     if figure.kind == "bar":
-        parts.extend(_bar_elements(figure, prepared, x_scale, y_scale, floor))
+        parts.extend(_bar_elements(prepared, x_scale, y_scale))
     else:
-        parts.extend(_polyline_elements(figure, prepared, x_scale, y_scale, floor))
+        parts.extend(_polyline_elements(prepared, x_scale, y_scale))
     parts.extend(_legend_elements(figure))
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")

@@ -7,6 +7,7 @@ import pytest
 
 from repro.apps.card_to_card import CARD_PAYLOAD_BITS, BackscatterCard, CardToCardLink
 from repro.exceptions import ConfigurationError
+from repro.obs import metrics as obs
 
 
 class TestCardToCardLink:
@@ -45,11 +46,41 @@ class TestCardToCardLink:
         link = CardToCardLink(rng=np.random.default_rng(0))
         assert link.bit_error_rate(100.0) == pytest.approx(0.5)
 
-    def test_ber_sweep_shape(self):
+    def test_ber_over_an_array_of_separations(self):
         link = CardToCardLink()
-        sweep = link.ber_sweep(np.array([5.0, 15.0, 30.0]))
-        assert sweep.size == 3
-        assert np.all(np.diff(sweep) >= 0)
+        ber = link.bit_error_rate(np.array([5.0, 15.0, 30.0]))
+        assert ber.size == 3
+        assert np.all(np.diff(ber) >= 0)
+
+    def test_an_array_of_separations_is_bit_for_bit_the_per_point_calls(self):
+        # Non-round separations, well past the point where the margin is <= 0.
+        separations = np.concatenate([[1.0, 30.0], np.random.default_rng(4).uniform(0.05, 120.0, 3000)])
+        link = CardToCardLink(phone_power_dbm=7.3, phone_to_transmitter_inches=2.7)
+        power = link.receiver_power_dbm(separations)
+        ber = link.bit_error_rate(separations)
+        power_reference = [link.receiver_power_dbm(d) for d in separations.tolist()]
+        ber_reference = [link.bit_error_rate(d) for d in separations.tolist()]
+        assert all(isinstance(value, float) for value in power_reference + ber_reference)
+        assert power.tolist() == power_reference
+        assert ber.tolist() == ber_reference
+        assert np.any(ber == 0.5) and np.any(ber < 0.5)
+
+    @pytest.mark.parametrize("separation", (0.0, -2.0))
+    @pytest.mark.parametrize("evaluation", ("receiver_power_dbm", "bit_error_rate"))
+    def test_a_non_positive_separation_anywhere_in_an_array_is_rejected(self, evaluation, separation):
+        evaluate = getattr(CardToCardLink(), evaluation)
+        with pytest.raises(ConfigurationError, match="must be positive") as scalar:
+            evaluate(separation)
+        with pytest.raises(ConfigurationError) as array:
+            evaluate(np.array([5.0, separation, 12.0]))
+        assert str(array.value) == str(scalar.value)
+
+    def test_send_message_evaluates_the_link_once(self):
+        link = CardToCardLink(rng=np.random.default_rng(0))
+        with obs.collect() as collector:
+            for _ in range(3):
+                link.send_message(card_separation_inches=20.0)
+        assert collector.counters["channel.link_realisations"] == 3
 
     def test_invalid_configuration(self):
         with pytest.raises(ConfigurationError):

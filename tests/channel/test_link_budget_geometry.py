@@ -164,6 +164,11 @@ class TestErrorModels:
         assert isinstance(model(5.0), float)
         assert batched.tolist() == [model(float(snr)) for snr in snrs]
 
+    def test_ook_envelope_array_is_bit_for_bit_its_scalar_calls(self):
+        # Dense and non-round: numpy's array ``**`` differs from the scalar one here.
+        snrs = np.random.default_rng(2).uniform(-20.0, 40.0, 5000)
+        assert ber_ook_envelope(snrs).tolist() == [ber_ook_envelope(snr) for snr in snrs.tolist()]
+
     def test_processing_gain_is_barker_11(self):
         assert WIFI_PROCESSING_GAIN_DB == pytest.approx(10.41, abs=0.01)
 

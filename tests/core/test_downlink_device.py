@@ -9,7 +9,7 @@ from repro.backscatter.detector import PeakDetectorReceiver
 from repro.core.device import DeviceState, InterscatterDevice
 from repro.core.downlink import InterscatterDownlink
 from repro.core.timing import InterscatterTiming
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, LinkBudgetError
 from repro.wifi.ofdm.scrambler_seeds import FixedSeedModel, RandomSeedModel
 
 
@@ -64,6 +64,28 @@ class TestDownlinkLink:
         ber, rssi = downlink.link_bit_error_rate(100.0)
         assert rssi < -32.0
         assert ber == 0.5
+
+    def test_an_array_of_distances_is_bit_for_bit_the_per_point_calls(self):
+        # Near field (<= 1 m), both sides of the -32 dBm cliff and far beyond.
+        distances = np.concatenate(
+            [[0.0, 1.0], np.linspace(0.0, 1.0, 101), np.random.default_rng(3).uniform(0.0, 40.0, 3000)]
+        )
+        downlink = InterscatterDownlink()
+        ber, rssi = downlink.link_bit_error_rate(distances, tx_power_dbm=17.5)
+        reference = [downlink.link_bit_error_rate(d, tx_power_dbm=17.5) for d in distances.tolist()]
+        assert all(isinstance(b, float) and isinstance(r, float) for b, r in reference)
+        assert ber.tolist() == [b for b, _ in reference]
+        assert rssi.tolist() == [r for _, r in reference]
+        sensitivity = downlink.peak_detector.sensitivity_dbm
+        assert np.any(rssi <= sensitivity) and np.any((rssi > sensitivity) & (ber > 0.0))
+
+    def test_a_negative_distance_anywhere_in_an_array_is_rejected(self):
+        downlink = InterscatterDownlink()
+        with pytest.raises(LinkBudgetError, match="non-negative") as scalar:
+            downlink.link_bit_error_rate(-0.5)
+        with pytest.raises(LinkBudgetError) as array:
+            downlink.link_bit_error_rate(np.array([1.0, 2.0, -0.5, 3.0]))
+        assert str(array.value) == str(scalar.value)
 
     def test_simulate_link_statistics(self, rng):
         downlink = InterscatterDownlink(rng=rng)

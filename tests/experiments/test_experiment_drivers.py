@@ -11,6 +11,10 @@ import numpy as np
 import pytest
 
 from repro.api import Runner
+from repro.api.placement import MAX_GRID_POINTS, distance_grid
+from repro.apps.card_to_card import CARD_PAYLOAD_BITS, CardToCardLink
+from repro.channel.geometry import feet_to_meters
+from repro.core.downlink import InterscatterDownlink
 from repro.exceptions import ConfigurationError
 from repro.experiments import (
     fig06_sideband,
@@ -91,12 +95,66 @@ class TestFig12:
         assert result.throughput("single_sideband", 1000.0) > 0.9 * baseline
 
 
+#: Batch-engine parameters the bit-for-bit checks run: defaults, fast params and a fine grid.
+_FIG13_BATCH_PARAMS = ({}, {"step_feet": 2.0, "message_bits": 256}, {"step_feet": 0.1, "tx_power_dbm": 14.5})
+_FIG17_BATCH_PARAMS = (
+    {},
+    {"messages_per_point": 20, "step_inches": 4.0},
+    {"step_inches": 0.1, "phone_power_dbm": 7.0, "phone_to_transmitter_inches": 4.5},
+)
+
+
+def _fig13_per_point_batch(max_distance_feet=26.0, step_feet=1.0, tx_power_dbm=20.0, message_bits=512, seed=13):
+    """The reference: fig13's batch engine with one downlink evaluation per distance."""
+    rng = np.random.default_rng(seed)
+    downlink = InterscatterDownlink(rng=rng)
+    distances = distance_grid(1.0, max_distance_feet, step_feet)
+    rng.integers(0, 2, message_bits)
+    analytic = np.empty(distances.size)
+    rssi = np.empty(distances.size)
+    for index, distance in enumerate(distances):
+        analytic[index], rssi[index] = downlink.link_bit_error_rate(
+            feet_to_meters(float(distance)), tx_power_dbm=tx_power_dbm
+        )
+    return rng.binomial(message_bits, analytic, size=distances.size) / message_bits, rssi
+
+
+def _fig17_per_point_batch(
+    phone_power_dbm=10.0,
+    phone_to_transmitter_inches=3.0,
+    max_separation_inches=34.0,
+    step_inches=2.0,
+    messages_per_point=200,
+    seed=17,
+):
+    """The reference: fig17's batch engine with one card-link evaluation per separation."""
+    rng = np.random.default_rng(seed)
+    link = CardToCardLink(
+        phone_power_dbm=phone_power_dbm, phone_to_transmitter_inches=phone_to_transmitter_inches, rng=rng
+    )
+    separations = distance_grid(2.0, max_separation_inches, step_inches)
+    analytic = np.array([link.bit_error_rate(float(separation)) for separation in separations])
+    total_bits = messages_per_point * CARD_PAYLOAD_BITS
+    return analytic, rng.binomial(total_bits, analytic, size=separations.size) / total_bits
+
+
 class TestFig13:
     def test_low_ber_out_to_about_18_feet(self):
         result = fig13_downlink_ber.run()
         assert 14.0 <= result.range_below_1pct_feet <= 24.0
         # Beyond the cliff the BER rises sharply.
         assert result.ber[-1] > 0.2
+
+    @pytest.mark.parametrize("params", _FIG13_BATCH_PARAMS, ids=("defaults", "fast", "fine-grid"))
+    def test_batch_engine_is_bit_for_bit_the_per_point_loop(self, params):
+        result = fig13_downlink_ber.run(engine="batch", **params)
+        ber, rssi = _fig13_per_point_batch(**params)
+        assert result.ber.tolist() == ber.tolist()
+        assert result.rssi_dbm.tolist() == rssi.tolist()
+
+    def test_batch_run_evaluates_one_link_per_distance(self):
+        result = Runner().run("fig13", engine="batch")
+        assert result.telemetry["counters"]["channel.link_realisations"] == 26
 
 
 class TestFig14:
@@ -131,6 +189,26 @@ class TestFig17:
         result = fig17_card_to_card.run(messages_per_point=50)
         assert 20.0 <= result.usable_range_inches <= 36.0
         assert np.all(np.diff(result.analytic_ber) >= 0)
+
+    @pytest.mark.parametrize("params", _FIG17_BATCH_PARAMS, ids=("defaults", "fast", "fine-grid"))
+    def test_batch_engine_is_bit_for_bit_the_per_point_loop(self, params):
+        result = fig17_card_to_card.run(engine="batch", **params)
+        analytic, measured = _fig17_per_point_batch(**params)
+        assert result.analytic_ber.tolist() == analytic.tolist()
+        assert result.measured_ber.tolist() == measured.tolist()
+
+    @pytest.mark.parametrize(
+        ("engine", "params", "realisations"),
+        (
+            ("batch", {}, 17),
+            # One per separation for the analytic curve, then one per message.
+            ("scalar", {"messages_per_point": 20, "step_inches": 4.0}, 9 + 9 * 20),
+        ),
+        ids=("batch-defaults", "scalar-fast"),
+    )
+    def test_link_realisations_per_run(self, engine, params, realisations):
+        result = Runner().run("fig17", engine=engine, params=params)
+        assert result.telemetry["counters"]["channel.link_realisations"] == realisations
 
 
 class TestTables:
@@ -225,8 +303,17 @@ _GRID_KNOBS = {
 
 @pytest.mark.parametrize(
     ("knob", "value"),
-    (("step", 0.0), ("step", -1.0), ("step", float("nan")), ("step", float("inf")), ("step", True), ("stop", 0.5)),
-    ids=("step=0", "step=-1", "step=nan", "step=inf", "step=True", "stop-below-start"),
+    (
+        ("step", 0.0),
+        ("step", -1.0),
+        ("step", float("nan")),
+        ("step", float("inf")),
+        ("step", True),
+        ("stop", 0.5),
+        # Every grid spans at least one unit, so this step overshoots the cap.
+        ("step", 1.0 / MAX_GRID_POINTS),
+    ),
+    ids=("step=0", "step=-1", "step=nan", "step=inf", "step=True", "stop-below-start", "over-the-point-cap"),
 )
 @pytest.mark.parametrize("experiment", sorted(_GRID_KNOBS))
 def test_a_distance_grid_no_sweep_can_use_is_rejected(experiment, knob, value):

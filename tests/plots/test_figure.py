@@ -56,10 +56,6 @@ class TestFigure:
         with pytest.raises(ConfigurationError, match="kind"):
             Figure(title="t", xlabel="x", ylabel="y", kind="scatter3d", series=(_line(),))
 
-    def test_unknown_yscale_rejected(self):
-        with pytest.raises(ConfigurationError, match="yscale"):
-            Figure(title="t", xlabel="x", ylabel="y", yscale="symlog", series=(_line(),))
-
     def test_no_series_rejected(self):
         with pytest.raises(ConfigurationError, match="no series"):
             Figure(title="t", xlabel="x", ylabel="y", series=())

@@ -92,15 +92,6 @@ class TestContent:
         # Post-steps double the points (minus one).
         assert len(polyline.getAttribute("points").split()) == 2 * values.size - 1
 
-    def test_log_scale_clips_non_positive_values(self):
-        figure = _figure(
-            yscale="log",
-            series=(Series(label="ber", x=np.arange(4.0), y=np.array([0.0, 1e-3, 1e-2, 1e-1])),),
-        )
-        data = render_svg(figure)
-        _parse(data)
-        assert b"polyline" in data
-
     def test_nan_samples_split_the_polyline(self):
         y = np.array([1.0, 2.0, math.nan, 4.0, 5.0])
         figure = _figure(series=(Series(label="gap", x=np.arange(5.0), y=y),))
@@ -114,32 +105,6 @@ class TestContent:
         (polyline,) = document.getElementsByTagName("polyline")
         assert len(polyline.getAttribute("points").split()) <= MAX_POINTS_PER_SERIES
 
-    def test_log_scale_bars_stay_inside_canvas(self):
-        figure = Figure(
-            title="log bars",
-            xlabel="x",
-            ylabel="y",
-            kind="bar",
-            yscale="log",
-            categories=("a", "b", "c"),
-            series=(Series(label="s", y=[10.0, 100.0, 1000.0]),),
-        )
-        document = _parse(render_svg(figure))
-        bars = [
-            rect
-            for rect in document.getElementsByTagName("rect")
-            if rect.getAttribute("stroke") == "#333333"
-        ]
-        assert len(bars) == 3
-        heights = []
-        for rect in bars:
-            y = float(rect.getAttribute("y"))
-            height = float(rect.getAttribute("height"))
-            assert 0 <= y <= 440 and 0 <= y + height <= 440
-            heights.append(height)
-        # Decade steps are equal on a log axis.
-        assert heights[0] < heights[1] < heights[2]
-
     def test_constant_series_still_renders(self):
         figure = _figure(series=(Series(label="flat", x=np.arange(3.0), y=np.full(3, 7.0)),))
         _parse(render_svg(figure))
@@ -149,12 +114,6 @@ class TestContent:
         with pytest.raises(ConfigurationError, match="no finite"):
             render_svg(figure)
 
-    def test_log_scale_without_positive_values_rejected(self):
-        figure = _figure(
-            yscale="log", series=(Series(label="zero", x=np.arange(3.0), y=np.zeros(3)),)
-        )
-        with pytest.raises(ConfigurationError, match="no positive"):
-            render_svg(figure)
 
 
 class TestRenderDispatch:
