@@ -20,7 +20,8 @@ Subcommands
 ``run --all``
     The same for every registered experiment — the whole paper in one
     command.  ``--validate`` round-trips every envelope through the JSON
-    schema and fails on any mismatch (the CI smoke job runs this).
+    schema and fails unless the decoded envelope has an equal payload and
+    re-encodes to the same JSON text (the CI smoke job runs this).
 ``run --specs GRID.json``
     Execute a declarative campaign: each JSON document's sweeps/specs
     expand to a batch (see :mod:`repro.api.campaign`; ``--specs`` is
@@ -208,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--validate",
         action="store_true",
-        help="validate every envelope against the result schema and check the JSON round trip",
+        help="validate every envelope against the result schema and check its JSON round trip, byte for byte",
     )
     run_parser.add_argument("--quiet", action="store_true", help="suppress per-experiment summaries")
 
@@ -347,10 +348,12 @@ def _cmd_info(args: argparse.Namespace) -> int:
 
 
 def _check_envelope(result: Result) -> None:
-    document = json.loads(result.to_json())
+    text = result.to_json()
+    document = json.loads(text)
     validate_result_dict(document)
     restored = Result.from_dict(document)
-    if not restored.same_payload(result):
+    # Equal payloads can still differ in bytes: payload_equal holds 0.0 == -0.0.
+    if not restored.same_payload(result) or restored.to_json() != text:
         raise ReproError(f"result for {result.experiment!r} did not survive the JSON round trip")
 
 

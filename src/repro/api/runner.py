@@ -41,6 +41,7 @@ from __future__ import annotations
 import time
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from typing import Any
 
 from repro.api.registry import Experiment, iter_experiments, load_registry
@@ -74,8 +75,7 @@ def _run_spec_task(
     worker appends the envelope to its own PID-named shard.
     """
     spec_dict, seed, engine, store_dir, telemetry = task
-    runner = Runner(seed=seed, engine=engine, telemetry=telemetry)
-    result = runner._execute(ExperimentSpec.from_dict(spec_dict))
+    result = Runner(seed=seed, engine=engine, telemetry=telemetry).run(ExperimentSpec.from_dict(spec_dict))
     document = result.to_dict()
     if store_dir is not None:
         ResultStore(store_dir).append_document(document)
@@ -105,9 +105,10 @@ class Runner:
         result keys, reports and figures are byte-identical either way.
 
     Every envelope records :func:`repro.fabric.cas.driver_source_hash` as
-    its ``source_hash``.  :meth:`run_batch` reuses a stored envelope only
-    when its invocation key matches the spec's and that hash equals the
-    current one; ``resume=False`` is the only way to turn reuse off.
+    its ``source_hash``, computed once per distinct experiment of a batch.
+    :meth:`run_batch` reuses a stored envelope only when its invocation key
+    matches the spec's and that hash equals the current one;
+    ``resume=False`` is the only way to turn reuse off.
     """
 
     def __init__(
@@ -149,7 +150,7 @@ class Runner:
                 )
         else:
             spec = ExperimentSpec(experiment=experiment, params=dict(params or {}), engine=engine, seed=seed)
-        return self._execute(spec)
+        return self.run_batch([spec])[0]
 
     def run_batch(
         self,
@@ -179,6 +180,12 @@ class Runner:
         # batch before any work (or worker process) starts, and the resolved
         # identities are what cache matching compares against the store.
         identities = [self._resolve_identity(spec) for spec in specs]
+        # One digest per distinct experiment: resume compares it, and every
+        # envelope the batch executes in this process carries it.
+        source_hashes: dict[str, str | None] = {}
+        for experiment, *_ in identities:
+            if experiment.name not in source_hashes:
+                source_hashes[experiment.name] = _cas.driver_source_hash(experiment)
 
         cached: dict[int, Result] = {}
         pending: list[int] = list(range(len(specs)))
@@ -186,7 +193,7 @@ class Runner:
             # Select on the store index's headers: only the envelopes this
             # batch wants, written by the current code, are parsed and
             # decoded, the first one per invocation.
-            by_key = self._cache_index(identities)
+            by_key = self._cache_index(identities, source_hashes)
 
             def current(header: EnvelopeHeader) -> bool:
                 wanted = by_key.get(header.key)
@@ -205,7 +212,7 @@ class Runner:
         # Cached and pending indices are complementary and both ascending, so
         # walking spec order and pulling fresh results lazily reports each
         # spec as soon as it (or its stored envelope) is available.
-        fresh = self._iter_pending(specs, pending, store)
+        fresh = self._iter_pending(specs, pending, store, source_hashes)
         results: list[Result] = []
         for index in range(len(specs)):
             was_cached = index in cached
@@ -224,13 +231,18 @@ class Runner:
         return results
 
     def _iter_pending(
-        self, specs: list[ExperimentSpec], pending: list[int], store: ResultStore | None
+        self,
+        specs: list[ExperimentSpec],
+        pending: list[int],
+        store: ResultStore | None,
+        source_hashes: dict[str, str | None],
     ) -> "Iterator[tuple[int, Result]]":
         if not pending:
             return
         if self.jobs == 1 or len(pending) == 1:
             for index in pending:
                 result = self._execute(specs[index])
+                result = replace(result, source_hash=source_hashes[result.experiment])
                 if store is not None:
                     store.append(result)
                 yield index, result
@@ -284,19 +296,17 @@ class Runner:
         return experiment, engine, seed, _recorded_params(call_params)
 
     def _cache_index(
-        self, identities: list[tuple[Experiment, str, int | None, dict[str, Any]]]
+        self,
+        identities: list[tuple[Experiment, str, int | None, dict[str, Any]]],
+        source_hashes: dict[str, str | None],
     ) -> dict[str, tuple[int, str]]:
         """Map each spec's invocation key to its batch position and current source hash.
 
-        The source is hashed once per distinct experiment; specs whose
-        source hash is unavailable get no entry at all, so they can never
-        reuse a stored envelope — they just re-run.
+        Specs whose source hash is unavailable get no entry at all, so they
+        can never reuse a stored envelope — they just re-run.
         """
         index: dict[str, tuple[int, str]] = {}
-        source_hashes: dict[str, str | None] = {}
         for position, (experiment, engine, seed, recorded) in enumerate(identities):
-            if experiment.name not in source_hashes:
-                source_hashes[experiment.name] = _cas.driver_source_hash(experiment)
             source_hash = source_hashes[experiment.name]
             if source_hash is not None:
                 key = invocation_key(experiment.name, engine, seed, recorded)
@@ -304,6 +314,7 @@ class Runner:
         return index
 
     def _execute(self, spec: ExperimentSpec) -> Result:
+        """Run *spec*'s driver; the caller stamps the envelope's ``source_hash``."""
         experiment = spec.resolve()
         call_params, effective_engine, effective_seed = self._resolve_call(spec, experiment)
         telemetry: dict[str, Any] | None = None
@@ -326,7 +337,6 @@ class Runner:
             runtime_s=runtime,
             payload=payload,
             telemetry=telemetry,
-            source_hash=_cas.driver_source_hash(experiment),
         )
 
     def _resolve_call(

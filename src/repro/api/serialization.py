@@ -13,14 +13,25 @@ reversible encoding used by the :class:`repro.api.result.Result` envelope:
 * dataclasses → ``{"__kind__": "dataclass", "type": "module.QualName",
   "fields": {...}}``, re-imported on decode (``repro.*`` modules only).
 
+Arrays carry the envelope's bulk, so numpy does their per-element work:
+``tolist()`` on encode and ``np.asarray`` on decode.  A non-finite element
+is written as one of the strings ``"nan"``, ``"inf"`` and ``"-inf"``
+(strict JSON has no such numbers).  Only a float or complex array that
+fails ``np.isfinite(...).all()`` takes the Python pass that writes these
+markers, and only a list that holds one takes the pass that reads them
+back; any other string is an error.  ``str(dtype)``, ``np.dtype(name)``
+and dataclass lookups are memoised per process.
+
 :func:`payload_equal` is the matching deep-equality predicate (numpy-aware,
-NaN-tolerant) and :func:`validate_encoded` the structural validator used by
-the ``python -m repro run --validate`` smoke path.
+NaN-tolerant) and :func:`validate_encoded` the structural validator every
+read applies: for an array node it also checks the dtype, the shape and
+that each element list is flat and of the shape's size.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import importlib
 import json
 import math
@@ -39,9 +50,9 @@ _NONFINITE = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf}
 
 
 def _encode_float(value: float) -> Any:
-    if np.isfinite(value):
+    if math.isfinite(value):
         return float(value)
-    if np.isnan(value):
+    if math.isnan(value):
         return {_KIND: "float", "value": "nan"}
     return {_KIND: "float", "value": "inf" if value > 0 else "-inf"}
 
@@ -58,35 +69,66 @@ def _sanitize_numbers(values: list) -> list:
     ]
 
 
-def _restore_numbers(values: list) -> list:
-    return [_NONFINITE[v] if isinstance(v, str) else v for v in values]
+def _restore_numbers(values: list, node: dict) -> list:
+    """Invert :func:`_sanitize_numbers`; any other string is an error naming *node*."""
+    try:
+        return [_NONFINITE[v] if isinstance(v, str) else v for v in values]
+    except KeyError as exc:
+        raise ConfigurationError(
+            f"ndarray node (dtype {node['dtype']!r}, shape {node['shape']!r}) holds {exc.args[0]!r}, "
+            f"which is neither a number nor one of {sorted(_NONFINITE)}"
+        ) from None
+
+
+@functools.cache
+def _dtype_name(dtype: np.dtype) -> str:
+    return str(dtype)
+
+
+@functools.cache
+def _dtype(name: str) -> np.dtype:
+    try:
+        return np.dtype(name)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"ndarray node has an unparseable dtype {name!r}") from exc
 
 
 def _encode_ndarray(array: np.ndarray) -> dict:
     node: dict[str, Any] = {
         _KIND: "ndarray",
-        "dtype": str(array.dtype),
+        "dtype": _dtype_name(array.dtype),
         "shape": list(array.shape),
     }
     flat = array.ravel()
-    if np.issubdtype(array.dtype, np.complexfloating):
-        node["real"] = _sanitize_numbers(flat.real.tolist())
-        node["imag"] = _sanitize_numbers(flat.imag.tolist())
-    else:
-        node["data"] = _sanitize_numbers(flat.tolist())
+    kind = array.dtype.kind
+    parts = {"real": flat.real, "imag": flat.imag} if kind == "c" else {"data": flat}
+    # Integer and bool elements are always finite: only a float or complex
+    # array in which numpy finds a non-finite element takes the Python pass.
+    finite = kind not in "fc" or bool(np.isfinite(flat).all())
+    for name, part in parts.items():
+        node[name] = part.tolist() if finite else _sanitize_numbers(part.tolist())
     return node
 
 
+def _flat_array(node: dict, part: str) -> np.ndarray:
+    """The element list *part* of an ndarray node as a flat array, markers restored."""
+    values = node[part]
+    flat = np.asarray(values)
+    # numpy turns a list that holds any string into a string array.
+    if flat.dtype.kind == "U":
+        flat = np.asarray(_restore_numbers(values, node))
+    return flat
+
+
 def _decode_ndarray(node: dict) -> np.ndarray:
-    dtype = np.dtype(node["dtype"])
+    dtype = _dtype(node["dtype"])
     shape = tuple(node["shape"])
     if "real" in node:
-        flat = np.asarray(_restore_numbers(node["real"]), dtype=float) + 1j * np.asarray(
-            _restore_numbers(node["imag"]), dtype=float
-        )
+        real, imag = (_flat_array(node, part).astype(float, copy=False) for part in ("real", "imag"))
+        flat = real + 1j * imag
     else:
-        flat = np.asarray(_restore_numbers(node["data"]))
-    return flat.astype(dtype).reshape(shape)
+        flat = _flat_array(node, "data")
+    return flat.astype(dtype, copy=False).reshape(shape)
 
 
 def _dataclass_path(obj: Any) -> str:
@@ -94,7 +136,9 @@ def _dataclass_path(obj: Any) -> str:
     return f"{cls.__module__}.{cls.__qualname__}"
 
 
+@functools.cache
 def _resolve_dataclass(path: str) -> type:
+    # A refusal raises, and functools.cache keeps only returned values.
     module_name, _, qualname = path.rpartition(".")
     if not module_name.startswith("repro"):
         raise ConfigurationError(f"refusing to decode dataclass outside the repro package: {path!r}")
@@ -219,8 +263,60 @@ def payload_equal(left: Any, right: Any) -> bool:
     return bool(left == right)
 
 
-def _fail(path: str, message: str) -> None:
-    raise ConfigurationError(f"invalid serialized payload at {path}: {message}")
+#: The Python types an ndarray node's element lists may hold: JSON numbers
+#: and booleans, and the non-finite marker strings.
+_ELEMENT_TYPES = frozenset({int, float, bool, str})
+
+#: A node's path inside :func:`validate_encoded`: the root's name, or
+#: ``(parent path, step format, label)``.  Formatted only when a check fails.
+_Path = str | tuple
+
+
+def _render(path: _Path) -> str:
+    steps = []
+    while isinstance(path, tuple):
+        path, step, label = path
+        steps.append(step.format(label))
+    return path + "".join(reversed(steps))
+
+
+def _fail(path: _Path, message: str) -> None:
+    raise ConfigurationError(f"invalid serialized payload at {_render(path)}: {message}")
+
+
+def _validate_ndarray(node: dict, path: _Path) -> None:
+    dtype, shape = node.get("dtype"), node.get("shape")
+    if not isinstance(dtype, str) or not isinstance(shape, list):
+        _fail(path, "ndarray node missing dtype/shape")
+    if ("data" in node) == ("real" in node):
+        _fail(path, "ndarray node must carry exactly one of data or real/imag")
+    try:
+        _dtype(dtype)
+    except ConfigurationError as exc:
+        _fail(path, str(exc))
+    if not all(type(extent) is int and extent >= 0 for extent in shape):
+        _fail(path, f"ndarray shape {shape!r} is not a list of non-negative ints")
+    size = math.prod(shape)
+    for part in ("real", "imag") if "real" in node else ("data",):
+        values = node.get(part)
+        if not isinstance(values, list) or len(values) != size:
+            _fail(path, f"ndarray {part} is not a list of {size} elements, the size of shape {shape!r}")
+        try:
+            # sum() adds numbers and booleans at C speed and raises on any
+            # other element: a nested list or mapping, None or a string.
+            sum(values)
+        except (TypeError, OverflowError):
+            _validate_elements(values, part, path)
+
+
+def _validate_elements(values: list, part: str, path: _Path) -> None:
+    """Check, element by element, that *values* holds only numbers and marker strings."""
+    types = set(map(type, values))
+    if not types <= _ELEMENT_TYPES:
+        _fail(path, f"ndarray {part} holds a {min(t.__name__ for t in types - _ELEMENT_TYPES)}, not a number")
+    unknown = sorted({value for value in values if type(value) is str} - _NONFINITE.keys())
+    if unknown:
+        _fail(path, f"ndarray {part} holds {unknown[0]!r}, neither a number nor one of {sorted(_NONFINITE)}")
 
 
 def validate_encoded(node: Any, *, path: str = "payload") -> None:
@@ -229,11 +325,15 @@ def validate_encoded(node: Any, *, path: str = "payload") -> None:
     Raises :class:`~repro.exceptions.ConfigurationError` naming the offending
     path on the first structural violation; returns ``None`` when valid.
     """
+    _validate(node, path)
+
+
+def _validate(node: Any, path: _Path) -> None:
     if node is None or isinstance(node, (bool, int, float, str)):
         return
     if isinstance(node, list):
         for index, item in enumerate(node):
-            validate_encoded(item, path=f"{path}[{index}]")
+            _validate(item, (path, "[{}]", index))
         return
     if not isinstance(node, dict):
         _fail(path, f"unexpected type {type(node).__name__}")
@@ -242,7 +342,7 @@ def validate_encoded(node: Any, *, path: str = "payload") -> None:
         for key, value in node.items():
             if not isinstance(key, str):
                 _fail(path, f"non-string key {key!r} outside a tagged map node")
-            validate_encoded(value, path=f"{path}.{key}")
+            _validate(value, (path, ".{}", key))
         return
     if kind == "float":
         if node.get("value") not in _NONFINITE:
@@ -251,29 +351,26 @@ def validate_encoded(node: Any, *, path: str = "payload") -> None:
         if not isinstance(node.get("hex"), str):
             _fail(path, "bytes node missing hex string")
     elif kind == "ndarray":
-        if not isinstance(node.get("dtype"), str) or not isinstance(node.get("shape"), list):
-            _fail(path, "ndarray node missing dtype/shape")
-        if ("data" in node) == ("real" in node):
-            _fail(path, "ndarray node must carry exactly one of data or real/imag")
+        _validate_ndarray(node, path)
     elif kind == "tuple":
         if not isinstance(node.get("items"), list):
             _fail(path, "tuple node missing items list")
         for index, item in enumerate(node["items"]):
-            validate_encoded(item, path=f"{path}[{index}]")
+            _validate(item, (path, "[{}]", index))
     elif kind == "map":
         if not isinstance(node.get("items"), list):
             _fail(path, "map node missing items list")
         for index, pair in enumerate(node["items"]):
             if not isinstance(pair, list) or len(pair) != 2:
                 _fail(path, f"map entry {index} is not a [key, value] pair")
-            validate_encoded(pair[0], path=f"{path}<key {index}>")
-            validate_encoded(pair[1], path=f"{path}[{index}]")
+            _validate(pair[0], (path, "<key {}>", index))
+            _validate(pair[1], (path, "[{}]", index))
     elif kind == "dataclass":
         if not isinstance(node.get("type"), str) or not node["type"].startswith("repro"):
             _fail(path, f"dataclass node with unexpected type {node.get('type')!r}")
         if not isinstance(node.get("fields"), dict):
             _fail(path, "dataclass node missing fields mapping")
         for name, value in node["fields"].items():
-            validate_encoded(value, path=f"{path}.{name}")
+            _validate(value, (path, ".{}", name))
     else:
         _fail(path, f"unknown node kind {kind!r}")

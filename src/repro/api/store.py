@@ -287,10 +287,9 @@ class ResultStore:
 
     # -- writing -----------------------------------------------------------
 
-    def append(self, result: Result) -> str:
-        """Append one result envelope to this process's shard; returns its key."""
+    def append(self, result: Result) -> None:
+        """Append one result envelope to this process's shard."""
         self.append_document(result.to_dict())
-        return result_key(result)
 
     def append_document(self, document: dict[str, Any]) -> None:
         """Append an already-encoded envelope (one compact JSON line)."""

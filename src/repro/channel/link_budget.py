@@ -202,16 +202,24 @@ class DirectLinkBudget:
         self.tx_antenna = BackscatterLinkBudget._resolve(self.tx_antenna)
         self.rx_antenna = BackscatterLinkBudget._resolve(self.rx_antenna)
 
-    def received_power_dbm(self, distance_m: float, *, rng: np.random.Generator | None = None) -> float:
-        """Received power for a given distance."""
-        obs.count("channel.link_realisations")
+    def received_power_dbm(
+        self, distance_m: float | np.ndarray, *, rng: np.random.Generator | None = None
+    ) -> float | np.ndarray:
+        """Received power at each distance, one link realisation per element.
+
+        A scalar distance gets a float and an array an array, each element
+        bit for bit the scalar call's; one vectorised shadowing draw covers
+        the whole array.
+        """
+        obs.count("channel.link_realisations", int(np.size(distance_m)))
         tissue_loss = 0.0
         if self.tissue is not None:
             tissue_loss = tissue_attenuation_db(self.tissue, passes=1)
-        return float(
+        # PathLossModel.loss_db gives a float for a scalar distance.
+        return (
             self.tx_power_dbm
             + self.tx_antenna.gain_dbi
-            - self.path_loss.loss_db(distance_m, rng=rng)
+            - self.path_loss.loss_db(np.asarray(distance_m, dtype=float), rng=rng)
             + self.rx_antenna.gain_dbi
             - tissue_loss
         )
@@ -219,18 +227,3 @@ class DirectLinkBudget:
     def snr_db(self, distance_m: float, *, rng: np.random.Generator | None = None) -> float:
         """SNR at the receiver for a given distance."""
         return self.noise.snr_db(self.received_power_dbm(distance_m, rng=rng))
-
-    def received_power_dbm_batch(
-        self,
-        distance_m: np.ndarray,
-        *,
-        rng: np.random.Generator | None = None,
-    ):
-        """Broadcasting batch counterpart of :meth:`received_power_dbm`.
-
-        One vectorised shadowing draw covers the whole distance array.
-        """
-        # Local import: repro.mc.channel imports this module at top level.
-        from repro.mc.channel import direct_rssi_batch
-
-        return direct_rssi_batch(self, distance_m, rng=rng)

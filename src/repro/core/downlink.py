@@ -160,7 +160,7 @@ class InterscatterDownlink:
         """
         budget = link_budget if link_budget is not None else DirectLinkBudget(tx_power_dbm=tx_power_dbm)
         budget.tx_power_dbm = tx_power_dbm
-        rssi = budget.received_power_dbm_batch(distance_m)
+        rssi = budget.received_power_dbm(distance_m)
         sensitivity = self.peak_detector.sensitivity_dbm
         # Above the floor the comparator sees the full constant-vs-random
         # envelope contrast; the 12 dB term models that built-in AM depth.

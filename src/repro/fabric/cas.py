@@ -17,8 +17,11 @@ instead of a parse tree costs milliseconds for the whole package and
 gives the same digest on every Python version.  Digests are computed
 lazily — never at import or registry load — and at most once per module
 per process, so every later call only recombines the memoised module
-digests.  A process therefore keeps the digest of the source as it
-first read it: an edit made while it runs is seen by the next process.
+digests, which takes tens of microseconds for the whole package; the
+Runner makes that call once per distinct experiment of a batch, not
+once per spec.  A process therefore keeps the digest of the source as
+it first read it: an edit made while it runs is seen by the next
+process.
 Sorted relative paths make the digest independent of the working
 directory, the hash seed and the host, so shards on other machines and
 ``--jobs`` workers compute the same value.

@@ -12,7 +12,7 @@ Two layers, each usable on its own:
   realisations in one call.
 """
 
-from repro.mc.channel import BatchLinkResult, backscatter_link_batch, direct_rssi_batch
+from repro.mc.channel import BatchLinkResult, backscatter_link_batch
 from repro.mc.kernels import (
     deinterleave_batch,
     demap_batch,
@@ -32,7 +32,6 @@ from repro.mc.viterbi import BatchViterbiDecoder, encode_batch
 __all__ = [
     "BatchLinkResult",
     "backscatter_link_batch",
-    "direct_rssi_batch",
     "deinterleave_batch",
     "demap_batch",
     "depuncture_batch",

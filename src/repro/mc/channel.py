@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.channel.link_budget import BackscatterLinkBudget, DirectLinkBudget
+from repro.channel.link_budget import BackscatterLinkBudget
 from repro.channel.tissue import tissue_attenuation_db
 from repro.obs import metrics as obs
 
-__all__ = ["BatchLinkResult", "backscatter_link_batch", "direct_rssi_batch"]
+__all__ = ["BatchLinkResult", "backscatter_link_batch"]
 
 
 @dataclass(frozen=True)
@@ -92,24 +92,4 @@ def backscatter_link_batch(
         incident_power_dbm=incident,
         snr_db=budget.noise.snr_db(rssi),
         detectable=rssi >= budget.receiver_sensitivity_dbm,
-    )
-
-
-def direct_rssi_batch(
-    budget: DirectLinkBudget,
-    distance_m: np.ndarray,
-    *,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
-    """Received power of the one-hop link for an array of distances."""
-    obs.count("channel.link_realisations", int(np.size(distance_m)))
-    tissue_loss = 0.0
-    if budget.tissue is not None:
-        tissue_loss = tissue_attenuation_db(budget.tissue, passes=1)
-    return (
-        budget.tx_power_dbm
-        + budget.tx_antenna.gain_dbi
-        - _shadowed_loss_db(budget.path_loss, np.asarray(distance_m, dtype=float), rng=rng)
-        + budget.rx_antenna.gain_dbi
-        - tissue_loss
     )

@@ -6,14 +6,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import repro
 from repro.api import Result, ResultStore, payload_equal
-from repro.api.cli import main
+from repro.api.cli import _check_envelope, main
 from repro.api.registry import KNOWN_ENGINES
+from repro.exceptions import ReproError
 from repro.experiments import fig11_per
 
 
@@ -88,6 +90,15 @@ class TestRun:
         out_path = tmp_path / "out.json"
         assert main(["run", "fig13", "--fast", "--seed", "77", "--json", str(out_path)]) == 0
         assert Result.from_json(out_path.read_text()).seed == 77
+
+    def test_validate_rejects_a_round_trip_that_changes_the_bytes(self, monkeypatch):
+        result = Result(experiment="table_power", engine="scalar", seed=None, payload={"margin_db": -0.0})
+        _check_envelope(result)  # the JSON round trip keeps -0.0
+        decoded = replace(result, payload={"margin_db": 0.0})
+        assert decoded.same_payload(result)  # payload equality holds 0.0 == -0.0
+        monkeypatch.setattr(Result, "from_dict", classmethod(lambda cls, data: decoded))
+        with pytest.raises(ReproError, match="did not survive the JSON round trip"):
+            _check_envelope(result)
 
 
 def _write_grid(tmp_path, *, experiment="fig17", seed=17):

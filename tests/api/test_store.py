@@ -513,3 +513,32 @@ class TestMalformedEnvelopes:
         shard.write_text(json.dumps({"schema_version": 1, "engine": "scalar"}) + "\n")
         with pytest.raises(ConfigurationError, match=r"malformed result envelope at .*remote\.jsonl:1: .*'experiment'"):
             ResultStore(tmp_path / "into").merge(shard.as_uri())
+
+
+#: Faults an array node of a fig13 payload can carry, each applied to its ``ber`` node.
+_MALFORMED_ARRAYS = {
+    "unknown-marker": lambda node: node["data"].__setitem__(0, "bogus"),
+    "shape-size": lambda node: node.__setitem__("shape", [len(node["data"]) + 1]),
+    "unparseable-dtype": lambda node: node.__setitem__("dtype", "notatype"),
+    "nested-list": lambda node: node["data"].__setitem__(0, [node["data"][0]]),
+}
+
+
+class TestMalformedArrayNodes:
+    @pytest.fixture(scope="class")
+    def fig13(self):
+        return Runner(telemetry=False).run("fig13", engine="batch").to_dict()
+
+    @pytest.mark.parametrize("malform", list(_MALFORMED_ARRAYS.values()), ids=list(_MALFORMED_ARRAYS))
+    def test_decode_and_every_read_raise_a_configuration_error(self, tmp_path, fig13, malform):
+        document = json.loads(json.dumps(fig13))
+        malform(document["payload"]["fields"]["ber"])
+        with pytest.raises(ConfigurationError, match=r"at payload\.ber: ndarray"):
+            Result.from_dict(document)
+        store = ResultStore(tmp_path, shard="bad.jsonl")
+        store.append_document(document)
+        for reader in (len, lambda store: store.query("fig13")):
+            with pytest.raises(
+                ConfigurationError, match=r"malformed result envelope at .*bad\.jsonl:1: .*payload\.ber: ndarray"
+            ):
+                reader(store)

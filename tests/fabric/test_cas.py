@@ -207,6 +207,32 @@ class TestResume:
         assert max(reads.values()) == 1
 
 
+class TestOneDigestPerExperiment:
+    def test_a_batch_hashes_each_experiment_once_and_stamps_every_envelope(self, tmp_path, monkeypatch):
+        calls: Counter[str] = Counter()
+        digest = cas.driver_source_hash
+
+        def counting_digest(experiment):
+            calls[experiment.name] += 1
+            return digest(experiment)
+
+        monkeypatch.setattr(cas, "driver_source_hash", counting_digest)
+        specs = [
+            ExperimentSpec(experiment=name, engine="batch", seed=seed)
+            for name in ("fig13", "fig14", "fig17")
+            for seed in (1, 2, 3)
+        ]
+        runner = Runner(telemetry=False)
+        store = ResultStore(tmp_path / "store")
+        for batch_store in (None, store, store):  # no store, then cold and warm on one store
+            calls.clear()
+            results = runner.run_batch(specs, store=batch_store)
+            assert calls == {"fig13": 1, "fig14": 1, "fig17": 1}
+            assert [result.source_hash for result in results] == [
+                digest(_resolved(result.experiment)) for result in results
+            ]
+
+
 class TestImportOrder:
     def test_fabric_imports_standalone_before_the_api_package(self):
         # runner.py and the repro.fabric package import each other's

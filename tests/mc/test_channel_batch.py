@@ -10,7 +10,8 @@ from repro.channel.link_budget import BackscatterLinkBudget, DirectLinkBudget
 from repro.channel.propagation import PathLossModel
 from repro.channel.tissue import TISSUE_PRESETS
 from repro.experiments import fig11_per, fig13_downlink_ber, fig14_zigbee_rssi
-from repro.mc import backscatter_link_batch, direct_rssi_batch
+from repro.mc import backscatter_link_batch
+from repro.obs.metrics import Collector
 
 
 class TestBackscatterLinkBatch:
@@ -58,26 +59,33 @@ class TestDirectRssiBatch:
     def test_matches_scalar(self):
         budget = DirectLinkBudget(tx_power_dbm=20.0)
         distances = np.array([0.5, 3.0, 7.5])
-        batch = direct_rssi_batch(budget, distances)
+        batch = budget.received_power_dbm(distances)
         for index, distance in enumerate(distances):
-            assert batch[index] == budget.received_power_dbm(float(distance))
+            scalar = budget.received_power_dbm(float(distance))
+            assert type(scalar) is float
+            assert batch[index] == scalar
 
     @pytest.mark.parametrize("tissue", sorted(TISSUE_PRESETS))
     def test_tissue_layer_matches_scalar(self, tissue):
         budget = DirectLinkBudget(tx_power_dbm=20.0, tissue=tissue)
         distances = np.array([0.5, 3.0])
-        batch = direct_rssi_batch(budget, distances)
+        batch = budget.received_power_dbm(distances)
         for index, distance in enumerate(distances):
             assert batch[index] == budget.received_power_dbm(float(distance))
-        open_air = direct_rssi_batch(DirectLinkBudget(tx_power_dbm=20.0), distances)
+        open_air = DirectLinkBudget(tx_power_dbm=20.0).received_power_dbm(distances)
         np.testing.assert_allclose(open_air - batch, TISSUE_PRESETS[tissue].one_way_loss_db)
 
-    def test_budget_method_is_the_batch_function(self):
-        budget = DirectLinkBudget(tx_power_dbm=20.0, path_loss=PathLossModel(shadowing_sigma_db=4.0))
+    def test_one_shadowing_draw_per_element(self):
+        sigma = 4.0
+        shadowed = DirectLinkBudget(tx_power_dbm=20.0, path_loss=PathLossModel(shadowing_sigma_db=sigma))
         distances = np.array([1.0, 2.0, 4.0])
-        via_method = budget.received_power_dbm_batch(distances, rng=np.random.default_rng(5))
-        via_function = direct_rssi_batch(budget, distances, rng=np.random.default_rng(5))
-        np.testing.assert_array_equal(via_method, via_function)
+        collector = Collector()
+        with collector.activate():
+            rssi = shadowed.received_power_dbm(distances, rng=np.random.default_rng(5))
+        assert collector.counters["channel.link_realisations"] == distances.size
+        draws = np.random.default_rng(5).normal(0.0, sigma, size=distances.size)
+        expected = DirectLinkBudget(tx_power_dbm=20.0).received_power_dbm(distances) - draws
+        np.testing.assert_allclose(rssi, expected, rtol=0, atol=1e-12)
 
 
 class TestExperimentEngines:
